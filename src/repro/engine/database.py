@@ -61,6 +61,7 @@ from ..common.errors import (
     TransactionAborted,
     TransactionError,
 )
+from ..common.ops import StatsSections
 from ..obs import observability
 from ..recovery.manager import RecoveryManager
 from ..sql.executor import ExecutionContext, ResultSet
@@ -91,16 +92,6 @@ _EXECUTION_CHARGES: tuple[tuple[str, str], ...] = (
 _TXN_STAT_KEYS = ("begun", "committed", "aborted", "implicit", "procedure_calls")
 
 
-def _safe_section(thunk) -> Any:
-    """Evaluate a registered stats-section thunk, degrading a raising
-    thunk to an ``{"error": ...}`` value so one broken section can never
-    take down the whole ``stats()`` snapshot."""
-    try:
-        return thunk()
-    except Exception as exc:  # noqa: BLE001 - stats must never raise
-        return {"error": f"{type(exc).__name__}: {exc}"}
-
-
 def _copy_plan_info(info: Any) -> Any:
     """Deep-copy a plan_info tree (dicts/lists/scalars only) so EXPLAIN
     callers can annotate and mutate their copy without corrupting the
@@ -126,7 +117,7 @@ def _annotate_actual(info: Any, counts: dict[int, int]) -> None:
             _annotate_actual(value, counts)
 
 
-class Database:
+class Database(StatsSections):
     """One partition's engine: DDL, transactions, procedures, accounting."""
 
     def __init__(
@@ -241,9 +232,7 @@ class Database:
         #: layer's visibility/DML rules; deliberately not exposed through
         #: any public signature.
         self._guard = self.streaming.guard
-        #: extra :meth:`stats` sections contributed by attached subsystems
-        #: (e.g. a network server registers ``"server"``); name → thunk
-        self._stats_sections: dict[str, Any] = {}
+        super().__init__()  # the registered stats sections
         # the metrics registry *backs* stats() through the same hook any
         # attached subsystem uses — one snapshot API, no parallel channel
         self._stats_sections["obs"] = lambda: self.obs.stats_section()
@@ -722,7 +711,7 @@ class Database:
         self._procedures[key] = StoredProcedure(key, fn)
         return fn
 
-    def call(self, name: str, *args: Any) -> Any:
+    def call(self, name: str, *args: Any, key: Any = None) -> Any:
         """Invoke a stored procedure as one transaction.
 
         The body runs with a :class:`ProcedureContext`; its statements use
@@ -735,6 +724,8 @@ class Database:
         Args:
             name: registered procedure name (case-insensitive).
             args: positional arguments passed to the body after ``ctx``.
+            key: partition routing hint, ignored — a single engine *is*
+                the one partition every key routes to.
 
         Returns:
             The body's return value.
@@ -1041,9 +1032,12 @@ class Database:
                 )
         return out
 
-    def explain(self, sql: str, params: Sequence[Any] = ()) -> dict[str, Any]:
+    def explain(
+        self, sql: str, params: Sequence[Any] = (), *, key: Any = None
+    ) -> dict[str, Any]:
         """The plan tree for ``sql`` with estimated — and, for SELECT,
-        **actual** — per-operator row counts.
+        **actual** — per-operator row counts (``key`` is a routing hint,
+        ignored here as in :meth:`execute`).
 
         SELECT statements are executed (with ``params``) so every operator
         can report the rows it actually emitted next to the planner's
@@ -1070,7 +1064,9 @@ class Database:
 
     # -- execution -------------------------------------------------------------
 
-    def execute(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
+    def execute(
+        self, sql: str, params: Sequence[Any] = (), *, key: Any = None
+    ) -> ResultSet:
         """Execute one SQL statement (through the plan cache).
 
         Joins the open transaction if there is one; otherwise runs as an
@@ -1084,6 +1080,7 @@ class Database:
                 placeholders bind positionally.
             params: bind values, one per ``?`` (JSON-safe values required
                 when recovery is enabled).
+            key: partition routing hint, ignored (see :meth:`call`).
 
         Returns:
             A :class:`ResultSet` — rows and column names for SELECT, a
@@ -1144,7 +1141,13 @@ class Database:
                 capture.record_statement(txn, stmt.sql, params)
         return result
 
-    def executemany(self, sql: str, param_rows: Iterable[Sequence[Any]]) -> int:
+    def executemany(
+        self,
+        sql: str,
+        param_rows: Iterable[Sequence[Any]],
+        *,
+        key_position: Optional[int] = None,
+    ) -> int:
         """Apply one statement across a batch of parameter rows; returns the
         total rowcount.
 
@@ -1168,6 +1171,8 @@ class Database:
             param_rows: an iterable of bind-value rows (materialised up
                 front when recovery is enabled, so the whole batch can
                 ride in one command-log record).
+            key_position: which parameter column carries the partition
+                key — a routing hint, ignored (see :meth:`call`).
 
         Returns:
             The total rowcount across the batch.
@@ -1338,26 +1343,6 @@ class Database:
             if n:
                 clock.charge(event, getattr(cost, attr) * n, count=n)
 
-    def add_stats_section(self, name: str, thunk) -> None:
-        """Attach an extra section to :meth:`stats`.
-
-        ``thunk()`` is called on every stats snapshot and its return value
-        appears under ``name``.  This is how subsystems that *front* the
-        engine (the network server's ``"server"`` counters, the
-        observability registry's ``"obs"`` section) surface their state
-        through the one stats API benchmarks and dashboards already read.
-        Re-registering a name replaces the previous thunk; a registered
-        section shadows any built-in key of the same name.  A thunk that
-        raises does **not** break :meth:`stats` — its section becomes
-        ``{"error": "<class>: <message>"}``.
-        """
-        self._stats_sections[name] = thunk
-
-    def remove_stats_section(self, name: str) -> None:
-        """Detach a section added by :meth:`add_stats_section` (no-op if
-        absent)."""
-        self._stats_sections.pop(name, None)
-
     def _builtin_stats_sections(self) -> dict[str, Any]:
         """Name → thunk for every built-in :meth:`stats` section, so a
         selective ``stats(section=...)`` computes only what it returns."""
@@ -1421,22 +1406,7 @@ class Database:
         snapshot never raises (a failing registered thunk degrades to an
         ``{"error": ...}`` section); safe to call between statements.
         """
-        builtins = self._builtin_stats_sections()
-        if section is not None:
-            thunk = self._stats_sections.get(section)
-            if thunk is not None:
-                return _safe_section(thunk)
-            builtin = builtins.get(section)
-            if builtin is not None:
-                return builtin()
-            known = sorted(set(builtins) | set(self._stats_sections))
-            raise KeyError(
-                f"unknown stats section {section!r} (have: {', '.join(known)})"
-            )
-        snapshot = {name: thunk() for name, thunk in builtins.items()}
-        for name, thunk in self._stats_sections.items():
-            snapshot[name] = _safe_section(thunk)
-        return snapshot
+        return self._stats_snapshot(section, self._builtin_stats_sections())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         open_txn = self._txn.txn_id if self._txn is not None else None

@@ -20,13 +20,15 @@ Routing rules
   an explicit ``key`` routes the whole request to ``partition_of(key)``
   as an ordinary single-partition transaction (the fast path; the paper's
   single-sited case).
-* ``execute`` without a key classifies the statement: ``SELECT`` fans out
+* ``execute`` without a key classifies the statement by its first token
+  (the lexer's, so comments and case do not matter): ``SELECT`` fans out
   to every partition and returns the **union** of per-partition results
   (no cross-partition ordering or aggregate merge — aggregates come back
   one row per partition); ``UPDATE``/``DELETE`` run as a cross-partition
   transaction; ``INSERT`` without a key is refused (broadcasting it would
-  duplicate the row on every partition); DDL broadcasts to every
-  partition auto-commit (schema is deployment, not data).
+  duplicate the row on every partition); ``ANALYZE [table]`` is
+  :meth:`~PartitionedDatabase.analyze`; anything else is not a statement
+  and goes to partition 0 for the engine's own parse error.
 * ``call`` without a key runs the procedure body as a fragment on *every*
   partition inside one cross-partition transaction (via
   :meth:`~repro.engine.database.Database.call_in_txn`) and returns the
@@ -64,6 +66,7 @@ from __future__ import annotations
 import multiprocessing
 import socket
 from collections import Counter, defaultdict, deque
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
@@ -71,37 +74,23 @@ from ..common.errors import (
     BatchOrderError,
     NoSuchTableError,
     PartitionError,
+    ProtocolError,
     SchemaError,
 )
-from ..common.framing import TRACE_KEY
+from ..common.ops import StatsSections
 from ..obs import MetricsRegistry, observability
 from ..obs.tracing import NOOP_SPAN
 from ..sql.executor import ResultSet
+from ..sql.lexer import TokenType, tokenize
 from ..storage.partitioning import PartitionMap
-from .rpc import Channel, decode_value, raise_reply_error
+from .rpc import Channel, open_span, settle
 from .worker import InlineWorker, PartitionInfo, worker_main
-
-#: control-plane ops whose RPCs are not worth a span (and whose traces
-#: would pollute the ring the ``obs_spans`` op itself drains)
-_UNTRACED_RPC = frozenset(
-    {"stats", "schema", "obs_spans", "ping", "shutdown", "inject_fault",
-     "snapshot", "close"}
-)
-
-
-def _safe_section(thunk) -> Any:
-    """Same degrade-to-``{"error": ...}`` contract as the engine's
-    registered stats sections (see ``Database.add_stats_section``)."""
-    try:
-        return thunk()
-    except Exception as exc:  # noqa: BLE001 - stats must never raise
-        return {"error": f"{type(exc).__name__}: {exc}"}
 
 
 class _ProcessHandle:
-    """Coordinator-side end of one worker process."""
-
-    kind = "process"
+    """Coordinator-side end of one worker process (an
+    :class:`~repro.partition.worker.InlineWorker` is the same interface
+    with no process behind it)."""
 
     def __init__(self, deploy, part: PartitionInfo, options: dict[str, Any]):
         ctx = multiprocessing.get_context("fork")
@@ -120,7 +109,7 @@ class _ProcessHandle:
         reply = self.channel.recv()
         if not reply.get("ok"):
             self.process.join(timeout=5)
-            raise_reply_error(reply, partition_id)
+        settle(reply, None, f"partition {partition_id}", PartitionError)
 
     def send(self, request: dict[str, Any]) -> None:
         self.channel.send(request)
@@ -138,33 +127,15 @@ class _ProcessHandle:
         self.channel.close()
 
 
-class _InlineHandle:
-    """Same interface over an in-process worker (tests, 1-core boxes)."""
-
-    kind = "inline"
-
-    def __init__(self, deploy, part: PartitionInfo, options: dict[str, Any]):
-        self.worker = InlineWorker(deploy, part, options)
-
-    def ready(self, partition_id: int) -> None:
-        pass
-
-    def send(self, request: dict[str, Any]) -> None:
-        self.worker.send(request)
-
-    def recv(self) -> dict[str, Any]:
-        return self.worker.recv()
-
-    def join(self) -> None:
-        pass
-
-    def kill(self) -> None:
-        self.worker.kill()
-
-
-def _leading_keyword(sql: str) -> str:
-    stripped = sql.lstrip()
-    return stripped.split(None, 1)[0].lower() if stripped else ""
+@lru_cache(maxsize=256)
+def _statement_head(sql: str) -> tuple[str, Optional[str]]:
+    """The statement's first token, lower-cased, and the identifier after
+    it (``ANALYZE``'s table), read from the lexer so a leading comment
+    cannot hide the verb."""
+    tokens = tokenize(sql)  # never empty: EOF terminates it
+    head = tokens[0].value
+    follows = len(tokens) > 1 and tokens[1].type is TokenType.IDENT
+    return (head if isinstance(head, str) else ""), (tokens[1].value if follows else None)
 
 
 def _value_sort_key(v: Any) -> tuple:
@@ -180,7 +151,7 @@ def _row_sort_key(row: Sequence[Any]) -> tuple:
     return tuple(_value_sort_key(v) for v in row)
 
 
-class PartitionedDatabase:
+class PartitionedDatabase(StatsSections):
     """One logical database over ``num_partitions`` serial engines.
 
     Args:
@@ -241,14 +212,12 @@ class PartitionedDatabase:
         self._max_inflight = max_inflight
         #: routing / protocol tallies, reported by :meth:`stats`
         self.routing: Counter[str] = Counter()
-        #: extra :meth:`stats` sections contributed by attached subsystems
-        #: (same contract as ``Database.add_stats_section``)
-        self._stats_sections: dict[str, Any] = {}
+        super().__init__()  # the registered stats sections
         self.obs = observability(obs, process="coord")
         self._stats_sections["obs"] = self._obs_section
         self._next_xid = 1
         self._closed = False
-        handle_cls = _InlineHandle if workers == "inline" else _ProcessHandle
+        handle_cls = InlineWorker if workers == "inline" else _ProcessHandle
         root = Path(recovery_dir) if recovery_dir is not None else None
         # the obs level crosses the fork as a string; each worker builds
         # its own registry/tracer labelled with its partition name
@@ -274,57 +243,50 @@ class PartitionedDatabase:
             for handle in self._handles:
                 handle.kill()
             raise
-        self._schema = self._fetch_schema()
+        # every partition shares the deployed schema: learn it from one
+        tables = self._request(0, {"op": "stats", "section": "tables"})
+        self._schema = {name.lower(): meta for name, meta in tables.items()}
 
-    # -- request plumbing (FIFO tags per worker; supports pipelining) --------
+    # -- request plumbing (one reply FIFO per worker; supports pipelining) ----
 
-    def _fetch_schema(self) -> dict[str, dict[str, Any]]:
-        raw = self._request(0, {"op": "schema"})
-        return {name.lower(): meta for name, meta in raw.items()}
-
-    def _post(self, pid: int, request: dict[str, Any], *, collect: bool = False) -> dict:
-        tag = {"collect": collect, "value": None, "done": False, "span": None}
-        obs = self.obs
-        if obs.enabled:
-            op = request.get("op")
-            if op not in _UNTRACED_RPC:
-                # detached: pipelined RPCs finish out of creation order
-                span = obs.tracer.start(
-                    f"rpc.{op}", {"partition": pid}, detached=True
-                )
-                tag["span"] = span
-                if obs.tracing:
-                    request[TRACE_KEY] = span.context()
+    def _post(self, pid: int, request: dict[str, Any]) -> None:
+        span = open_span(self.obs, "rpc", request, {"partition": pid})
         self._handles[pid].send(request)
-        self._pending[pid].append(tag)
-        return tag
+        self._pending[pid].append(span)
 
-    def _pump(self, pid: int) -> None:
-        """Receive one reply for worker ``pid``, resolving its oldest tag.
-        An error reply raises here — asynchronous (pipelined) failures
-        surface at the next synchronisation point."""
+    def _pump(self, pid: int) -> Any:
+        """Receive worker ``pid``'s oldest outstanding reply and return its
+        value.  An error reply raises here — asynchronous (pipelined)
+        failures surface at the next synchronisation point."""
         reply = self._handles[pid].recv()
-        tag = self._pending[pid].popleft()
-        tag["done"] = True
-        span = tag["span"]
-        if span is not None:
-            span.finish(ok=bool(reply.get("ok")))
-        if not reply.get("ok"):
-            raise_reply_error(reply, pid)
-        if tag["collect"]:
-            tag["value"] = decode_value(reply.get("value"))
+        span = self._pending[pid].popleft()
+        return settle(reply, span, f"partition {pid}", PartitionError)
+
+    def _sync(self, pid: int) -> Any:
+        """Collect every outstanding reply of worker ``pid``; returns the
+        newest one's value."""
+        value = None
+        while self._pending[pid]:
+            value = self._pump(pid)
+        return value
 
     def _request(self, pid: int, request: dict[str, Any]) -> Any:
-        tag = self._post(pid, request, collect=True)
-        while not tag["done"]:
-            self._pump(pid)
-        return tag["value"]
+        self._post(pid, request)
+        return self._sync(pid)
 
     def barrier(self) -> None:
         """Collect every outstanding pipelined reply (first error raises)."""
         for pid in range(self.num_partitions):
-            while self._pending[pid]:
-                self._pump(pid)
+            self._sync(pid)
+
+    def _broadcast(self, op: str, **operands: Any) -> list:
+        """Synchronise, then run the same request on every partition in
+        partition order; returns the per-partition values."""
+        self.barrier()
+        return [
+            self._request(pid, {"op": op, **operands})
+            for pid in range(self.num_partitions)
+        ]
 
     # -- ingest (pipelined, split by partition column) -----------------------
 
@@ -390,22 +352,15 @@ class PartitionedDatabase:
                 buckets = self._split_batch(stream, rows)
             self.routing["ingest_batches"] += 1
             self.routing["ingest_rows"] += len(rows)
-            tags = []
             for pid, sub in buckets:
                 self.routing["ingest_sub_batches"] += 1
                 while len(self._pending[pid]) >= self._max_inflight:
                     self._pump(pid)
-                tags.append(
-                    (pid, self._post(pid, {"op": "ingest", "stream": stream,
-                                           "rows": sub, "batch_id": batch_id},
-                                     collect=wait))
-                )
+                self._post(pid, {"op": "ingest", "stream": stream,
+                                 "rows": sub, "batch_id": batch_id})
             if not wait:
                 return None
-            for pid, tag in tags:
-                while not tag["done"]:
-                    self._pump(pid)
-            return {pid: tag["value"] for pid, tag in tags}
+            return {pid: self._sync(pid) for pid, _sub in buckets}
 
     # -- routed statements and procedure calls -------------------------------
 
@@ -416,7 +371,7 @@ class PartitionedDatabase:
             self.routing["single_partition_statements"] += 1
             pid = self.partition_map.partition_of(key)
             return self._request(pid, {"op": "execute", "sql": sql, "params": params})
-        verb = _leading_keyword(sql)
+        verb, table = _statement_head(sql)
         if verb == "select":
             return self._fanout_select(sql, params)
         if verb == "insert":
@@ -429,29 +384,22 @@ class PartitionedDatabase:
                 lambda pid: {"op": "xp_exec", "sql": sql, "params": params}
             )
             return ResultSet((), [], sum(r.rowcount for r in results))
-        # DDL (and anything else): schema is deployment — broadcast,
-        # one auto-commit transaction per partition, then re-learn schema
-        self.routing["broadcast_statements"] += 1
-        result: Any = None
-        for pid in range(self.num_partitions):
-            result = self._request(pid, {"op": "execute", "sql": sql, "params": params})
-        self._schema = self._fetch_schema()
-        return result
+        if verb == "analyze":
+            return ResultSet(
+                ("table_name", "analyzed_rows"), sorted(self.analyze(table).items())
+            )
+        # not a statement: partition 0's engine raises the typed parse error
+        return self._request(0, {"op": "execute", "sql": sql, "params": params})
 
     def _fanout_select(self, sql: str, params: list) -> ResultSet:
         self.routing["fanout_selects"] += 1
-        tags = [
-            (pid, self._post(pid, {"op": "execute", "sql": sql, "params": params},
-                             collect=True))
-            for pid in range(self.num_partitions)
-        ]
+        for pid in range(self.num_partitions):
+            self._post(pid, {"op": "execute", "sql": sql, "params": params})
         columns: tuple = ()
         rows: list = []
         rowcount = 0
-        for pid, tag in tags:
-            while not tag["done"]:
-                self._pump(pid)
-            rs = tag["value"]
+        for pid in range(self.num_partitions):
+            rs = self._sync(pid)
             columns = rs.columns
             rows.extend(rs.rows)
             rowcount += rs.rowcount
@@ -469,9 +417,9 @@ class PartitionedDatabase:
         if key is not None:
             self.routing["single_partition_calls"] += 1
             pid = self.partition_map.partition_of(key)
-            return self._request(pid, {"op": "call", "name": name, "args": list(args)})
+            return self._request(pid, {"op": "call", "proc": name, "args": list(args)})
         return self._cross_partition(
-            lambda pid: {"op": "xp_call", "name": name, "args": list(args)}
+            lambda pid: {"op": "xp_call", "proc": name, "args": list(args)}
         )
 
     def explain(self, sql: str, params: Sequence[Any] = (), *, key: Any = None) -> dict:
@@ -490,20 +438,30 @@ class PartitionedDatabase:
         """Collect column statistics on **every** partition (each worker's
         planner costs against its own rows); returns the per-table row
         totals summed across partitions."""
-        totals: dict[str, int] = {}
-        for pid in range(self.num_partitions):
-            for name, rows in self._request(pid, {"op": "analyze", "table": table}).items():
-                totals[name] = totals.get(name, 0) + rows
-        return totals
+        totals: Counter[str] = Counter()
+        for analyzed in self._broadcast("analyze", table=table):
+            totals.update(analyzed)
+        return dict(totals)
 
-    def executemany(self, sql: str, param_rows, *, key_position: int) -> int:
+    def executemany(
+        self, sql: str, param_rows, *, key_position: Optional[int] = None
+    ) -> int:
         """Bulk DML routed row-by-row: each parameter row goes to the
         partition of its ``key_position``-th value, applied as one
-        ``executemany`` transaction per touched partition."""
+        ``executemany`` transaction per touched partition.  With more than
+        one partition ``key_position`` is required
+        (:class:`~repro.common.errors.ProtocolError` without it)."""
+        if key_position is None and self.num_partitions > 1:
+            raise ProtocolError(
+                "executemany against a partitioned engine requires "
+                "key_position (which parameter column carries the "
+                "partition key)"
+            )
         buckets: dict[int, list] = defaultdict(list)
+        part_of = self.partition_map.partition_of
         for row in param_rows:
             row = list(row)
-            buckets[self.partition_map.partition_of(row[key_position])].append(row)
+            buckets[0 if key_position is None else part_of(row[key_position])].append(row)
         self.routing["single_partition_statements"] += len(buckets)
         total = 0
         for pid, rows in sorted(buckets.items()):
@@ -564,24 +522,16 @@ class PartitionedDatabase:
     def drain(self) -> int:
         """Run pending workflow deliveries to completion on every
         partition; returns the total deliveries processed."""
-        self.barrier()
-        return sum(
-            self._request(pid, {"op": "drain"}) for pid in range(self.num_partitions)
-        )
+        return sum(self._broadcast("drain"))
 
     def flush_log(self) -> None:
         """Close the durability window on every partition (one group-commit
         fsync each).  This is the all-partitions durability boundary."""
-        self.barrier()
-        for pid in range(self.num_partitions):
-            self._request(pid, {"op": "flush"})
+        self._broadcast("flush_log")
 
     def checkpoint(self) -> list[str]:
-        self.barrier()
-        return [
-            self._request(pid, {"op": "checkpoint"})
-            for pid in range(self.num_partitions)
-        ]
+        """Checkpoint every partition; returns the checkpoint paths."""
+        return self._broadcast("checkpoint")
 
     def inject_fault(self, pid: int, op: str, message: Optional[str] = None) -> None:
         """Arm a one-shot failure of ``op`` on partition ``pid`` (tests)."""
@@ -591,11 +541,7 @@ class PartitionedDatabase:
 
     def snapshot(self) -> dict[int, dict[str, Any]]:
         """Per-partition ``Catalog.snapshot()`` (JSON-decoded form)."""
-        self.barrier()
-        return {
-            pid: self._request(pid, {"op": "snapshot"})
-            for pid in range(self.num_partitions)
-        }
+        return dict(enumerate(self._broadcast("snapshot")))
 
     def merged_table_rows(self, table: str) -> list[tuple]:
         """All partitions' rows of ``table`` as a sorted list of value
@@ -610,29 +556,13 @@ class PartitionedDatabase:
             merged.extend(tuple(values) for _rowid, values in state["rows"])
         return sorted(merged, key=_row_sort_key)
 
-    def add_stats_section(self, name: str, thunk) -> None:
-        """Attach an extra section to :meth:`stats` — same contract as
-        ``Database.add_stats_section`` (the network server registers its
-        ``"server"`` counters here when fronting a partitioned engine).
-        Re-registering replaces; a registered section shadows a built-in
-        key; a raising thunk degrades to ``{"error": ...}``."""
-        self._stats_sections[name] = thunk
-
-    def remove_stats_section(self, name: str) -> None:
-        """Detach a section added by :meth:`add_stats_section` (no-op if
-        absent)."""
-        self._stats_sections.pop(name, None)
-
     def _worker_stats(self, section: Optional[str] = None) -> list:
         """Per-partition engine stats (whole snapshot or one section)."""
-        self.barrier()
-        request: dict[str, Any] = {"op": "stats"}
-        if section is not None:
-            request["section"] = section
-        return [
-            self._request(pid, dict(request))
-            for pid in range(self.num_partitions)
-        ]
+        per = self._broadcast("stats", section=section)
+        if section is None:
+            for pid, snapshot in enumerate(per):
+                snapshot["partition"] = pid
+        return per
 
     @staticmethod
     def _agg_transactions(per: list) -> dict[str, int]:
@@ -651,21 +581,6 @@ class PartitionedDatabase:
                 table_rows[t] += meta["rows"]
         return dict(table_rows)
 
-    def _builtin_stats_sections(self) -> dict[str, Any]:
-        """Name → thunk for a selective ``stats(section=...)`` — the
-        cross-worker sections fetch only the matching per-worker section."""
-        return {
-            "num_partitions": lambda: self.num_partitions,
-            "mode": lambda: self.partition_map.mode,
-            "workers": lambda: self.workers,
-            "routing": lambda: dict(self.routing),
-            "transactions": lambda: self._agg_transactions(
-                self._worker_stats("transactions")
-            ),
-            "table_rows": lambda: self._agg_table_rows(self._worker_stats("tables")),
-            "partitions": self._worker_stats,
-        }
-
     def stats(self, section: Optional[str] = None) -> Any:
         """Aggregated counters: routing/protocol tallies, per-partition
         engine stats, cross-partition sums (transactions, table row
@@ -674,32 +589,25 @@ class PartitionedDatabase:
         :meth:`add_stats_section` section.  ``section=`` fetches one
         section, computing (and fetching from workers) only what it
         needs; an unknown name raises :class:`KeyError`."""
-        if section is not None:
-            thunk = self._stats_sections.get(section)
-            if thunk is not None:
-                return _safe_section(thunk)
-            builtin = self._builtin_stats_sections().get(section)
-            if builtin is not None:
-                return builtin()
-            known = sorted(
-                set(self._builtin_stats_sections()) | set(self._stats_sections)
-            )
-            raise KeyError(
-                f"unknown stats section {section!r} (have: {', '.join(known)})"
-            )
-        per = self._worker_stats()
-        snapshot = {
-            "num_partitions": self.num_partitions,
-            "mode": self.partition_map.mode,
-            "workers": self.workers,
-            "routing": dict(self.routing),
-            "transactions": self._agg_transactions([s["transactions"] for s in per]),
-            "table_rows": self._agg_table_rows([s["tables"] for s in per]),
-            "partitions": per,
+        whole = self._worker_stats() if section is None else None
+
+        def fetch(name: Optional[str] = None) -> list:
+            # the whole snapshot asks every worker once and slices that;
+            # a selective fetch asks only for the section it needs
+            if whole is None:
+                return self._worker_stats(name)
+            return whole if name is None else [s[name] for s in whole]
+
+        builtins = {
+            "num_partitions": lambda: self.num_partitions,
+            "mode": lambda: self.partition_map.mode,
+            "workers": lambda: self.workers,
+            "routing": lambda: dict(self.routing),
+            "transactions": lambda: self._agg_transactions(fetch("transactions")),
+            "table_rows": lambda: self._agg_table_rows(fetch("tables")),
+            "partitions": fetch,
         }
-        for name, thunk in self._stats_sections.items():
-            snapshot[name] = _safe_section(thunk)
-        return snapshot
+        return self._stats_snapshot(section, builtins)
 
     # -- observability --------------------------------------------------------
 
@@ -727,9 +635,8 @@ class PartitionedDatabase:
         if not self.obs.tracing:
             return []
         spans = self.obs.tracer.drain()
-        self.barrier()
-        for pid in range(self.num_partitions):
-            spans.extend(self._request(pid, {"op": "obs_spans"}) or [])
+        for worker_spans in self._broadcast("obs_spans"):
+            spans.extend(worker_spans or [])
         return spans
 
     # -- lifecycle -------------------------------------------------------------

@@ -14,13 +14,18 @@ The same :class:`WorkerServer` dispatch runs in two containers:
   replies still round-tripping through the serde framing so tests exercise
   the exact wire value-domain without paying process startup.
 
-Cross-partition transactions appear here as the ``xp_*`` op family: the
-coordinator opens one explicit transaction per participant (``xp_begin``),
-streams fragments into it (``xp_exec`` / ``xp_execmany`` / ``xp_call`` —
-the last via :meth:`~repro.engine.database.Database.call_in_txn`), then
-commits every participant in global order (``xp_commit``) or aborts them
-all (``xp_abort``).  ``inject_fault`` arms a one-shot failure on a named
-op so tests can tear the protocol at any point and observe the abort-all /
+An engine verb arrives as the same record the public wire carries and runs
+through the same declared dispatch (:func:`repro.common.ops.bind`).  The
+worker's own ops are its control plane (``ping`` / ``snapshot`` /
+``obs_spans`` / ``inject_fault`` / ``close`` / ``shutdown``) and the
+``xp_*`` family of cross-partition transactions: the coordinator opens one
+explicit transaction per participant (``xp_begin``), streams fragments into
+it (``xp_exec`` / ``xp_execmany`` / ``xp_call`` — those three verbs run
+inside the open transaction, the last via
+:meth:`~repro.engine.database.Database.call_in_txn`), then commits every
+participant in global order (``xp_commit``) or aborts them all
+(``xp_abort``).  ``inject_fault`` arms a one-shot failure on a named op so
+tests can tear the protocol at any point and observe the abort-all /
 partial-commit behaviour.
 """
 
@@ -33,18 +38,12 @@ from typing import Any, Optional
 
 from ..common.errors import PartitionError
 from ..common.framing import TRACE_KEY
+from ..common.ops import BY_NAME, UNTRACED_OPS, bind
 from ..common.serde import decode_record, encode_record
 from ..engine.database import Database
 from ..obs import observability
 from ..storage.partitioning import PartitionMap
-from .rpc import Channel, encode_value, error_reply, value_reply
-
-#: ops that never get a ``worker.<op>`` span (control plane / the span
-#: drain itself — spanning ``obs_spans`` would refill what it empties)
-_UNTRACED_OPS = frozenset(
-    {"stats", "schema", "obs_spans", "ping", "shutdown", "inject_fault",
-     "snapshot", "close"}
-)
+from .rpc import Channel, error_reply, respond, value_reply
 
 
 @dataclass(frozen=True)
@@ -90,11 +89,17 @@ def _build_database(deploy, part: PartitionInfo, options: dict[str, Any]) -> Dat
 class WorkerServer:
     """Request dispatch for one partition (shared by process and inline)."""
 
-    def __init__(self, db: Database, part: PartitionInfo):
+    def __init__(self, db: Database):
         self.db = db
-        self.part = part
         self._txn = None  # the open cross-partition transaction, if any
         self._armed_fault: Optional[dict[str, Any]] = None
+        verbs = bind(db)
+        self._dispatch = {
+            **verbs,
+            "xp_exec": self._fragment(verbs["execute"]),
+            "xp_execmany": self._fragment(verbs["executemany"]),
+            "xp_call": self._fragment(BY_NAME["call"].caller(db.call_in_txn)),
+        }
 
     def handle(self, request: dict[str, Any]) -> Any:
         op = str(request.get("op"))
@@ -103,11 +108,11 @@ class WorkerServer:
         if fault is not None and fault["op"] == op:
             self._armed_fault = None
             raise PartitionError(fault.get("message") or f"injected fault on {op!r}")
-        fn = getattr(self, f"_op_{op}", None)
+        fn = self._dispatch.get(op) or getattr(self, f"_op_{op}", None)
         if fn is None:
             raise PartitionError(f"unknown worker op {op!r}")
         obs = self.db.obs
-        if not obs.enabled or op in _UNTRACED_OPS:
+        if not obs.enabled or op in UNTRACED_OPS:
             return fn(request)
         # adopt the coordinator's rpc.<op> span as parent, so this
         # worker's spans stitch into the coordinator-side trace
@@ -131,48 +136,6 @@ class WorkerServer:
             "message": request.get("message"),
         }
 
-    def _op_schema(self, request) -> dict[str, Any]:
-        return {
-            t.name: {
-                "columns": list(t.schema.declared_columns()),
-                "kind": t.schema.kind.value,
-            }
-            for t in self.db.catalog.tables()
-        }
-
-    # -- single-partition work (each request is its own transaction) ---------
-
-    def _op_execute(self, request) -> Any:
-        return self.db.execute(request["sql"], request.get("params") or ())
-
-    def _op_executemany(self, request) -> int:
-        return self.db.executemany(request["sql"], request.get("rows") or [])
-
-    def _op_call(self, request) -> Any:
-        return self.db.call(request["name"], *(request.get("args") or []))
-
-    def _op_ingest(self, request) -> list[int]:
-        return self.db.ingest(
-            request["stream"], request["rows"], request.get("batch_id")
-        )
-
-    def _op_explain(self, request) -> dict[str, Any]:
-        return self.db.explain(request["sql"], request.get("params") or ())
-
-    def _op_analyze(self, request) -> dict[str, int]:
-        return self.db.analyze(request.get("table"))
-
-    def _op_drain(self, request) -> int:
-        return self.db.drain()
-
-    def _op_stats(self, request) -> Any:
-        section = request.get("section")
-        if section is not None:
-            return self.db.stats(section=section)
-        stats = self.db.stats()
-        stats["partition"] = self.part.partition_id
-        return stats
-
     def _op_obs_spans(self, request) -> list:
         """Take this worker's buffered trace spans (the coordinator's
         :meth:`~repro.partition.coordinator.PartitionedDatabase.trace_spans`
@@ -184,12 +147,6 @@ class WorkerServer:
 
     def _op_snapshot(self, request) -> dict[str, Any]:
         return self.db.catalog.snapshot()
-
-    def _op_flush(self, request) -> None:
-        self.db.flush_log()
-
-    def _op_checkpoint(self, request) -> str:
-        return str(self.db.checkpoint())
 
     def _op_close(self, request) -> None:
         self.db.close()
@@ -213,17 +170,15 @@ class WorkerServer:
         self._txn = self.db.begin()
         return self._txn.txn_id
 
-    def _op_xp_exec(self, request) -> Any:
-        self._require_xp()
-        return self.db.execute(request["sql"], request.get("params") or ())
+    def _fragment(self, verb):
+        """A verb run as a fragment of the open cross-partition
+        transaction (the engine joins the transaction it has open)."""
 
-    def _op_xp_execmany(self, request) -> int:
-        self._require_xp()
-        return self.db.executemany(request["sql"], request.get("rows") or [])
+        def run(request) -> Any:
+            self._require_xp()
+            return verb(request)
 
-    def _op_xp_call(self, request) -> Any:
-        self._require_xp()
-        return self.db.call_in_txn(request["name"], *(request.get("args") or []))
+        return run
 
     def _op_xp_commit(self, request) -> int:
         txn = self._require_xp()
@@ -254,18 +209,14 @@ def worker_main(sock: socket.socket, deploy, part: PartitionInfo, options: dict[
             channel.close()
         return
     channel.send(value_reply("ready"))
-    server = WorkerServer(db, part)
+    server = WorkerServer(db)
     while True:
         try:
             request = channel.recv()
         except PartitionError:
             break  # coordinator went away; nothing left to serve
         try:
-            reply = value_reply(server.handle(request))
-        except Exception as exc:
-            reply = error_reply(exc)
-        try:
-            channel.send(reply)
+            channel.send(respond(server.handle, request))
         except Exception:
             break
         if request.get("op") == "shutdown":
@@ -280,14 +231,22 @@ class InlineWorker:
     :func:`~repro.common.serde.encode_record`, so an unserialisable value
     fails identically in both modes — inline tests cannot pass on values
     that would die on the real wire.  Replies queue FIFO, preserving the
-    coordinator's pipelined send/collect discipline."""
+    coordinator's pipelined send/collect discipline.  It is its own
+    coordinator-side handle: there is no process to await or reap, so
+    :meth:`ready` and :meth:`join` are no-ops."""
 
     def __init__(self, deploy, part: PartitionInfo, options: dict[str, Any]):
         self.part = part
         self.db = _build_database(deploy, part, options)
-        self.server = WorkerServer(self.db, part)
+        self.server = WorkerServer(self.db)
         self._replies: deque[dict[str, Any]] = deque()
         self.alive = True
+
+    def ready(self, partition_id: int) -> None:
+        pass
+
+    def join(self) -> None:
+        pass
 
     def send(self, request: dict[str, Any]) -> None:
         if not self.alive:
@@ -295,7 +254,7 @@ class InlineWorker:
         request = decode_record(encode_record(request))
         try:
             value = self.server.handle(request)
-            reply = decode_record(encode_record({"ok": True, "value": encode_value(value)}))
+            reply = decode_record(encode_record(value_reply(value)))
         except Exception as exc:
             reply = error_reply(exc)
         self._replies.append(reply)

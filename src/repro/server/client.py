@@ -1,19 +1,23 @@
 """Clients for the network front door.
 
 :class:`ReproClient` is the workhorse: a blocking, socket-based client
-mirroring the engine facade (``execute`` / ``executemany`` / ``call`` /
-``ingest`` / ``drain`` / ``stats``), safe to use from benchmark worker
-threads or processes (one client per worker — a client is a connection,
-and a connection is a FIFO reply stream owned by one caller at a time).
+exposing the engine's whole operation surface (one method per verb
+declared in :mod:`repro.common.ops`, same name and signature as the
+engine's), safe to use from benchmark worker threads or processes (one
+client per worker — a client is a connection, and a connection is a FIFO
+reply stream owned by one caller at a time).
 
-:class:`AsyncReproClient` is the minimal asyncio twin for callers that
-already live on an event loop.
+:class:`AsyncReproClient` is the asyncio twin for callers that already
+live on an event loop: the same verbs, awaited.
 
-Both support **pipelining**: ``post()`` sends a request without waiting
-and ``collect()`` takes the oldest outstanding reply — the same FIFO
-matching the coordinator uses against its workers.  The high-level
-methods are strictly request/reply and refuse to run with posts
-outstanding (interleaving them would mis-match replies).
+The verbs are written once, in :class:`_ClientBase`: each builds its request
+record from the declaration and hands it to ``_request`` — the single
+override point; the two clients differ only in transport.  Both support
+**pipelining**: ``post()`` sends a request without waiting and
+``collect()`` takes the oldest outstanding reply — the same FIFO matching
+the coordinator uses against its workers.  The verb methods are strictly
+request/reply and refuse to run with posts outstanding (interleaving them
+would mis-match replies).
 
 Error replies re-raise as the engine's own exception classes, resolved
 by name (foreign names fall back to
@@ -33,31 +37,19 @@ import time
 from collections import deque
 from typing import Any, Optional, Sequence
 
-from ..common.errors import ProtocolError, ServerError, error_class
+from ..common.errors import ProtocolError, ServerError
 from ..common.framing import (
     MAX_FRAME_BYTES,
-    TRACE_KEY,
     encode_frame,
     read_frame_async,
     recv_frame,
     send_frame,
 )
+from ..common.ops import BY_NAME, OPERATIONS, Operation
 from ..obs import observability
-from .protocol import PROTOCOL_VERSION, decode_value
-
-#: connection-level ops that never get a ``client.<op>`` span
-_UNTRACED_OPS = frozenset({"hello", "bye", "ping", "stats"})
-
-
-def _raise_reply(reply: dict[str, Any]) -> None:
-    cls = error_class(reply.get("error", ""), ServerError)
-    raise cls(f"[server] {reply.get('message', 'unknown server error')}")
-
-
-def _decode_reply(reply: dict[str, Any]) -> Any:
-    if not reply.get("ok"):
-        _raise_reply(reply)
-    return decode_value(reply.get("value"))
+from ..partition.rpc import open_span, settle
+from ..sql.executor import ResultSet
+from .protocol import PROTOCOL_VERSION
 
 
 def _ingest_result(value: Any) -> Any:
@@ -68,7 +60,94 @@ def _ingest_result(value: Any) -> Any:
     return value
 
 
-class ReproClient:
+def _verb(op: Operation):
+    finish = _ingest_result if op.name == "ingest" else None
+
+    def method(self, *args: Any, **kwargs: Any) -> Any:
+        return self._request(op.record(args, kwargs), finish)
+
+    method.__name__ = op.name
+    method.__doc__ = f"The served engine's ``{op.name}``: same arguments, same result."
+    return method
+
+
+class _ClientBase:
+    """The engine facade, remoted — and everything about a connection that
+    is not transport: one method per declared operation, the span opened
+    per posted request, and the FIFO of outstanding replies.
+
+    Subclasses provide ``post`` / ``collect`` and ``_request(record,
+    finish)``, which returns (or, on the event loop, awaits to)
+    ``finish(reply value)``."""
+
+    def __init__(self, *, max_frame_bytes: int, obs) -> None:
+        self._limit = max_frame_bytes
+        #: client-side observability (``None``/``"off"``/``"metrics"``/
+        #: ``"full"`` or an Observability).  With tracing on, each posted
+        #: request opens a ``client.<op>`` span whose context rides the
+        #: frame — the server's work stitches under it.
+        self.obs = observability(obs, process="client")
+        #: one entry per outstanding post: its span, or None
+        self._spans: deque = deque()
+        self.server_info: dict[str, Any] = {}
+        self.partitioned = False
+
+    def _request(self, record: dict[str, Any], finish=None) -> Any:
+        raise NotImplementedError
+
+    def query(self, sql: str, params: Sequence[Any] = (), *, key: Any = None) -> Any:
+        """``execute`` with the rows returned as ``{column: value}`` dicts."""
+        return self._request(
+            BY_NAME["execute"].record((sql, params), {"key": key}), ResultSet.to_dicts
+        )
+
+    def ping(self) -> Any:
+        return self._request({"op": "ping"})
+
+    @property
+    def outstanding(self) -> int:
+        return len(self._spans)
+
+    def trace_spans(self) -> list[dict[str, Any]]:
+        """Drain this client's buffered spans (empty unless tracing)."""
+        if not self.obs.tracing:
+            return []
+        return self.obs.tracer.drain()
+
+    # -- bookkeeping shared by both transports --------------------------------
+
+    def _connected(self, server_info: dict[str, Any]) -> None:
+        self.server_info = server_info
+        self.partitioned = bool(server_info.get("partitioned"))
+
+    def _opening(self, record: dict[str, Any]) -> tuple[dict[str, Any], Any]:
+        """The record to put on the wire and the ``client.<op>`` span (or
+        None) to queue once it is sent."""
+        if self.obs.tracing:
+            record = dict(record)  # the context is stamped in: spare the caller's dict
+        return record, open_span(self.obs, "client", record)
+
+    def _expecting(self) -> None:
+        if not self._spans:
+            raise ProtocolError("collect() with no outstanding post()")
+
+    def _settle(self, reply: dict[str, Any]) -> Any:
+        """Match ``reply`` to the oldest post; its value, or its typed error."""
+        return settle(reply, self._spans.popleft(), "server", ServerError)
+
+    def _idle(self) -> None:
+        if self._spans:
+            raise ProtocolError(
+                f"{len(self._spans)} pipelined post(s) outstanding — "
+                "collect() them before a synchronous call"
+            )
+
+
+for _op in OPERATIONS:
+    setattr(_ClientBase, _op.name, _verb(_op))
+
+
+class ReproClient(_ClientBase):
     """Blocking client for one :class:`~repro.server.ReproServer`.
 
     Connecting performs the handshake; :attr:`server_info` then carries
@@ -85,111 +164,37 @@ class ReproClient:
         max_frame_bytes: int = MAX_FRAME_BYTES,
         obs=None,
     ):
-        self._limit = max_frame_bytes
-        #: client-side observability (``None``/``"off"``/``"metrics"``/
-        #: ``"full"`` or an Observability).  With tracing on, each posted
-        #: request opens a ``client.<op>`` span whose context rides the
-        #: frame — the server's work stitches under it.
-        self.obs = observability(obs, process="client")
-        self._spans: deque = deque()
+        super().__init__(max_frame_bytes=max_frame_bytes, obs=obs)
         self._sock = socket.create_connection((host, port), timeout=connect_timeout)
         self._sock.settimeout(None)
-        self._outstanding = 0
         self._closed = False
         try:
-            self.server_info: dict[str, Any] = self._request(
-                {"op": "hello", "protocol": PROTOCOL_VERSION}
-            )
+            self._connected(self._request({"op": "hello", "protocol": PROTOCOL_VERSION}))
         except BaseException:
             self._sock.close()
             self._closed = True
             raise
-        self.partitioned: bool = bool(self.server_info.get("partitioned"))
 
     # -- pipelining primitives ------------------------------------------------
 
     def post(self, record: dict[str, Any]) -> None:
         """Send one request without waiting; replies arrive in FIFO order
         via :meth:`collect`."""
-        obs = self.obs
-        span = None
-        if obs.enabled and record.get("op") not in _UNTRACED_OPS:
-            # detached: pipelined posts complete in FIFO, not span, order
-            span = obs.tracer.start(
-                f"client.{record.get('op')}", None, detached=True
-            )
-            if obs.tracing:
-                record = dict(record)  # never mutate the caller's dict
-                record[TRACE_KEY] = span.context()
+        record, span = self._opening(record)
         send_frame(self._sock, record, limit=self._limit)
         self._spans.append(span)
-        self._outstanding += 1
 
     def collect(self) -> Any:
         """Take the oldest outstanding reply (raises its typed error)."""
-        if not self._outstanding:
-            raise ProtocolError("collect() with no outstanding post()")
+        self._expecting()
         reply, _ = recv_frame(self._sock, limit=self._limit)
-        self._outstanding -= 1
-        span = self._spans.popleft() if self._spans else None
-        if span is not None:
-            span.finish(ok=bool(reply.get("ok")))
-        return _decode_reply(reply)
+        return self._settle(reply)
 
-    def trace_spans(self) -> list[dict[str, Any]]:
-        """Drain this client's buffered spans (empty unless tracing)."""
-        if not self.obs.tracing:
-            return []
-        return self.obs.tracer.drain()
-
-    @property
-    def outstanding(self) -> int:
-        return self._outstanding
-
-    def _request(self, record: dict[str, Any]) -> Any:
-        if self._outstanding:
-            raise ProtocolError(
-                f"{self._outstanding} pipelined post(s) outstanding — "
-                "collect() them before a synchronous call"
-            )
+    def _request(self, record: dict[str, Any], finish=None) -> Any:
+        self._idle()
         self.post(record)
-        return self.collect()
-
-    # -- the engine facade, remoted -------------------------------------------
-
-    def execute(self, sql: str, params: Sequence[Any] = (), *, key: Any = None) -> Any:
-        """Run one statement; returns the :class:`ResultSet`.  ``key=``
-        routes to one partition of a partitioned engine (ignored by a
-        single engine — it is the one partition)."""
-        return self._request(
-            {"op": "execute", "sql": sql, "params": list(params), "key": key}
-        )
-
-    def query(self, sql: str, params: Sequence[Any] = (), *, key: Any = None) -> list[dict]:
-        return self.execute(sql, params, key=key).to_dicts()
-
-    def explain(self, sql: str, params: Sequence[Any] = (), *, key: Any = None) -> dict:
-        """The server-side plan tree for ``sql``: chosen access path and
-        join algorithms, estimated rows/costs, the alternatives considered,
-        and — for SELECT, which is executed — actual per-operator rows."""
-        return self._request(
-            {"op": "explain", "sql": sql, "params": list(params), "key": key}
-        )
-
-    def executemany(
-        self, sql: str, param_rows, *, key_position: Optional[int] = None
-    ) -> int:
-        return self._request(
-            {
-                "op": "executemany",
-                "sql": sql,
-                "rows": [list(r) for r in param_rows],
-                "key_position": key_position,
-            }
-        )
-
-    def call(self, name: str, *args: Any, key: Any = None) -> Any:
-        return self._request({"op": "call", "proc": name, "args": list(args), "key": key})
+        value = self.collect()
+        return value if finish is None else finish(value)
 
     def ingest(
         self,
@@ -209,35 +214,15 @@ class ReproClient:
         rejected batch was never executed, so the retry applies exactly
         once.
         """
-        record = {
-            "op": "ingest",
-            "stream": stream,
-            "rows": [list(r) for r in rows],
-            "batch_id": batch_id,
-        }
         attempt = 0
         while True:
             try:
-                return _ingest_result(self._request(record))
+                return super().ingest(stream, rows, batch_id)
             except ServerError as exc:
                 if not exc.retryable or attempt >= retries:
                     raise
                 time.sleep(backoff * (2 ** attempt))
                 attempt += 1
-
-    def drain(self) -> int:
-        return self._request({"op": "drain"})
-
-    def flush_log(self) -> None:
-        return self._request({"op": "flush_log"})
-
-    def stats(self, section: Optional[str] = None) -> Any:
-        """The server engine's stats snapshot — or one section of it
-        (``section=`` computes and ships only that section)."""
-        return self._request({"op": "stats", "section": section})
-
-    def ping(self) -> str:
-        return self._request({"op": "ping"})
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -247,7 +232,7 @@ class ReproClient:
             return
         self._closed = True
         try:
-            if not self._outstanding:
+            if not self._spans:
                 self._request({"op": "bye"})
         except Exception:
             pass  # the goodbye is courtesy; the close is what matters
@@ -260,8 +245,9 @@ class ReproClient:
         self.close()
 
 
-class AsyncReproClient:
-    """Minimal asyncio client — the same protocol on an event loop.
+class AsyncReproClient(_ClientBase):
+    """The same protocol and verbs on an event loop (``await
+    client.call(...)``).
 
     Build with :meth:`connect`; one outstanding-reply FIFO per client,
     same pipelining rules as :class:`ReproClient`.
@@ -275,14 +261,9 @@ class AsyncReproClient:
         max_frame_bytes: int = MAX_FRAME_BYTES,
         obs=None,
     ):
+        super().__init__(max_frame_bytes=max_frame_bytes, obs=obs)
         self._reader = reader
         self._writer = writer
-        self._limit = max_frame_bytes
-        self._outstanding = 0
-        self.obs = observability(obs, process="client")
-        self._spans: deque = deque()
-        self.server_info: dict[str, Any] = {}
-        self.partitioned = False
 
     @classmethod
     async def connect(
@@ -295,91 +276,34 @@ class AsyncReproClient:
     ) -> "AsyncReproClient":
         reader, writer = await asyncio.open_connection(host, port)
         client = cls(reader, writer, max_frame_bytes=max_frame_bytes, obs=obs)
-        client.server_info = await client.request(
-            {"op": "hello", "protocol": PROTOCOL_VERSION}
+        client._connected(
+            await client.request({"op": "hello", "protocol": PROTOCOL_VERSION})
         )
-        client.partitioned = bool(client.server_info.get("partitioned"))
         return client
 
     async def post(self, record: dict[str, Any]) -> None:
-        obs = self.obs
-        span = None
-        if obs.enabled and record.get("op") not in _UNTRACED_OPS:
-            span = obs.tracer.start(
-                f"client.{record.get('op')}", None, detached=True
-            )
-            if obs.tracing:
-                record = dict(record)
-                record[TRACE_KEY] = span.context()
+        record, span = self._opening(record)
         self._writer.write(encode_frame(record, limit=self._limit))
         await self._writer.drain()
         self._spans.append(span)
-        self._outstanding += 1
 
     async def collect(self) -> Any:
-        if not self._outstanding:
-            raise ProtocolError("collect() with no outstanding post()")
+        self._expecting()
         reply, _ = await read_frame_async(self._reader, limit=self._limit)
-        self._outstanding -= 1
-        span = self._spans.popleft() if self._spans else None
-        if span is not None:
-            span.finish(ok=bool(reply.get("ok")))
-        return _decode_reply(reply)
-
-    def trace_spans(self) -> list[dict[str, Any]]:
-        """Drain this client's buffered spans (empty unless tracing)."""
-        if not self.obs.tracing:
-            return []
-        return self.obs.tracer.drain()
+        return self._settle(reply)
 
     async def request(self, record: dict[str, Any]) -> Any:
-        if self._outstanding:
-            raise ProtocolError(
-                f"{self._outstanding} pipelined post(s) outstanding — "
-                "collect() them before a synchronous call"
-            )
+        self._idle()
         await self.post(record)
         return await self.collect()
 
-    async def execute(self, sql: str, params: Sequence[Any] = (), *, key: Any = None) -> Any:
-        return await self.request(
-            {"op": "execute", "sql": sql, "params": list(params), "key": key}
-        )
-
-    async def explain(self, sql: str, params: Sequence[Any] = (), *, key: Any = None) -> dict:
-        return await self.request(
-            {"op": "explain", "sql": sql, "params": list(params), "key": key}
-        )
-
-    async def call(self, name: str, *args: Any, key: Any = None) -> Any:
-        return await self.request(
-            {"op": "call", "proc": name, "args": list(args), "key": key}
-        )
-
-    async def ingest(self, stream: str, rows, batch_id: Optional[int] = None) -> Any:
-        return _ingest_result(
-            await self.request(
-                {
-                    "op": "ingest",
-                    "stream": stream,
-                    "rows": [list(r) for r in rows],
-                    "batch_id": batch_id,
-                }
-            )
-        )
-
-    async def drain(self) -> int:
-        return await self.request({"op": "drain"})
-
-    async def stats(self, section: Optional[str] = None) -> Any:
-        return await self.request({"op": "stats", "section": section})
-
-    async def ping(self) -> str:
-        return await self.request({"op": "ping"})
+    async def _request(self, record: dict[str, Any], finish=None) -> Any:
+        value = await self.request(record)
+        return value if finish is None else finish(value)
 
     async def close(self) -> None:
         try:
-            if not self._outstanding:
+            if not self._spans:
                 await self.request({"op": "bye"})
         except Exception:
             pass

@@ -19,51 +19,31 @@ is the partition RPC's request/reply shape lifted onto a public socket:
   names fall back to :class:`~repro.common.errors.ServerError`), so
   ``except BackpressureError`` works identically in-process and remote.
 
-Engine operations (``OPS``) run on the server's single engine thread in
-arrival order; ``hello``/``ping``/``bye`` are connection-level and never
-touch the engine.  ``stats`` is engine-dispatched but **exempt** from
-admission control: observability must keep working while the server is
-shedding load.
+Engine operations (``OPS`` — the verbs declared in
+:mod:`repro.common.ops`, each request record carrying that verb's operands
+by name) run on the server's single engine thread in arrival order;
+``hello``/``ping``/``bye`` are connection-level and never touch the
+engine.  ``EXEMPT_OPS`` are engine-dispatched but **exempt** from admission
+control: observability must keep working while the server is shedding
+load.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from ..common.errors import ProtocolError, ReproError, ServerError
-from ..partition.rpc import decode_value, encode_value
+from ..common.ops import BY_NAME, EXEMPT_OPS
+from ..partition.rpc import error_reply, respond, value_reply
 
 #: bump when the frame contents change incompatibly; the handshake
 #: rejects clients speaking a different version.
 PROTOCOL_VERSION = 1
 
 #: engine operations — dispatched to the engine thread in FIFO order.
-OPS = frozenset(
-    {"execute", "executemany", "call", "ingest", "drain", "flush_log", "stats", "explain"}
-)
-
-#: engine operations exempt from admission control.
-EXEMPT_OPS = frozenset({"stats"})
+OPS = frozenset(BY_NAME)
 
 #: connection-level operations handled entirely on the event loop.
 CONNECTION_OPS = frozenset({"hello", "ping", "bye"})
-
-
-# ---------------------------------------------------------------------------
-# Reply construction
-# ---------------------------------------------------------------------------
-
-def value_reply(value: Any) -> dict[str, Any]:
-    return {"ok": True, "value": encode_value(value)}
-
-
-def error_reply(exc: BaseException) -> dict[str, Any]:
-    return {
-        "ok": False,
-        "error": type(exc).__name__,
-        "message": str(exc),
-        "retryable": bool(getattr(type(exc), "retryable", False)),
-    }
 
 
 def hello_reply(
@@ -80,75 +60,6 @@ def hello_reply(
     )
 
 
-# ---------------------------------------------------------------------------
-# Engine dispatch (runs on the server's engine thread)
-# ---------------------------------------------------------------------------
-
-def perform(db: Any, record: dict[str, Any], partitioned: bool) -> Any:
-    """Apply one engine operation to ``db`` and return its raw result.
-
-    ``key``/``key_position`` routing hints are honoured against a
-    partitioned engine and ignored against a single one (a single engine
-    *is* the one partition every key routes to), so client code is
-    portable across both deployments.  The one asymmetry the coordinator
-    forces: partitioned ``executemany`` must say which parameter column
-    is the partition key.
-    """
-    op = record["op"]
-    if op == "execute":
-        params = tuple(record.get("params") or ())
-        if partitioned and record.get("key") is not None:
-            return db.execute(record["sql"], params, key=record["key"])
-        return db.execute(record["sql"], params)
-    if op == "executemany":
-        rows = [tuple(r) for r in record.get("rows") or ()]
-        if partitioned:
-            key_position = record.get("key_position")
-            if key_position is None:
-                raise ProtocolError(
-                    "executemany against a partitioned engine requires "
-                    "key_position (which parameter column carries the "
-                    "partition key)"
-                )
-            return db.executemany(record["sql"], rows, key_position=key_position)
-        return db.executemany(record["sql"], rows)
-    if op == "call":
-        args = record.get("args") or ()
-        if partitioned and record.get("key") is not None:
-            return db.call(record["proc"], *args, key=record["key"])
-        return db.call(record["proc"], *args)
-    if op == "ingest":
-        rows = [tuple(r) for r in record.get("rows") or ()]
-        return db.ingest(record["stream"], rows, record.get("batch_id"))
-    if op == "drain":
-        return db.drain()
-    if op == "flush_log":
-        return db.flush_log()
-    if op == "stats":
-        return db.stats(section=record.get("section"))
-    if op == "explain":
-        params = tuple(record.get("params") or ())
-        if partitioned and record.get("key") is not None:
-            return db.explain(record["sql"], params, key=record["key"])
-        return db.explain(record["sql"], params)
-    raise ProtocolError(f"unknown operation {op!r}")  # pragma: no cover - server gates
-
-
-def respond(db: Any, record: dict[str, Any], partitioned: bool) -> dict[str, Any]:
-    """:func:`perform` wrapped into a wire reply; never raises.
-
-    Engine errors become typed error replies; an *unexpected* exception
-    (an engine bug) is still reported by its class name — the client
-    falls back to :class:`ServerError` — and the server stays up.
-    """
-    try:
-        return value_reply(perform(db, record, partitioned))
-    except ReproError as exc:
-        return error_reply(exc)
-    except Exception as exc:  # noqa: BLE001 - a served engine must not die
-        return error_reply(exc)
-
-
 __all__ = [
     "PROTOCOL_VERSION",
     "OPS",
@@ -157,9 +68,5 @@ __all__ = [
     "value_reply",
     "error_reply",
     "hello_reply",
-    "perform",
     "respond",
-    "decode_value",
-    "encode_value",
-    "ServerError",
 ]

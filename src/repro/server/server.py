@@ -44,6 +44,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Any, Optional
 
 from ..common.errors import (
@@ -54,6 +55,7 @@ from ..common.errors import (
     ServerError,
 )
 from ..common.framing import MAX_FRAME_BYTES, TRACE_KEY, encode_frame, read_frame_async
+from ..common.ops import UNTRACED_OPS, bind, perform
 from .protocol import (
     CONNECTION_OPS,
     EXEMPT_OPS,
@@ -133,8 +135,8 @@ class ReproServer:
     connections, joins its threads, and leaves ``db`` usable in-process.
 
     Args:
-        db: the engine to front.  Partitioned engines are detected by
-            their ``partition_map`` and get ``key=`` routing support.
+        db: the engine to front — any shape: every request goes through
+            the one declared operation surface (:mod:`repro.common.ops`).
         host/port: bind address; port 0 picks a free port (read it back
             from :attr:`address`).
         max_inflight_per_conn: admitted-but-unexecuted budget per
@@ -162,6 +164,7 @@ class ReproServer:
         if max_inflight_per_conn < 1 or max_inflight_total < 1:
             raise ValueError("in-flight budgets must be >= 1")
         self.db = db
+        self._perform = partial(perform, bind(db))
         self.partitioned = hasattr(db, "partition_map")
         self.max_inflight_per_conn = max_inflight_per_conn
         self.max_inflight_total = max_inflight_total
@@ -401,15 +404,15 @@ class ReproServer:
         ctx = record.pop(TRACE_KEY, None)
         obs = self.db.obs
         op = record.get("op")
-        if not obs.enabled or op in EXEMPT_OPS:
+        if not obs.enabled or op in UNTRACED_OPS:
             # stats polls stay out of the span ring (and the disabled
             # path pays nothing beyond this branch)
-            return respond(self.db, record, self.partitioned)
+            return respond(self._perform, record)
         wait_us = (time.perf_counter_ns() - queued_ns) / 1000.0
         obs.observe("server.queue_wait", wait_us)
         with obs.tracer.activate(ctx):
             with obs.span("server.request", op=op, queue_wait_us=round(wait_us, 1)):
-                return respond(self.db, record, self.partitioned)
+                return respond(self._perform, record)
 
     async def _write_replies(self, conn: _Conn) -> None:
         """Drain the reply queue in FIFO order.  Runs until the ``None``

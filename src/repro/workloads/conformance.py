@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -45,79 +46,17 @@ class RunResult:
     violations: list
 
 
-def _norm_rows(rows) -> list[tuple]:
-    return [tuple(r) for r in rows]
+def _reader(engine) -> Callable[[str], list[tuple]]:
+    # an unkeyed SELECT reads the whole table on every shape (a
+    # partitioned engine fans it out and unions the partitions' rows)
+    return lambda sql: [tuple(r) for r in engine.execute(sql).rows]
 
 
-# ---------------------------------------------------------------------------
-# Engine-shape facades: the lowest common denominator the script needs
-# ---------------------------------------------------------------------------
-
-
-class _SingleFacade:
-    def __init__(self, db: Database):
-        self.db = db
-
-    def ingest(self, stream, rows):
-        self.db.ingest(stream, rows)
-
-    def call(self, proc, args, key):
-        self.db.call(proc, *args)  # one partition owns everything
-
-    def drain(self):
-        self.db.drain()
-
-    def rows(self, sql) -> list[tuple]:
-        return _norm_rows(self.db.execute(sql).rows)
-
-    def close(self):
-        self.db.close()
-
-
-class _PartitionedFacade:
-    def __init__(self, pdb: PartitionedDatabase):
-        self.pdb = pdb
-
-    def ingest(self, stream, rows):
-        self.pdb.ingest(stream, rows)
-
-    def call(self, proc, args, key):
-        self.pdb.call(proc, *args, key=key)
-
-    def drain(self):
-        self.pdb.drain()
-
-    def rows(self, sql) -> list[tuple]:
-        # unkeyed SELECT fans out and unions partition results
-        return _norm_rows(self.pdb.execute(sql).rows)
-
-    def close(self):
-        self.pdb.close()
-
-
-class _ServedFacade:
-    """A single engine behind the TCP server; owns server + engine."""
-
-    def __init__(self, db: Database):
-        self.server = ReproServer(db)
-        self.server.__enter__()
-        self.client = ReproClient(*self.server.address)
-
-    def ingest(self, stream, rows):
-        self.client.ingest(stream, rows)
-
-    def call(self, proc, args, key):
-        self.client.call(proc, *args, key=key)
-
-    def drain(self):
-        self.client.drain()
-
-    def rows(self, sql) -> list[tuple]:
-        return _norm_rows(self.client.execute(sql).rows)
-
-    def close(self):
-        self.client.close()
-        self.server.__exit__(None, None, None)
+@contextmanager
+def _served(db: Database):
+    """A client of ``db`` behind the TCP server; owns all three lifetimes."""
+    with closing(db), ReproServer(db) as server, ReproClient(*server.address) as client:
+        yield client
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +64,10 @@ class _ServedFacade:
 # ---------------------------------------------------------------------------
 
 
-def run_ops(facade, ops: Sequence[Op]) -> int:
-    """Replay the script; returns the count of expected aborts observed.
+def run_ops(engine, ops: Sequence[Op]) -> int:
+    """Replay the script against any engine shape — a ``Database``, a
+    ``PartitionedDatabase`` or a ``ReproClient``; they share one operation
+    surface.  Returns the count of expected aborts observed.
 
     An abort on an op not marked ``may_abort`` propagates — determinism
     violations must fail loudly, not be absorbed here.
@@ -134,15 +75,15 @@ def run_ops(facade, ops: Sequence[Op]) -> int:
     aborts = 0
     for op in ops:
         if op.kind == "ingest":
-            facade.ingest(op.target, [list(r) for r in op.rows])
+            engine.ingest(op.target, [list(r) for r in op.rows])
         else:
             try:
-                facade.call(op.target, op.args, op.key)
+                engine.call(op.target, *op.args, key=op.key)
             except TransactionAborted:
                 if not op.may_abort:
                     raise
                 aborts += 1
-    facade.drain()
+    engine.drain()
     return aborts
 
 
@@ -153,9 +94,10 @@ def state_digest(read: Callable[[str], list[tuple]], tables: Sequence[str]):
     return hashlib.sha256(blob.encode()).hexdigest(), snap
 
 
-def _finish(scenario: Scenario, facade, ops, aborts, shape) -> RunResult:
-    digest, snap = state_digest(facade.rows, scenario.output_tables)
-    violations = scenario.check(facade.rows, ops, aborts)
+def _finish(scenario: Scenario, engine, ops, aborts, shape) -> RunResult:
+    read = _reader(engine)
+    digest, snap = state_digest(read, scenario.output_tables)
+    violations = scenario.check(read, ops, aborts)
     return RunResult(
         shape=shape, digest=digest, tables=snap, aborts=aborts, violations=violations
     )
@@ -184,9 +126,9 @@ def run_shape(
     midpoint crash boundary.
     """
     if shape == "single":
-        facade = _SingleFacade(_single_db(scenario))
+        opened = closing(_single_db(scenario))
     elif shape in ("inline", "process"):
-        facade = _PartitionedFacade(
+        opened = closing(
             PartitionedDatabase(
                 partitions,
                 scenario.deploy,
@@ -195,19 +137,17 @@ def run_shape(
             )
         )
     elif shape == "served":
-        facade = _ServedFacade(_single_db(scenario))
+        opened = _served(_single_db(scenario))
     elif shape == "recover":
         return _run_recover(scenario, ops, tmp_path, crash_at, setup)
     else:
         raise ValueError(f"unknown engine shape {shape!r}")
 
-    try:
+    with opened as engine:
         if setup is not None:
-            setup(facade)
-        aborts = run_ops(facade, ops)
-        return _finish(scenario, facade, ops, aborts, shape)
-    finally:
-        facade.close()
+            setup(engine)
+        aborts = run_ops(engine, ops)
+        return _finish(scenario, engine, ops, aborts, shape)
 
 
 def _run_recover(scenario, ops, tmp_path, crash_at, setup) -> RunResult:
@@ -215,25 +155,19 @@ def _run_recover(scenario, ops, tmp_path, crash_at, setup) -> RunResult:
         raise ValueError("the recover shape needs tmp_path for its log directory")
     d = str(tmp_path) + f"/conf-{scenario.name}"
     cut = len(ops) // 2 if crash_at is None else crash_at
-    bootstrap = lambda db: scenario.deploy(db, PartitionInfo(0, 1))  # noqa: E731
 
-    db = Database(recovery_dir=d, recovery="weak", bootstrap=bootstrap)
-    facade = _SingleFacade(db)
+    db = _single_db(scenario, recovery_dir=d, recovery="weak")
     if setup is not None:
-        setup(facade)
-    aborts = run_ops(facade, ops[:cut])
+        setup(db)
+    aborts = run_ops(db, ops[:cut])
     db.flush_log()
     # crash: abandon the object — the on-disk log is the survivor
 
-    recovered = Database(recovery_dir=d, recovery="weak", bootstrap=bootstrap)
-    facade = _SingleFacade(recovered)
-    try:
+    with closing(_single_db(scenario, recovery_dir=d, recovery="weak")) as recovered:
         if setup is not None:
-            setup(facade)
-        aborts += run_ops(facade, ops[cut:])
-        return _finish(scenario, facade, ops, aborts, "recover")
-    finally:
-        facade.close()
+            setup(recovered)
+        aborts += run_ops(recovered, ops[cut:])
+        return _finish(scenario, recovered, ops, aborts, "recover")
 
 
 def conformance_matrix(

@@ -20,6 +20,7 @@ from repro.common.errors import (
 from repro.common.types import ColumnType as T
 from repro.engine import Database
 from repro.partition import PartitionInfo, PartitionedDatabase
+from repro.server import ReproClient, ReproServer
 from repro.storage.schema import schema
 
 ACCOUNTS = 16
@@ -170,6 +171,39 @@ def test_unkeyed_insert_is_refused():
     with make_pdb(2) as pdb:
         with pytest.raises(PartitionError, match="INSERT"):
             pdb.execute("INSERT INTO bal (acct, total) VALUES (99, 0)")
+
+
+def test_leading_comment_does_not_change_statement_routing():
+    """Classification reads the lexer's first token, not ``sql.split()[0]``:
+    a ``--`` comment used to turn both statements into a "DDL broadcast"
+    that returned only the last partition's rows / rowcount."""
+    with make_pdb(2) as pdb:
+        rs = pdb.execute("-- every account\nSELECT acct FROM bal")
+        assert sorted(r[0] for r in rs.rows) == list(range(ACCOUNTS))
+        assert pdb.routing["fanout_selects"] == 1
+
+        changed = pdb.execute("-- one ordered-commit transaction\nUPDATE bal SET total = 7")
+        assert changed.rowcount == ACCOUNTS
+        assert pdb.routing["cross_partition_txns"] == 1
+        assert pdb.routing["cross_partition_commits"] == 1
+        assert "broadcast_statements" not in pdb.routing
+        assert pdb.merged_table_rows("bal") == [(a, 7) for a in range(ACCOUNTS)]
+
+
+def test_analyze_statement_matches_single_engine_on_every_shape():
+    """``execute("ANALYZE")`` is ``analyze()``: per-table totals summed
+    across partitions, not the last partition's counts."""
+    single = Database(bootstrap=lambda db: deploy(db, PartitionInfo(0, 1)))
+    expected = single.execute("ANALYZE")
+    assert expected.rows == [("bal", ACCOUNTS), ("feed", 0)]
+    with make_pdb(2) as pdb:
+        for sql in ("ANALYZE", "analyze;", "-- refresh stats\nANALYZE"):
+            assert pdb.execute(sql).rows == expected.rows
+        assert pdb.execute("ANALYZE bal").rows == single.execute("ANALYZE bal").rows
+        assert dict(expected.rows) == pdb.analyze()
+        with ReproServer(pdb) as server, ReproClient(*server.address) as client:
+            served = client.execute("ANALYZE")
+            assert (served.columns, served.rows) == (expected.columns, expected.rows)
 
 
 def test_routed_executemany_by_key_position():

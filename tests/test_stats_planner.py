@@ -8,6 +8,7 @@ and ``analyze`` server/coordinator operations.
 
 import pytest
 
+from repro.common.ops import bind, perform
 from repro.common.types import ColumnType as T
 from repro.engine.database import Database
 from repro.engine.stats import StatsCatalog, analyze_table
@@ -251,7 +252,7 @@ def test_protocol_explain_op():
     db.analyze()
     record = {"op": "explain", "sql": "SELECT id FROM txns WHERE bucket = ?",
               "params": [2]}
-    info = protocol.perform(db, record, partitioned=False)
+    info = perform(bind(db), record)
     assert info["kind"] == "select"
     assert info["actual_rows"] == 6
 

@@ -18,7 +18,7 @@ from repro.workloads import (
     run_shape,
     state_digest,
 )
-from repro.workloads.conformance import _SingleFacade, _single_db, run_ops
+from repro.workloads.conformance import _single_db, run_ops
 from repro.workloads.scenario import Scale, call
 
 SEED = 20260808
@@ -177,13 +177,13 @@ def test_leaderboard_closes_sessions(refs):
 
 def test_leaderboard_pe_trigger_fires_per_batch(refs):
     s, ops, _ref = refs["leaderboard"]
-    facade = _SingleFacade(_single_db(s))
+    db = _single_db(s)
     try:
-        run_ops(facade, ops)
-        fires = facade.rows("SELECT fires FROM monitor")[0][0]
+        run_ops(db, ops)
+        fires = db.execute("SELECT fires FROM monitor").rows[0][0]
         assert fires == sum(1 for op in ops if op.kind == "ingest")
     finally:
-        facade.close()
+        db.close()
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +204,8 @@ class TestFraudJoinSweep:
         ops = s.ops(SEED, Scale.smoke())
         results = {}
         for strategy in self.STRATEGIES:
-            def pin(facade, strategy=strategy):
-                facade.db.force_join = strategy
+            def pin(db, strategy=strategy):
+                db.force_join = strategy
             results[strategy] = run_shape(s, ops, "single", setup=pin)
         return s, ops, results
 
