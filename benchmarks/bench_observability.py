@@ -59,13 +59,18 @@ from run import CONTESTANTS, lcg, make_voter_dag  # noqa: E402
 #: short trials, many of them: each timed run stays ~200ms so the
 #: interleaved best-of cancels machine drift instead of soaking it up
 BATCHES = 100
-BATCH_ROWS = 50
+#: rows per atomic batch — the smallest batch the end-to-end benchmark
+#: (``benchmarks/e2e``) drives.  The ceilings below are ratios to the
+#: per-batch work: the span count per batch is fixed (~9), so they were
+#: calibrated at ~1.1 ms of engine work per batch — 50 rows until pinned
+#: statements stopped scanning and per-row work halved, 100 rows since.
+BATCH_ROWS = 100
 TRIALS = 9
 SMOKE_BATCHES = 60
-#: same rows/batch as the full run: the span count per batch is fixed
-#: (~12), so shrinking the batch would inflate the measured overhead
-#: ratio beyond anything a real deployment sees
-SMOKE_BATCH_ROWS = 50
+#: same rows/batch as the full run: the span count per batch is fixed,
+#: so shrinking the batch would inflate the measured overhead ratio
+#: beyond anything a real deployment sees
+SMOKE_BATCH_ROWS = BATCH_ROWS
 #: more trials than the full run: smoke runs on noisy shared CI boxes,
 #: and the interleaved best-of is the noise damper
 SMOKE_TRIALS = 7

@@ -22,6 +22,12 @@ the ablation benchmark sweeps these costs to show conclusions are robust.
 
 The clock also tallies event counts, which the test suite asserts on
 directly (e.g. "weak recovery wrote exactly one log record per workflow").
+
+The clock is a *view over counters*: the events the engine produces per
+statement (``sql_stmt``, rows scanned/written, index probes) are only
+*counted* on the hot path — plain ``+=`` on int slots of the clock — and
+priced (count × ``CostModel`` cost) when simulated time or the event
+tallies are next read.  Nothing on the execution path reads them.
 """
 
 from __future__ import annotations
@@ -151,6 +157,18 @@ class CostModel:
         return dataclasses.replace(self, **overrides)
 
 
+#: Events counted in int slots of the clock and priced on read:
+#: (event and slot name, ``CostModel`` field charged per occurrence).
+TALLIED_EVENTS: tuple[tuple[str, str], ...] = (
+    ("sql_stmt", "sql_stmt_us"),
+    ("rows_scanned", "sql_row_us"),
+    ("index_probes", "index_probe_us"),
+    ("rows_inserted", "sql_row_us"),
+    ("rows_updated", "sql_row_us"),
+    ("rows_deleted", "sql_row_us"),
+)
+
+
 class SimClock:
     """A deterministic logical clock measured in microseconds.
 
@@ -159,23 +177,56 @@ class SimClock:
     workload drivers to model event arrival times.  Event tallies
     (:attr:`events`) let tests assert on exact architectural event counts
     independently of the cost table in use.
+
+    The per-statement events of ``TALLIED_EVENTS`` bypass :meth:`charge`: the
+    engine adds their counts onto the like-named int slots
+    (``clock.rows_scanned += n``), and reading :attr:`now_us`,
+    :attr:`events` or :attr:`charged_us` first folds the unpriced counts
+    in at the cost table's current prices.  Event counts are exact either
+    way; simulated time differs from eager charging only in float
+    summation order.
     """
 
-    __slots__ = ("cost", "now_us", "events", "charged_us")
+    __slots__ = (
+        "cost", "_now_us", "_events", "_charged_us", *(event for event, _ in TALLIED_EVENTS)
+    )
 
     def __init__(self, cost: CostModel | None = None, *, start_us: float = 0.0):
         self.cost = cost if cost is not None else CostModel.calibrated()
-        self.now_us: float = float(start_us)
-        self.events: Counter[str] = Counter()
-        self.charged_us: Counter[str] = Counter()
+        self._now_us: float = float(start_us)
+        self._events: Counter[str] = Counter()
+        self._charged_us: Counter[str] = Counter()
+        for event, _ in TALLIED_EVENTS:
+            setattr(self, event, 0)
+
+    def _priced(self) -> "SimClock":
+        """Fold every counted-but-unpriced event into time and tallies."""
+        for event, cost_field in TALLIED_EVENTS:
+            n = getattr(self, event)
+            if n:
+                setattr(self, event, 0)
+                self.charge(event, getattr(self.cost, cost_field) * n, count=n)
+        return self
+
+    @property
+    def now_us(self) -> float:
+        return self._priced()._now_us
+
+    @property
+    def events(self) -> Counter[str]:
+        return self._priced()._events
+
+    @property
+    def charged_us(self) -> Counter[str]:
+        return self._priced()._charged_us
 
     # -- charging -----------------------------------------------------------
 
     def charge(self, event: str, us: float, *, count: int = 1) -> None:
         """Advance the clock by ``us`` and record ``count`` ``event``s."""
-        self.now_us += us
-        self.events[event] += count
-        self.charged_us[event] += us
+        self._now_us += us
+        self._events[event] += count
+        self._charged_us[event] += us
 
     def charge_cost(self, event: str, *, count: int = 1, scale: float = 1.0) -> None:
         """Charge ``count`` occurrences of a named :class:`CostModel` field.
@@ -191,13 +242,13 @@ class SimClock:
     def advance_to(self, when_us: float) -> None:
         """Move the clock forward to ``when_us`` (idle time); never backward."""
         if when_us > self.now_us:
-            self.now_us = when_us
+            self._now_us = when_us
 
     def advance(self, us: float) -> None:
         """Advance the clock by an unlabelled amount of idle time."""
         if us < 0:
             raise ValueError("cannot advance the clock backwards")
-        self.now_us += us
+        self._now_us += us
 
     @property
     def now_seconds(self) -> float:
@@ -213,9 +264,11 @@ class SimClock:
 
     def reset(self) -> None:
         """Zero the clock and tallies (cost table is retained)."""
-        self.now_us = 0.0
-        self.events.clear()
-        self.charged_us.clear()
+        self._now_us = 0.0
+        self._events.clear()
+        self._charged_us.clear()
+        for event, _ in TALLIED_EVENTS:
+            setattr(self, event, 0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimClock(now_us={self.now_us:.1f}, events={sum(self.events.values())})"

@@ -72,12 +72,3 @@ def decode_stream(lines: Iterable[str], *, tolerate_torn_tail: bool = True) -> I
                 return
             raise
 
-
-def rows_to_jsonable(rows: Iterable[tuple]) -> list[list[Any]]:
-    """Convert row tuples to JSON arrays (tuples are not JSON-native)."""
-    return [list(row) for row in rows]
-
-
-def rows_from_jsonable(rows: Iterable[list]) -> list[tuple]:
-    """Inverse of :func:`rows_to_jsonable`."""
-    return [tuple(row) for row in rows]

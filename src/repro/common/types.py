@@ -46,6 +46,24 @@ BIGINT_MIN = -(2**63)
 BIGINT_MAX = 2**63 - 1
 
 
+#: Per type, a source-level test over the placeholder ``{v}`` that holds
+#: exactly when :func:`coerce_value` would return the value unchanged:
+#: the cast table resolved once, for code generated per schema
+#: (:meth:`repro.storage.schema.TableSchema.coerce_row`) to inline per
+#: cell.  Every other value — NULL, a ``bool`` offered to an integer
+#: column, anything needing conversion or failing a range check — is
+#: :func:`coerce_value`'s, which stays the reference and the only error
+#: path.
+EXACT_TYPE_TEST: dict[ColumnType, str] = {
+    ColumnType.INTEGER: f"type({{v}}) is int and {INTEGER_MIN} <= {{v}} <= {INTEGER_MAX}",
+    ColumnType.BIGINT: f"type({{v}}) is int and {BIGINT_MIN} <= {{v}} <= {BIGINT_MAX}",
+    ColumnType.TIMESTAMP: f"type({{v}}) is int and {BIGINT_MIN} <= {{v}} <= {BIGINT_MAX}",
+    ColumnType.FLOAT: "type({v}) is float",
+    ColumnType.VARCHAR: "type({v}) is str",
+    ColumnType.BOOLEAN: "type({v}) is bool",
+}
+
+
 def coerce_value(value: Any, ctype: ColumnType, *, column: str = "?") -> Any:
     """Coerce ``value`` to the Python representation of ``ctype``.
 

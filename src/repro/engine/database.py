@@ -35,9 +35,10 @@ Cost accounting per statement (on the deterministic
 * plan-cache **miss** → one ``sql_plan`` charge; **hit** → one (much
   cheaper) ``plan_cache_hit`` charge; a procedure's *pinned* statement →
   no planning charge at all after the first invocation;
-* every execution → one ``sql_stmt`` charge plus per-event charges from
-  the execution counters (``rows_scanned``/written at ``sql_row_us``,
-  ``index_probes`` at ``index_probe_us``);
+* every execution → one ``sql_stmt`` plus the execution counters
+  (``rows_scanned``/written at ``sql_row_us``, ``index_probes`` at
+  ``index_probe_us``), *counted* on the clock's int slots and priced only
+  when the clock is read;
 * transaction boundaries → ``txn_begin`` / ``txn_commit`` / ``txn_abort``
   charges, the abort adding ``sql_row_us`` per undo record replayed
   (``rows_undone`` events).
@@ -64,7 +65,7 @@ from ..common.errors import (
 from ..common.ops import StatsSections
 from ..obs import observability
 from ..recovery.manager import RecoveryManager
-from ..sql.executor import ExecutionContext, ResultSet
+from ..sql.executor import ExecutionContext, ExecutionCounters, ResultSet
 from ..sql.planner import JOIN_STRATEGIES, PreparedStatement, prepare
 from ..storage.catalog import Catalog
 from ..storage.schema import TableKind, TableSchema
@@ -78,15 +79,6 @@ from .plan_cache import PlanCache
 from .procedure import ProcedureContext, ProcedureFn, StoredProcedure
 from .stats import StatsCatalog
 from .transaction import Transaction
-
-#: (counter name, CostModel attribute charged per occurrence)
-_EXECUTION_CHARGES: tuple[tuple[str, str], ...] = (
-    ("rows_scanned", "sql_row_us"),
-    ("index_probes", "index_probe_us"),
-    ("rows_inserted", "sql_row_us"),
-    ("rows_updated", "sql_row_us"),
-    ("rows_deleted", "sql_row_us"),
-)
 
 #: keys always present in ``stats()["transactions"]``
 _TXN_STAT_KEYS = ("begun", "committed", "aborted", "implicit", "procedure_calls")
@@ -212,11 +204,10 @@ class Database(StatsSections):
         #: EXPLAIN's per-operator actual-row sink; threaded into the
         #: ExecutionContext of statements run under :meth:`explain`
         self._explain_counts: Optional[dict[int, int]] = None
-        #: lifetime aggregate of per-execution counters
-        self.counters: Counter[str] = Counter()
-        #: counters of the most recent execution — for :meth:`executemany`,
-        #: the aggregate over **all** parameter rows of the batch
-        self.last_counters: Counter[str] = Counter()
+        #: lifetime aggregate of per-execution tallies (see :attr:`counters`)
+        self._lifetime = ExecutionCounters()
+        #: tallies of the most recent execution (see :attr:`last_counters`)
+        self._last = ExecutionCounters()
         #: transaction life-cycle tallies (begun/committed/aborted/...)
         self.txn_stats: Counter[str] = Counter()
         self._txn: Optional[Transaction] = None
@@ -932,7 +923,7 @@ class Database(StatsSections):
         # re-analyzed first; the version bump makes the cache lookup below
         # miss for every plan costed under the old numbers
         stats.maybe_auto_refresh(self.catalog)
-        stmt = self.plan_cache.get(sql, stats.version)
+        stmt = self.plan_cache.get(sql, self.schema_epoch, stats.version)
         if stmt is not None:
             self.clock.charge_cost("plan_cache_hit")
             return stmt
@@ -1020,16 +1011,10 @@ class Database(StatsSections):
             [self.catalog.table(table)] if table is not None else list(self.catalog.tables())
         )
         out: dict[str, int] = {}
-        cost = self.clock.cost
         for t in targets:
             snap = self.table_stats.analyze(t)
             out[t.name] = snap.analyzed_rows
-            if snap.analyzed_rows:
-                self.clock.charge(
-                    "rows_scanned",
-                    cost.sql_row_us * snap.analyzed_rows,
-                    count=snap.analyzed_rows,
-                )
+            self.clock.rows_scanned += snap.analyzed_rows
         return out
 
     def explain(
@@ -1204,7 +1189,7 @@ class Database(StatsSections):
                 if capture is not None and len(txn.undo) > 0:
                     capture.record_many(txn, sql, param_rows)
             return total
-        batch: Counter[str] = Counter()
+        batch = ExecutionCounters()
         if txn is not None:
             # batch-level savepoint: the whole batch rolls back together,
             # keeping the atomicity contract uniform with the bulk path
@@ -1221,7 +1206,7 @@ class Database(StatsSections):
                 total = self._execute_batch(stmt, param_rows, txn, batch)
                 if capture is not None and len(txn.undo) > 0:
                     capture.record_many(txn, sql, param_rows)
-        self.last_counters = batch
+        self._last = batch
         return total
 
     def _execute_batch(
@@ -1229,13 +1214,13 @@ class Database(StatsSections):
         stmt: PreparedStatement,
         param_rows: Iterable[Sequence[Any]],
         txn: Transaction,
-        batch: Counter[str],
+        batch: ExecutionCounters,
     ) -> int:
         total = 0
         for params in param_rows:
             result = self._execute(stmt, params, txn)
             total += result.rowcount
-            batch.update(self.last_counters)
+            self._last.add_to(batch)
         return total
 
     def _execute_bulk(
@@ -1257,9 +1242,7 @@ class Database(StatsSections):
         except BaseException:
             self._charge_undone(txn.undo.rollback_to(mark))
             raise
-        self._charge(ctx.counters)
-        self.last_counters = ctx.counters
-        self.counters.update(ctx.counters)
+        self._tally(ctx)
         return total
 
     def query(self, sql: str, params: Sequence[Any] = ()) -> list[dict[str, Any]]:
@@ -1302,9 +1285,7 @@ class Database(StatsSections):
         except BaseException:
             self._charge_undone(txn.undo.rollback_to(mark))
             raise
-        self._charge(ctx.counters)
-        self.last_counters = ctx.counters
-        self.counters.update(ctx.counters)
+        self._tally(ctx)
         return result
 
     def _check_executable(self, stmt: PreparedStatement, txn: Transaction) -> None:
@@ -1334,14 +1315,27 @@ class Database(StatsSections):
                 "rows_undone", self.clock.cost.sql_row_us * undone, count=undone
             )
 
-    def _charge(self, counters: Counter[str]) -> None:
-        cost = self.clock.cost
+    def _tally(self, ctx: ExecutionContext) -> None:
+        """Account one successful execution: its tallies join the lifetime
+        totals and the clock's unpriced counts (priced when read)."""
+        self._last = ctx
+        ctx.add_to(self._lifetime)
         clock = self.clock
-        clock.charge("sql_stmt", cost.sql_stmt_us)
-        for event, attr in _EXECUTION_CHARGES:
-            n = counters.get(event, 0)
-            if n:
-                clock.charge(event, getattr(cost, attr) * n, count=n)
+        clock.sql_stmt += 1
+        ctx.add_to(clock)
+
+    @property
+    def counters(self) -> Counter[str]:
+        """Lifetime aggregate of per-execution counters (statement
+        executions only — unlike ``clock.events``, which also tallies
+        ANALYZE scans, undo replays and streaming maintenance)."""
+        return self._lifetime.counters
+
+    @property
+    def last_counters(self) -> Counter[str]:
+        """Counters of the most recent execution — for :meth:`executemany`,
+        the aggregate over **all** parameter rows of the batch."""
+        return self._last.counters
 
     def _builtin_stats_sections(self) -> dict[str, Any]:
         """Name → thunk for every built-in :meth:`stats` section, so a
@@ -1359,7 +1353,9 @@ class Database(StatsSections):
                 name: proc.pinned_count()
                 for name, proc in sorted(self._procedures.items())
             },
-            "plan_cache": self.plan_cache.stats,
+            "plan_cache": lambda: self.plan_cache.stats(
+                sum(proc.pin_hits for proc in self._procedures.values())
+            ),
             "tables": lambda: {
                 t.name: {
                     "rows": t.row_count(),
@@ -1389,7 +1385,8 @@ class Database(StatsSections):
             ``schema_epoch``, ``counters`` (lifetime execution counters),
             ``transactions`` (begun/committed/aborted/implicit/
             procedure_calls/open), ``procedures`` (pinned-plan counts),
-            ``plan_cache`` (hits/misses/evictions), ``tables``
+            ``plan_cache`` (hits/pin_hits/misses/evictions/replans and the
+            ``hit_rate`` over all three kinds of lookup), ``tables``
             (row counts, kinds, declared columns), ``streaming``
             (watermarks, windows, trigger fires, scheduler state),
             ``recovery`` (command-log/checkpoint state and what the

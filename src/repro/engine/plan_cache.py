@@ -10,13 +10,16 @@ Hits, misses, and evictions are counted so the benchmark harness can
 report the cache hit rate and tests can assert that a repeated statement
 was planned exactly once.
 
-Entries are additionally validated against the **statistics version**: a
-cached plan stamped with an older :attr:`StatsCatalog.version` than the
-caller's is evicted and reported as a miss (counted separately as a
-``stats_invalidation``), so an ANALYZE or automatic stats refresh causes
-replanning without a schema-epoch bump.  This matters because schema
-epochs *reject* stale plans at execution; stats staleness must only ever
-trigger a replan — a stats-stale plan is suboptimal, never incorrect.
+Entries are additionally validated by the one plan-reuse rule,
+:meth:`PreparedStatement.fresh <repro.sql.planner.PreparedStatement.fresh>`:
+a cached plan stamped with an older :attr:`StatsCatalog.version` (an
+ANALYZE or automatic stats refresh happened — counted as a
+``stats_invalidation``), or costed against a table whose row count has
+since left its band (counted as a ``replan``), is evicted and reported
+as a miss, so the caller replans without a schema-epoch bump.  Schema
+epochs *reject* stale plans at execution; statistics and row-count
+staleness must only ever trigger a replan — such a plan is suboptimal,
+never incorrect.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ class PlanCache:
     """Bounded LRU mapping ``sql text -> PreparedStatement``."""
 
     __slots__ = (
-        "capacity", "hits", "misses", "evictions", "stats_invalidations", "_entries",
+        "capacity", "hits", "misses", "evictions", "stats_invalidations",
+        "replans", "_entries",
     )
 
     def __init__(self, capacity: int = 256):
@@ -42,23 +46,26 @@ class PlanCache:
         self.misses = 0
         self.evictions = 0
         self.stats_invalidations = 0
+        self.replans = 0
         self._entries: OrderedDict[str, PreparedStatement] = OrderedDict()
 
-    def get(self, sql: str, stats_version: Optional[int] = None) -> Optional[PreparedStatement]:
-        """Look up a plan; ``stats_version`` (when given) must match the
-        version the cached plan was costed under, else the entry is stale
-        — evicted and reported as a miss so the caller replans."""
+    def get(
+        self, sql: str, epoch: Optional[int] = None, stats_version: Optional[int] = None
+    ) -> Optional[PreparedStatement]:
+        """Look up a plan; with ``epoch`` given the entry must also be
+        :meth:`~repro.sql.planner.PreparedStatement.fresh` under it and
+        ``stats_version``, else it is stale — evicted and reported as a
+        miss so the caller replans."""
         stmt = self._entries.get(sql)
         if stmt is None:
             self.misses += 1
             return None
-        if (
-            stats_version is not None
-            and stmt.stats_version is not None
-            and stmt.stats_version != stats_version
-        ):
+        if epoch is not None and not stmt.fresh(epoch, stats_version):
             del self._entries[sql]
-            self.stats_invalidations += 1
+            if stmt.stats_version != stats_version:
+                self.stats_invalidations += 1
+            else:  # DDL clears the cache, so what is left is a row band
+                self.replans += 1
             self.misses += 1
             return None
         self._entries.move_to_end(sql)
@@ -79,19 +86,25 @@ class PlanCache:
         """Drop all entries (schema changes invalidate every plan)."""
         self._entries.clear()
 
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+    def hit_rate(self, pin_hits: int = 0) -> float:
+        """Share of plan lookups answered without planning.  ``pin_hits``
+        are the lookups stored procedures answered from their pin tables:
+        they never reach the cache, yet they are most of the traffic."""
+        served = self.hits + pin_hits
+        total = served + self.misses
+        return served / total if total else 0.0
 
-    def stats(self) -> dict[str, Any]:
+    def stats(self, pin_hits: int = 0) -> dict[str, Any]:
         return {
             "capacity": self.capacity,
             "size": len(self._entries),
             "hits": self.hits,
+            "pin_hits": pin_hits,
             "misses": self.misses,
             "evictions": self.evictions,
             "stats_invalidations": self.stats_invalidations,
-            "hit_rate": self.hit_rate(),
+            "replans": self.replans,
+            "hit_rate": self.hit_rate(pin_hits),
         }
 
     def __len__(self) -> int:

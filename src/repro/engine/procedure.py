@@ -11,9 +11,11 @@ supplies both halves:
   a statement text is executed the plan comes from the database's plan
   cache (charging the usual cold-plan or cache-hit cost); thereafter the
   pinned plan is used directly with **zero** planning or cache-lookup
-  cost — the H-Store deploy-time-planning behaviour.  A schema-epoch
-  change (any DDL) invalidates the pin table wholesale; statements re-pin
-  lazily through the plan cache on their next execution.
+  cost — the H-Store deploy-time-planning behaviour.  A pin is reused
+  only while :meth:`~repro.sql.planner.PreparedStatement.fresh` holds
+  (same schema epoch, same statistics version, every costed table inside
+  its row band); a stale one re-pins through the plan cache, so a plan
+  made at first call against empty tables does not outlive them.
 * :class:`ProcedureContext` is the only capability a procedure body
   receives: statement execution inside the procedure's transaction, plus
   an explicit :meth:`~ProcedureContext.abort` escape hatch.  Bodies have
@@ -58,35 +60,28 @@ ProcedureFn = Callable[..., Any]
 class StoredProcedure:
     """A registered procedure and its pinned (compile-once) statements."""
 
-    __slots__ = ("name", "fn", "_pinned", "_pinned_epoch", "_pinned_stats_version")
+    __slots__ = ("name", "fn", "_pinned", "pin_hits")
 
     def __init__(self, name: str, fn: ProcedureFn):
         self.name = name
         self.fn = fn
         self._pinned: dict[str, PreparedStatement] = {}
-        self._pinned_epoch = -1  # never matches a real epoch: pin lazily
-        self._pinned_stats_version = -1
+        #: statements served straight from the pin table (no cache traffic)
+        self.pin_hits = 0
 
     def statement(self, db: "Database", sql: str) -> PreparedStatement:
         """The pinned plan for ``sql``, (re-)pinning through the plan cache.
 
-        On a pin-table hit this is a dict lookup — no plan-cache traffic,
-        no clock charge.  After DDL bumps the schema epoch — or an ANALYZE
-        bumps the statistics version, making the pinned costing stale —
-        the whole pin table is dropped and each statement re-pins on next
-        use.
+        On a pin-table hit this is a dict lookup plus the freshness check —
+        no plan-cache traffic, no clock charge.  A pin gone stale (DDL, an
+        ANALYZE, or a costed table leaving its row band) is replaced via
+        :meth:`Database.prepare`, statement by statement.
         """
-        if (
-            self._pinned_epoch != db.schema_epoch
-            or self._pinned_stats_version != db.table_stats.version
-        ):
-            self._pinned.clear()
-            self._pinned_epoch = db.schema_epoch
-            self._pinned_stats_version = db.table_stats.version
         stmt = self._pinned.get(sql)
-        if stmt is None:
-            stmt = db.prepare(sql)
-            self._pinned[sql] = stmt
+        if stmt is not None and stmt.fresh(db.schema_epoch, db.table_stats.version):
+            self.pin_hits += 1
+            return stmt
+        stmt = self._pinned[sql] = db.prepare(sql)
         return stmt
 
     def pinned_count(self) -> int:

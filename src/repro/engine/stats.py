@@ -3,7 +3,8 @@
 Two freshness tiers, matching what each number costs to keep:
 
 * **row counts are always live** — ``Table.row_count()`` is a ``len()``,
-  so the planner reads it directly at plan time and never from here;
+  so the planner reads it at plan time (through its one floored helper,
+  ``_PlanEnv.rows``) and never from here;
 * **per-column NDV / min / max / null counts** come from an explicit
   ``ANALYZE`` (``Database.analyze()`` or the ``ANALYZE [table]``
   statement), which scans the visible rows once, or from **automatic
@@ -183,9 +184,6 @@ class StatsCatalog:
 
     def eq_selectivity(self, table: Table, column: str) -> float:
         """Fraction of rows expected to survive ``column = <value>``."""
-        live = table.row_count()
-        if live == 0:
-            return 0.0
         stats = self._tables.get(table.name)
         col = stats.column(column) if stats is not None else None
         if col is not None and col.ndv > 0:

@@ -8,7 +8,7 @@ routing rules and protocol, :mod:`repro.partition.worker` for the worker
 loop, and :mod:`repro.partition.rpc` for the wire format.
 """
 
-from .coordinator import PartitionedDatabase, iter_partitions
+from .coordinator import PartitionedDatabase
 from .worker import InlineWorker, PartitionInfo, WorkerServer
 
 __all__ = [
@@ -16,5 +16,4 @@ __all__ = [
     "PartitionInfo",
     "PartitionedDatabase",
     "WorkerServer",
-    "iter_partitions",
 ]

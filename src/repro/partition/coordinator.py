@@ -68,7 +68,7 @@ import socket
 from collections import Counter, defaultdict, deque
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from ..common.errors import (
     BatchOrderError,
@@ -692,9 +692,3 @@ def _mapping_value(row: Mapping[str, Any], key_col: str) -> Any:
         f"row {dict(row)!r} has no value for partition key column {key_col!r}"
     )
 
-
-def iter_partitions(n: int, mode: str = "hash") -> Iterator[PartitionInfo]:
-    """The ``PartitionInfo`` of every partition of an ``n``-way database —
-    convenience for precomputing placement coordinator-side."""
-    for pid in range(n):
-        yield PartitionInfo(pid, n, mode)

@@ -12,9 +12,10 @@ requires an :class:`ExecutionContext`, which carries:
   ``Database`` facade, never by callers),
 * an access guard — the streaming layer's window-visibility enforcement
   (paper §3.2.2; likewise private engine wiring), and
-* event counters (rows scanned, index probes, rows written) that the
-  execution engine converts into simulated-time charges and that tests
-  assert on directly.
+* event tallies (rows scanned, index probes, rows written) kept in plain
+  int slots (:class:`ExecutionCounters`); the execution engine adds them
+  onto the simulated clock, which prices them when read, and tests assert
+  on them directly.
 
 All writes go through the context (:meth:`ExecutionContext.insert` /
 :meth:`delete` / :meth:`update`) so that undo logging, visibility guards,
@@ -106,7 +107,53 @@ class ResultSet:
 EMPTY_RESULT = ResultSet((), [], rowcount=0)
 
 
-class ExecutionContext:
+class ExecutionCounters:
+    """The five per-execution event tallies, as plain int slots.
+
+    Operators bump them with ``ctx.rows_scanned += n``; nothing is priced
+    or hashed per event.  :attr:`counters` is the read-time
+    :class:`~collections.Counter` view (non-zero tallies only)."""
+
+    __slots__ = ("rows_scanned", "index_probes", "rows_inserted", "rows_updated", "rows_deleted")
+
+    def __init__(self) -> None:
+        self.rows_scanned = 0
+        self.index_probes = 0
+        self.rows_inserted = 0
+        self.rows_updated = 0
+        self.rows_deleted = 0
+
+    def add_to(self, target) -> None:
+        """Add these tallies onto ``target``'s slots of the same names —
+        another :class:`ExecutionCounters` (lifetime totals, a batch
+        aggregate) or the :class:`~repro.common.clock.SimClock`."""
+        n = self.rows_scanned
+        if n:
+            target.rows_scanned += n
+        n = self.index_probes
+        if n:
+            target.index_probes += n
+        n = self.rows_inserted
+        if n:
+            target.rows_inserted += n
+        n = self.rows_updated
+        if n:
+            target.rows_updated += n
+        n = self.rows_deleted
+        if n:
+            target.rows_deleted += n
+
+    @property
+    def counters(self) -> Counter[str]:
+        out: Counter[str] = Counter()
+        for name in ExecutionCounters.__slots__:
+            n = getattr(self, name)
+            if n:
+                out[name] = n
+        return out
+
+
+class ExecutionContext(ExecutionCounters):
     """Everything a prepared statement needs at run time.
 
     ``obs`` is the engine's observability handle (DISABLED by default:
@@ -116,7 +163,7 @@ class ExecutionContext:
     output rows under its plan ``op_id``.
     """
 
-    __slots__ = ("catalog", "params", "observer", "guard", "counters", "obs", "explain_counts")
+    __slots__ = ("catalog", "params", "observer", "guard", "obs", "explain_counts")
 
     def __init__(
         self,
@@ -132,9 +179,9 @@ class ExecutionContext:
         self.params = tuple(params)
         self.observer = observer
         self.guard = guard
-        self.counters: Counter[str] = Counter()
         self.obs = obs
         self.explain_counts = explain_counts
+        super().__init__()
 
     # -- guarded table access ------------------------------------------------
 
@@ -154,7 +201,7 @@ class ExecutionContext:
 
     def insert(self, table: Table, values: Sequence[Any]) -> int:
         rowid = table.insert(values)
-        self.counters["rows_inserted"] += 1
+        self.rows_inserted += 1
         if self.observer is not None:
             self.observer.on_insert(table, rowid)
         return rowid
@@ -164,29 +211,24 @@ class ExecutionContext:
         record and one counter update for the whole batch."""
         rowids = table.insert_many(rows)
         n = len(rowids)
-        self.counters["rows_inserted"] += n
+        self.rows_inserted += n
         if n and self.observer is not None:
             self.observer.on_insert_many(table, rowids.start, n)
         return rowids
 
     def delete(self, table: Table, rowid: int) -> tuple:
         old = table.delete_row(rowid)
-        self.counters["rows_deleted"] += 1
+        self.rows_deleted += 1
         if self.observer is not None:
             self.observer.on_delete(table, rowid, old)
         return old
 
     def update(self, table: Table, rowid: int, new_values: Sequence[Any]) -> tuple:
         old = table.update_row(rowid, new_values)
-        self.counters["rows_updated"] += 1
+        self.rows_updated += 1
         if self.observer is not None:
             self.observer.on_update(table, rowid, old)
         return old
-
-    # -- accounting -------------------------------------------------------------
-
-    def count(self, event: str, n: int = 1) -> None:
-        self.counters[event] += n
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +267,7 @@ class SeqScan:
                     emitted += 1
                     yield rowid, row
         finally:
-            ctx.count("rows_scanned", scanned)
+            ctx.rows_scanned += scanned
             if ctx.explain_counts is not None:
                 ctx.explain_counts[self.op_id] = (
                     ctx.explain_counts.get(self.op_id, 0) + emitted
@@ -255,7 +297,7 @@ class IndexScan:
         index = table.index(self.index_name)
         params = ctx.params
         key = tuple(fn(_NO_ROW, params) for fn in self.key_fns)
-        ctx.count("index_probes")
+        ctx.index_probes += 1
         if any(v is None for v in key):
             return  # col = NULL never matches
         pred = self.pred
@@ -274,7 +316,7 @@ class IndexScan:
                     emitted += 1
                     yield rowid, row
         finally:
-            ctx.count("rows_scanned", scanned)
+            ctx.rows_scanned += scanned
             if ctx.explain_counts is not None:
                 ctx.explain_counts[self.op_id] = (
                     ctx.explain_counts.get(self.op_id, 0) + emitted
@@ -317,7 +359,7 @@ class IndexRangeScan:
         hi = self.hi_fn(_NO_ROW, params) if self.hi_fn is not None else None
         if (self.lo_fn is not None and lo is None) or (self.hi_fn is not None and hi is None):
             return  # range bound NULL -> empty
-        ctx.count("index_probes")
+        ctx.index_probes += 1
         pred = self.pred
         visible = table.is_visible
         scanned = 0
@@ -333,7 +375,7 @@ class IndexRangeScan:
                     emitted += 1
                     yield rowid, row
         finally:
-            ctx.count("rows_scanned", scanned)
+            ctx.rows_scanned += scanned
             if ctx.explain_counts is not None:
                 ctx.explain_counts[self.op_id] = (
                     ctx.explain_counts.get(self.op_id, 0) + emitted

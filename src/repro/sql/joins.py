@@ -102,7 +102,7 @@ class HashJoinStep:
                 build[key] = [right]
             else:
                 bucket.append(right)
-        ctx.count("rows_scanned", scanned)
+        ctx.rows_scanned += scanned
         if span is not None:
             span.finish()
 
@@ -178,7 +178,7 @@ class HashJoinStep:
                         emitted += 1
                         yield left + pad
         finally:
-            ctx.count("rows_scanned", scanned)
+            ctx.rows_scanned += scanned
             if span is not None:
                 span.finish()
             if ctx.explain_counts is not None:
@@ -232,7 +232,7 @@ class MergeJoinStep:
         span = obs.span("join.sort", table=self.table_name) if obs.enabled else None
         outer_rows = list(rows)
         inner_rows = [row for _rowid, row in table.scan_visible()]
-        ctx.count("rows_scanned", len(inner_rows))
+        ctx.rows_scanned += len(inner_rows)
         okeys: list[tuple[tuple, int]] = []
         for idx, left in enumerate(outer_rows):
             key = tuple(fn(left, params) for fn in self.outer_key_fns)
@@ -321,7 +321,7 @@ class BlockNestedLoopStep:
         on_pred = self.on_pred
         left_outer = self.kind == "left"
         inner_rows = [row for _rowid, row in table.scan_visible()]
-        ctx.count("rows_scanned", len(inner_rows))
+        ctx.rows_scanned += len(inner_rows)
         emitted = 0
         try:
             for left in rows:

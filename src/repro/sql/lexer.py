@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from ..common.errors import LexError
 
@@ -147,6 +147,3 @@ def _read_number(text: str, start: int) -> tuple[int | float, int]:
         return float(literal), i
     return int(literal), i
 
-
-def token_stream(text: str) -> Iterator[Token]:
-    yield from tokenize(text)

@@ -110,6 +110,18 @@ _COST_SORT_FACTOR = 1.2  # per-element sort factor (× log2 n)
 #: fallback selectivity of a conjunct the estimator cannot read
 _OTHER_SELECTIVITY = 0.33
 
+#: Row count the cost model assumes for a table holding fewer rows than
+#: this.  Plans outlive the emptiness they were made in — a procedure's
+#: statements are planned at first call, usually against empty tables —
+#: so an empty table is costed as a small one (the reason PostgreSQL
+#: assumes 10 pages for a never-vacuumed empty heap): an equality-bound
+#: index then always beats the scan, an unindexed equi-join hashes.
+PLAN_MIN_ROWS = 10
+#: A plan is reused while every table it was costed against stays within
+#: this factor of its (floored) planned row count; see
+#: :meth:`PreparedStatement.fresh`.
+PLAN_ROW_BAND = 4
+
 
 def _sort_cost(n: float) -> float:
     return _COST_SORT_FACTOR * n * math.log2(n + 2)
@@ -132,9 +144,10 @@ def _default_stats():
 
 
 class _PlanEnv:
-    """Planning-time environment: statistics + forced join strategy."""
+    """Planning-time environment: statistics, forced join strategy, and
+    the row counts the plan was costed against."""
 
-    __slots__ = ("stats", "force_join")
+    __slots__ = ("stats", "force_join", "planned_rows")
 
     def __init__(self, stats, force_join: Optional[str]):
         if force_join is not None and force_join not in JOIN_STRATEGIES:
@@ -144,6 +157,29 @@ class _PlanEnv:
             )
         self.stats = stats if stats is not None else _default_stats()
         self.force_join = force_join
+        self.planned_rows: dict[Table, int] = {}
+
+    def rows(self, table: Table) -> int:
+        """``table``'s row count as costing sees it — floored at
+        :data:`PLAN_MIN_ROWS` — recorded so the finished plan knows which
+        counts it depends on.  The only place costing reads a row count."""
+        rows = max(table.row_count(), PLAN_MIN_ROWS)
+        self.planned_rows[table] = rows
+        return rows
+
+    def row_bands(self) -> tuple[tuple[Table, float, int], ...]:
+        """``(table, lowest, highest)`` live row count each recorded table
+        may reach before the plan is stale.  Both sides of the comparison
+        are floored, so below ``PLAN_ROW_BAND * PLAN_MIN_ROWS`` planned
+        rows there is no lower bound: an emptied table never thrashes."""
+        return tuple(
+            (
+                table,
+                rows / PLAN_ROW_BAND if rows > PLAN_ROW_BAND * PLAN_MIN_ROWS else 0,
+                rows * PLAN_ROW_BAND,
+            )
+            for table, rows in self.planned_rows.items()
+        )
 
 
 class PreparedStatement:
@@ -157,13 +193,15 @@ class PreparedStatement:
     (access path, join algorithms, estimated rows/costs) that
     ``Database.explain`` renders.
 
-    ``epoch`` and ``stats_version`` are the mutable fields: the
-    :class:`~repro.engine.Database` facade stamps them at prepare time.
-    A schema-epoch mismatch **rejects** execution (a stale plan could
-    read the wrong columns); a stats-version mismatch merely causes the
-    plan cache to replan (a stats-stale plan is suboptimal, not
-    incorrect).  Both are ``None`` for statements planned outside a
-    Database.
+    ``epoch`` and ``stats_version`` are stamped by the
+    :class:`~repro.engine.Database` facade at prepare time (both ``None``
+    for statements planned outside a Database); ``row_bands`` records, per
+    table the plan was costed against, the live row counts between which
+    that costing still holds.  Together they are the one plan-reuse rule,
+    :meth:`fresh`.  Only a schema-epoch mismatch **rejects** execution (a
+    stale plan could read the wrong columns); a statistics or row-count
+    change merely re-plans at the next reuse — such a plan is suboptimal,
+    never incorrect.
 
     ``run_many`` is the vectorized batch binder, present only on statements
     that support bulk execution (INSERT ... VALUES): called as
@@ -179,6 +217,7 @@ class PreparedStatement:
         "columns",
         "epoch",
         "stats_version",
+        "row_bands",
         "plan_info",
         "_runner",
         "run_many",
@@ -200,6 +239,7 @@ class PreparedStatement:
         self.columns = columns
         self.epoch: Optional[int] = None
         self.stats_version: Optional[int] = None
+        self.row_bands: tuple[tuple[Table, float, int], ...] = ()
         self.plan_info: dict[str, Any] = plan_info if plan_info is not None else {"kind": kind}
         self._runner = runner
         self.run_many = run_many
@@ -211,6 +251,20 @@ class PreparedStatement:
                 f"got {len(ctx.params)}: {self.sql!r}"
             )
         return self._runner(ctx)
+
+    def fresh(self, epoch: int, stats_version: int) -> bool:
+        """Whether this plan may be reused as-is: planned under the current
+        schema ``epoch`` and ``stats_version``, and every table it was
+        costed against still inside its row band (a ×``PLAN_ROW_BAND``
+        window around the planned count, floored on both sides).  Checked
+        wherever plans are reused — a procedure's pin table and the plan
+        cache; a stale statement is re-planned, never patched."""
+        if self.epoch != epoch or self.stats_version != stats_version:
+            return False
+        for table, lowest, highest in self.row_bands:
+            if not lowest <= table.row_count() <= highest:
+                return False
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PreparedStatement({self.kind}, {self.sql!r})"
@@ -245,14 +299,17 @@ def plan(
     """Compile a parsed statement into a :class:`PreparedStatement`."""
     env = _PlanEnv(stats, force_join)
     if isinstance(stmt, Select):
-        return _plan_select(stmt, catalog, sql, env)
-    if isinstance(stmt, Insert):
-        return _plan_insert(stmt, catalog, sql, env)
-    if isinstance(stmt, Update):
-        return _plan_update(stmt, catalog, sql, env)
-    if isinstance(stmt, Delete):
-        return _plan_delete(stmt, catalog, sql, env)
-    raise PlanningError(f"cannot plan statement of type {type(stmt).__name__}")
+        prepared = _plan_select(stmt, catalog, sql, env)
+    elif isinstance(stmt, Insert):
+        prepared = _plan_insert(stmt, catalog, sql, env)
+    elif isinstance(stmt, Update):
+        prepared = _plan_update(stmt, catalog, sql, env)
+    elif isinstance(stmt, Delete):
+        prepared = _plan_delete(stmt, catalog, sql, env)
+    else:
+        raise PlanningError(f"cannot plan statement of type {type(stmt).__name__}")
+    prepared.row_bands = env.row_bands()
+    return prepared
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +452,7 @@ def _build_scan_costed(
     schema = table.schema
     conjuncts = list(extra_conjuncts) if extra_conjuncts else split_conjuncts(where)
     sargs = [_classify(c, scope, base_arity, schema) for c in conjuncts]
-    live = table.row_count()
+    live = env.rows(table)
 
     # candidate: (cost, tie_order, fetch_est, consumed, make_scan, info)
     candidates: list[tuple] = []
@@ -409,7 +466,7 @@ def _build_scan_costed(
     if index is not None:
         consumed = {eq_by_col[col] for col in index.key_columns}
         if index.unique:
-            fetch = min(1.0, float(live))
+            fetch = 1.0
         else:
             sel = 1.0
             for col in index.key_columns:
@@ -584,7 +641,7 @@ class _JoinStep:
                     emitted += 1
                     yield left + self._null_pad
         finally:
-            ctx.count("rows_scanned", scanned)
+            ctx.rows_scanned += scanned
             if ctx.explain_counts is not None:
                 ctx.explain_counts[self.op_id] = (
                     ctx.explain_counts.get(self.op_id, 0) + emitted
@@ -632,13 +689,13 @@ class _IndexJoinStep:
             for left in rows:
                 matched = False
                 key = tuple(fn(left, params) for fn in self.key_fns)
-                ctx.count("index_probes")
+                ctx.index_probes += 1
                 if not any(v is None for v in key):  # col = NULL never matches
                     for rowid in index.lookup(key):
                         right = table.get(rowid)
                         if right is None or not visible(right):
                             continue
-                        ctx.count("rows_scanned")
+                        ctx.rows_scanned += 1
                         combined = left + right
                         if residual is None or residual(combined, params):
                             matched = True
@@ -682,7 +739,7 @@ def _plan_join_step(
     Returns ``(step, estimated_output_rows, plan_info_node)``.
     """
     arity = right.schema.arity()
-    inner_live = right.row_count()
+    inner_live = env.rows(right)
     kind = join.kind
 
     def slot_of(expr) -> Optional[int]:
@@ -726,7 +783,7 @@ def _plan_join_step(
     for col in eq_cols:
         eq_sel *= env.stats.eq_selectivity(right, col)
     if eq_cols:
-        match_est = max(inner_live * eq_sel, 1.0 if inner_live else 0.0)
+        match_est = max(inner_live * eq_sel, 1.0)
         residual_count = len(conjuncts) - len(eq_cols)
     else:
         match_est = inner_live * (_OTHER_SELECTIVITY if conjuncts else 1.0)
@@ -738,9 +795,7 @@ def _plan_join_step(
     # -- candidate costs ------------------------------------------------------
     considered: dict[str, float] = {}
     if index is not None:
-        idx_match = 1.0 if index.unique else max(
-            inner_live * eq_sel, 1.0 if inner_live else 0.0
-        )
+        idx_match = 1.0 if index.unique else max(inner_live * eq_sel, 1.0)
         considered["inl"] = outer_est * (_COST_PROBE + idx_match * _COST_ROW)
     if eq_cols:
         build = min(outer_est, float(inner_live))

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from ..common.errors import ConstraintViolation, NoSuchColumnError, SchemaError
-from ..common.types import ColumnType, coerce_value
+from ..common.types import EXACT_TYPE_TEST, ColumnType, coerce_value
 
 
 class TableKind(enum.Enum):
@@ -63,7 +63,9 @@ class TableSchema:
     the SQL layer's identifier handling.
     """
 
-    __slots__ = ("name", "columns", "primary_key", "unique_keys", "kind", "_positions")
+    __slots__ = (
+        "name", "columns", "primary_key", "unique_keys", "kind", "_positions", "_coercer",
+    )
 
     def __init__(
         self,
@@ -99,6 +101,7 @@ class TableSchema:
                 if c not in self._positions:
                     raise SchemaError(f"unique key column {c!r} not in table {name!r}")
         self.kind = kind
+        self._coercer: Callable[[Sequence[Any]], tuple] | None = None
 
     # -- lookups ------------------------------------------------------------
 
@@ -126,23 +129,59 @@ class TableSchema:
 
     # -- row handling ---------------------------------------------------------
 
-    def coerce_row(self, values: Sequence[Any]) -> tuple:
-        """Validate and coerce a full-width row; applies NOT NULL checks."""
-        if len(values) != len(self.columns):
-            raise SchemaError(
-                f"table {self.name!r} expects {len(self.columns)} values, got {len(values)}"
+    @property
+    def coerce_row(self) -> Callable[[Sequence[Any]], tuple]:
+        """``coerce_row(values) -> tuple``: validate and coerce a full-width
+        row, applying defaults and NOT NULL checks.
+
+        The callable is generated for this schema on first use (schemas
+        never written pay nothing), the way :mod:`repro.sql.compile`
+        generates predicates: one frame per row, per cell an inlined
+        exact-type test (:data:`~repro.common.types.EXACT_TYPE_TEST`), and
+        every cell failing it handed to :meth:`_coerce_cell`.
+        """
+        coercer = self._coercer
+        if coercer is None:
+            coercer = self._coercer = self._compile_coercer()
+        return coercer
+
+    def _coerce_cell(self, col: Column, value: Any) -> Any:
+        """Reference coercion of one cell — NULL takes the default, NOT
+        NULL is enforced, :func:`coerce_value` converts or raises."""
+        if value is None:
+            value = col.default
+        if value is None and not col.nullable:
+            raise ConstraintViolation(
+                f"column {col.name!r} of table {self.name!r} is NOT NULL"
             )
-        out = []
-        for col, value in zip(self.columns, values):
-            if value is None:
-                value = col.default
-            if value is None and not col.nullable:
-                raise ConstraintViolation(
-                    f"column {col.name!r} of table {self.name!r} is NOT NULL"
-                )
-            coerced = coerce_value(value, col.ctype, column=col.name)
-            out.append(coerced)
-        return tuple(out)
+        return coerce_value(value, col.ctype, column=col.name)
+
+    def _wrong_arity(self, got: int) -> SchemaError:
+        return SchemaError(
+            f"table {self.name!r} expects {len(self.columns)} values, got {got}"
+        )
+
+    def _compile_coercer(self) -> Callable[[Sequence[Any]], tuple]:
+        cells = [f"v{i}" for i in range(len(self.columns))]
+        lines = [
+            "def coerce_row(values):",
+            f"    if len(values) != {len(cells)}:",
+            "        raise wrong_arity(len(values))",
+            f"    {', '.join(cells)}, = values",
+        ]
+        namespace: dict[str, Any] = {
+            "wrong_arity": self._wrong_arity, "cell": self._coerce_cell,
+        }
+        for i, (v, col) in enumerate(zip(cells, self.columns)):
+            namespace[f"col{i}"] = col
+            lines.append(f"    if not ({EXACT_TYPE_TEST[col.ctype].format(v=v)}):")
+            lines.append(f"        {v} = cell(col{i}, {v})")
+        lines.append(f"    return ({', '.join(cells)},)")
+        source = "\n".join(lines) + "\n"
+        exec(compile(source, f"<coerce {self.name}>", "exec"), namespace)  # noqa: S102
+        coercer = namespace["coerce_row"]
+        coercer._source = source  # debugging / test introspection
+        return coercer
 
     def row_from_mapping(self, mapping: dict[str, Any]) -> tuple:
         """Build a full-width row from a column→value mapping; missing

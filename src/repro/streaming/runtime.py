@@ -62,7 +62,7 @@ class _TxnOps:
 
     Mirrors what :class:`~repro.sql.executor.ExecutionContext` does for SQL
     writes: every mutation is appended to the transaction's undo log and
-    charged on the clock, so streaming maintenance aborts and replays with
+    counted on the clock, so streaming maintenance aborts and replays with
     the rest of the transaction.
     """
 
@@ -75,31 +75,29 @@ class _TxnOps:
     def insert(self, table: Table, values: Sequence[Any]) -> int:
         rowid = table.insert(values)
         self._txn.undo.on_insert(table, rowid)
-        self._db.clock.charge("rows_inserted", self._db.clock.cost.sql_row_us)
+        self._db.clock.rows_inserted += 1
         return rowid
 
     def insert_many(self, table: Table, rows: Sequence[Sequence[Any]]) -> range:
-        """Bulk insert: one undo-log range record and one (count-aggregated)
-        clock charge for the whole batch — identical events and simulated
-        time as per-row inserts, amortized bookkeeping."""
+        """Bulk insert: one undo-log range record and one clock tally for
+        the whole batch — identical events and simulated time as per-row
+        inserts, amortized bookkeeping."""
         rowids = table.insert_many(rows)
         n = len(rowids)
         if n:
             self._txn.undo.on_insert_many(table, rowids.start, n)
-            self._db.clock.charge(
-                "rows_inserted", self._db.clock.cost.sql_row_us * n, count=n
-            )
+            self._db.clock.rows_inserted += n
         return rowids
 
     def update(self, table: Table, rowid: int, values: Sequence[Any]) -> None:
         old = table.update_row(rowid, values)
         self._txn.undo.on_update(table, rowid, old)
-        self._db.clock.charge("rows_updated", self._db.clock.cost.sql_row_us)
+        self._db.clock.rows_updated += 1
 
     def delete(self, table: Table, rowid: int) -> None:
         old = table.delete_row(rowid)
         self._txn.undo.on_delete(table, rowid, old)
-        self._db.clock.charge("rows_deleted", self._db.clock.cost.sql_row_us)
+        self._db.clock.rows_deleted += 1
 
     def charge(self, event: str) -> None:
         self._db.clock.charge_cost(event)
@@ -490,7 +488,7 @@ class StreamingRuntime:
                     f"workflow before ingesting"
                 )
         ops = _TxnOps(db, txn)
-        db.clock.charge_cost("sql_stmt")  # the batch insert is one statement
+        db.clock.sql_stmt += 1  # the batch insert is one statement
         # Vectorized batch apply: coerce the whole batch against the
         # declared schema, stamp metadata, and bulk-insert in one pass —
         # one undo range record, one index-maintenance loop per index.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.clock import CostModel
+from repro.common.clock import TALLIED_EVENTS, CostModel, SimClock
 from repro.common.errors import (
     NoSuchProcedureError,
     ProcedureError,
@@ -17,8 +17,10 @@ VOTE_SELECT = "SELECT num_votes FROM votes WHERE contestant_id = ?"
 VOTE_UPDATE = "UPDATE votes SET num_votes = num_votes + 1 WHERE contestant_id = ?"
 
 
-def voter_db(cost=None):
-    db = Database(cost=cost if cost is not None else CostModel.free())
+def voter_db(cost=None, clock=None):
+    if clock is None:
+        clock = SimClock(cost if cost is not None else CostModel.free())
+    db = Database(clock=clock)
     db.create_table(
         schema(
             "votes",
@@ -192,3 +194,88 @@ def test_stats_reports_pinned_statement_counts():
     assert db.stats()["procedures"] == {"vote": 0}
     db.call("vote", 0)
     assert db.stats()["procedures"] == {"vote": 2}
+
+
+# -- the sim clock is a view over counters ------------------------------------
+
+
+def _eager(event, cost_field):
+    def charge_now(clock, n):
+        if n:
+            clock.charge(event, getattr(clock.cost, cost_field) * n, count=n)
+
+    # ``clock.<event> += n`` reads 0, then sets n: price it on the spot
+    return property(lambda clock: 0, charge_now)
+
+
+#: The reference the lazily priced clock must agree with: every tally is
+#: priced (count x cost) the moment it is added, never deferred.
+EagerClock = type(
+    "EagerClock",
+    (SimClock,),
+    {"__slots__": (), **{event: _eager(event, field) for event, field in TALLIED_EVENTS}},
+)
+
+
+def scripted_voter_run(clock):
+    """Votes, an ad-hoc read, a mid-transaction clock read, an aborted
+    call, an ANALYZE and a failing statement; returns the mid-run
+    readings."""
+    db = voter_db(clock=clock)
+    register_vote(db)
+
+    @db.register_procedure
+    def vote_then_change_mind(ctx, contestant_id):
+        ctx.execute(VOTE_UPDATE, (contestant_id,))
+        ctx.abort("changed my mind")
+
+    readings = []
+    for i in range(25):
+        db.call("vote", i % 4)
+    db.execute("SELECT contestant_id FROM votes WHERE num_votes > 3")  # a scan
+    with db.transaction():
+        db.execute(VOTE_UPDATE, (1,))
+        readings.append((clock.now_us, dict(clock.events)))  # mid-transaction
+        db.execute(VOTE_UPDATE, (2,))
+    with pytest.raises(UserAbort):
+        db.call("vote_then_change_mind", 3)
+    readings.append((clock.now_us, dict(clock.events)))
+    db.analyze()
+    with pytest.raises(Exception):
+        db.execute("INSERT INTO votes (contestant_id, num_votes) VALUES (0, 0)")
+    db.executemany(VOTE_UPDATE, [(c,) for c in range(4)])
+    readings.append((clock.now_us, dict(clock.events)))
+    return db, readings
+
+
+def test_lazily_priced_clock_matches_eager_reference():
+    lazy_db, lazy = scripted_voter_run(SimClock(CostModel.calibrated()))
+    eager_db, eager = scripted_voter_run(EagerClock(CostModel.calibrated()))
+    assert len(lazy) == len(eager) == 3
+    for (lazy_us, lazy_events), (eager_us, eager_events) in zip(lazy, eager):
+        assert lazy_events == eager_events  # counts are exact
+        assert lazy_us == pytest.approx(eager_us, rel=1e-9)  # summation order only
+    assert lazy[0][0] < lazy[1][0] < lazy[2][0]
+    assert lazy_db.clock.charged_us == pytest.approx(eager_db.clock.charged_us, rel=1e-9)
+    # execution tallies stay apart from the clock's: ANALYZE's scan and the
+    # undo replays are events, not statement counters
+    assert lazy_db.stats()["counters"] == eager_db.stats()["counters"]
+    events, counters = lazy_db.stats()["events"], lazy_db.stats()["counters"]
+    assert events["rows_scanned"] == counters["rows_scanned"] + 4  # ANALYZE read 4 rows
+    assert events["rows_undone"] == 1 and "rows_undone" not in counters
+    # and time is exactly the priced events: nothing is charged twice or lost
+    clock = lazy_db.clock
+    assert clock.now_us == pytest.approx(sum(clock.charged_us.values()), rel=1e-9)
+    for event, cost_field in TALLIED_EVENTS:
+        assert clock.charged_us[event] == pytest.approx(
+            clock.events[event] * getattr(clock.cost, cost_field), rel=1e-9
+        )
+
+
+def test_caller_supplied_clock_prices_on_read():
+    clock = SimClock(CostModel.calibrated())
+    db = voter_db(clock=clock)
+    db.execute(VOTE_SELECT, (1,))
+    assert clock.sql_stmt > 0  # counted, not yet priced
+    assert clock.events["sql_stmt"] == 2  # the seeding batch + the read
+    assert clock.sql_stmt == 0  # folded in by the read

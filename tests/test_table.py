@@ -1,10 +1,14 @@
 """Table constraint enforcement, index maintenance, undo, snapshots."""
 
+import enum
+import itertools
+
 import pytest
 
 from repro.common.errors import ConstraintViolation, SchemaError
 from repro.common.types import ColumnType as T
-from repro.storage.schema import schema
+from repro.common.types import coerce_value
+from repro.storage.schema import Column, TableSchema, schema
 from repro.storage.table import Table
 
 
@@ -171,3 +175,110 @@ def test_truncate_clears_rows_and_indexes():
     assert t.truncate() == 1
     assert t.row_count() == 0
     t.insert((1, "a@x", 30))  # pk free again
+
+
+# -- the generated row coercer vs a reference loop over coerce_value ----------
+
+
+def reference_coerce_row(sch: TableSchema, values) -> tuple:
+    """``TableSchema.coerce_row`` as a plain loop: the behaviour the
+    per-schema generated coercer must reproduce cell for cell."""
+    if len(values) != len(sch.columns):
+        raise SchemaError(
+            f"table {sch.name!r} expects {len(sch.columns)} values, got {len(values)}"
+        )
+    out = []
+    for col, value in zip(sch.columns, values):
+        if value is None:
+            value = col.default
+        if value is None and not col.nullable:
+            raise ConstraintViolation(
+                f"column {col.name!r} of table {sch.name!r} is NOT NULL"
+            )
+        out.append(coerce_value(value, col.ctype, column=col.name))
+    return tuple(out)
+
+
+def outcome(fn, *args):
+    """The value *and types* a call produced, or its exception class and
+    message (``repr`` so that NaN compares equal to itself)."""
+    try:
+        row = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the result
+        return ("raised", type(exc), str(exc))
+    return ("row", repr(row), tuple(type(v) for v in row))
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+class Name(str):
+    pass
+
+
+CELLS = [
+    None, True, False,
+    0, 1, -1, Colour.RED,
+    2**31 - 1, 2**31, -(2**31), -(2**31) - 1,       # INTEGER's edges
+    2**63 - 1, 2**63, -(2**63), -(2**63) - 1,       # BIGINT's edges
+    3.0, -0.0, 2.5, 1e300, float("nan"), float("inf"),
+    "42", "-7", "4.5", "1e3", "abc", "", " 12 ", Name("n"),
+    b"42", (1,), [1], {"a": 1}, object,
+]
+DEFAULTS = {
+    T.INTEGER: 7, T.BIGINT: 7, T.TIMESTAMP: 7,
+    T.FLOAT: 1.5, T.VARCHAR: "dflt", T.BOOLEAN: True,
+}
+
+
+@pytest.mark.parametrize("ctype", list(T), ids=lambda t: t.name)
+@pytest.mark.parametrize("nullable", [True, False], ids=["null", "notnull"])
+@pytest.mark.parametrize("with_default", [False, True], ids=["nodefault", "default"])
+def test_generated_coercer_matches_reference_per_cell(ctype, nullable, with_default):
+    default = DEFAULTS[ctype] if with_default else None
+    sch = TableSchema("t", [Column("c", ctype, nullable, default)])
+    for cell in CELLS:
+        assert outcome(sch.coerce_row, [cell]) == outcome(
+            reference_coerce_row, sch, [cell]
+        ), (ctype, cell)
+
+
+def test_generated_coercer_matches_reference_across_a_row():
+    sch = TableSchema(
+        "wide",
+        [Column(f"c_{t.name.lower()}", t, nullable=(i % 2 == 0)) for i, t in enumerate(T)]
+        + [Column("d", T.INTEGER, False, 9)],
+    )
+    good = {
+        T.INTEGER: 5, T.BIGINT: 2**40, T.TIMESTAMP: 17, T.FLOAT: 0.5,
+        T.VARCHAR: "s", T.BOOLEAN: False,
+    }
+    base = [good[c.ctype] for c in sch.columns]
+    assert sch.coerce_row(base) == tuple(base)
+    assert sch.coerce_row(tuple(base)) == tuple(base)  # any sequence type
+    # one odd cell at a time: the first failing column decides the error
+    for slot, cell in itertools.product(range(len(base)), CELLS):
+        row = list(base)
+        row[slot] = cell
+        assert outcome(sch.coerce_row, row) == outcome(reference_coerce_row, sch, row)
+    # two bad cells: the error is the leftmost one's, as in the loop
+    row = ["x"] + base[1:-1] + ["y"]
+    assert outcome(sch.coerce_row, row) == outcome(reference_coerce_row, sch, row)
+
+
+@pytest.mark.parametrize("values", [[], [1], [1, 2], (1, "a", 2, 3)], ids=str)
+def test_generated_coercer_arity_errors_match_reference(values):
+    sch = users_table().schema
+    assert outcome(sch.coerce_row, values) == outcome(reference_coerce_row, sch, values)
+    assert outcome(sch.coerce_row, values)[1] is SchemaError
+
+
+def test_coercer_is_built_on_first_use_and_only_falls_back_per_cell():
+    sch = users_table().schema
+    assert sch._coercer is None  # a schema never written compiles nothing
+    coerce = sch.coerce_row
+    assert sch.coerce_row is coerce  # built once
+    # the fast path calls nothing: coerce_value appears only via the fallback
+    assert "coerce_value" not in coerce._source
+    assert coerce._source.count("cell(") == len(sch.columns)

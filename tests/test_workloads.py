@@ -7,6 +7,8 @@ The process-worker column forks real processes, so it is marked
 wire discipline, no forks).
 """
 
+from contextlib import closing
+
 import pytest
 
 from repro.partition import PartitionedDatabase
@@ -160,6 +162,21 @@ def test_linear_road_produces_accidents_and_tolls(refs):
         streak[vid] = (seg, n)
         declared = declared or n >= 2
     assert declared, "generator never produced an accident"
+
+
+def test_linear_road_statements_probe_instead_of_scanning(refs):
+    # every Linear Road table is probed by its primary key, and every
+    # plan is pinned at first call, against empty tables: those plans
+    # must already be index probes.  A count, so it repeats exactly.
+    s, ops, _ref = refs["linear_road"]
+    input_rows = sum(len(op.rows) for op in ops)
+    scanned = []
+    for _ in range(2):
+        with closing(_single_db(s)) as db:
+            run_ops(db, ops)
+            scanned.append(db.stats()["counters"]["rows_scanned"])
+    assert scanned[0] == scanned[1]
+    assert scanned[0] / input_rows <= 10
 
 
 def test_fraud_alerts_match_pure_python_oracle(refs):
