@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from typing import Any, Iterable, Iterator
+from typing import Any
 
 from .errors import RecoveryError
 
@@ -53,22 +53,4 @@ def decode_record(line: str) -> dict[str, Any]:
     if wrapper.get("v") != FORMAT_VERSION:
         raise RecoveryError(f"unsupported log format version {wrapper.get('v')!r}")
     return wrapper["d"]
-
-
-def decode_stream(lines: Iterable[str], *, tolerate_torn_tail: bool = True) -> Iterator[dict[str, Any]]:
-    """Decode a sequence of framed lines.
-
-    With ``tolerate_torn_tail`` (the default, matching command-log replay),
-    a corrupt *final* record is silently dropped — it corresponds to a write
-    torn by the crash.  Corruption anywhere else raises
-    :class:`RecoveryError`.
-    """
-    buffered: list[str] = [line for line in lines if line.strip()]
-    for i, line in enumerate(buffered):
-        try:
-            yield decode_record(line)
-        except RecoveryError:
-            if tolerate_torn_tail and i == len(buffered) - 1:
-                return
-            raise
 

@@ -135,16 +135,6 @@ def _coerce_int(value: Any, column: str) -> int:
     raise TypeMismatchError(f"column {column!r}: cannot coerce {type(value).__name__} to integer")
 
 
-def is_comparable(a: Any, b: Any) -> bool:
-    """Return True when two non-NULL SQL values can be ordered against
-    each other (numeric/numeric, string/string, bool/bool)."""
-    if isinstance(a, bool) or isinstance(b, bool):
-        return isinstance(a, bool) and isinstance(b, bool)
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return True
-    return isinstance(a, str) and isinstance(b, str)
-
-
 def sql_repr(value: Any) -> str:
     """Render a Python value the way it would appear in SQL output.
 

@@ -52,7 +52,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from pathlib import Path
 
-from ..common.clock import CostModel, SimClock
+from ..common.clock import SimClock
 from ..common.errors import (
     NoSuchProcedureError,
     PlanningError,
@@ -115,7 +115,6 @@ class Database(StatsSections):
     def __init__(
         self,
         *,
-        cost: Optional[CostModel] = None,
         clock: Optional[SimClock] = None,
         plan_cache_size: int = 256,
         recovery_dir: Optional[str | Path] = None,
@@ -130,9 +129,9 @@ class Database(StatsSections):
         """Open one partition's engine.
 
         Args:
-            cost: cost table for the simulated clock (mutually exclusive
-                with ``clock``); defaults to ``CostModel.calibrated()``.
-            clock: an externally owned :class:`SimClock` to charge on.
+            clock: an externally owned :class:`SimClock` to charge on;
+                defaults to one over the default
+                :class:`~repro.common.clock.CostModel`.
             plan_cache_size: LRU capacity of the plan cache (SQL texts).
             recovery_dir: directory for the command log and checkpoints.
                 When given, the database is **durable**: every committed
@@ -168,18 +167,12 @@ class Database(StatsSections):
                 and pipeline stages emit wall-clock trace spans.
 
         Raises:
-            ValueError: both ``cost`` and ``clock`` given, or an unknown
-                ``recovery`` mode.
+            ValueError: an unknown ``recovery`` mode.
             RecoveryError: the log or a checkpoint is damaged beyond the
                 torn-tail contract, or references schema objects the
                 bootstrap did not create.
         """
-        if cost is not None and clock is not None:
-            raise ValueError(
-                "pass either cost= or clock=, not both (a SimClock carries "
-                "its own CostModel)"
-            )
-        self.clock = clock if clock is not None else SimClock(cost or CostModel.calibrated())
+        self.clock = clock if clock is not None else SimClock()
         #: the observability handle; DISABLED (a shared no-op) by default.
         #: Instrumentation sites guard on ``self.obs.enabled`` so the
         #: disabled path costs one attribute load and a branch.
@@ -947,7 +940,6 @@ class Database(StatsSections):
         "MergeJoin": "join_merge",
         "IndexNestedLoopJoin": "join_inl",
         "BlockNestedLoopJoin": "join_bnl",
-        "NestedLoopJoin": "join_nested",
     }
 
     def _tally_plan(self, info: dict[str, Any]) -> None:

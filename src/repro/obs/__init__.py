@@ -12,7 +12,7 @@ Three operating points:
 * ``DISABLED`` (the default everywhere) — a shared singleton whose
   ``enabled`` is False and whose :meth:`~Observability.span` returns a
   stateless no-op; an un-instrumented run pays one attribute load and a
-  branch per site (``bench_observability`` proves the bound);
+  branch per site;
 * ``Observability(tracing=False)`` — **metrics only**: every span site
   still times itself and feeds its name's latency histogram, but nothing
   is buffered in the span ring;

@@ -600,54 +600,6 @@ def _compile_residual(sargs: list[_Sarg], consumed: set[int], scope: Scope):
 # ---------------------------------------------------------------------------
 
 
-class _JoinStep:
-    """Legacy nested-loop join: rescans the inner table per outer row.
-
-    Never chosen by the cost model (:class:`BlockNestedLoopStep` strictly
-    dominates it) but kept as the fallback for ``force_join="inl"`` when
-    no usable index exists, so the pre-cost-model plan stays available to
-    the differential tests."""
-
-    __slots__ = ("table_name", "arity", "on_pred", "kind", "op_id", "_null_pad")
-
-    def __init__(self, table_name: str, arity: int, on_pred, kind: str):
-        self.table_name = table_name
-        self.arity = arity
-        self.on_pred = on_pred
-        self.kind = kind
-        self.op_id = -1
-        self._null_pad = (None,) * arity
-
-    def apply(self, rows: Iterator[tuple], ctx: ExecutionContext) -> Iterator[tuple]:
-        table = ctx.read_table(self.table_name)
-        on_pred = self.on_pred
-        params = ctx.params
-        left_outer = self.kind == "left"
-        scanned = 0
-        emitted = 0
-        # finally for the same reason as SeqScan: early generator close
-        # (LIMIT) must not lose the rows already visited.
-        try:
-            for left in rows:
-                matched = False
-                for _rowid, right in table.scan_visible():
-                    scanned += 1
-                    combined = left + right
-                    if on_pred is None or on_pred(combined, params):
-                        matched = True
-                        emitted += 1
-                        yield combined
-                if left_outer and not matched:
-                    emitted += 1
-                    yield left + self._null_pad
-        finally:
-            ctx.rows_scanned += scanned
-            if ctx.explain_counts is not None:
-                ctx.explain_counts[self.op_id] = (
-                    ctx.explain_counts.get(self.op_id, 0) + emitted
-                )
-
-
 class _IndexJoinStep:
     """Index-nested-loop join: per outer row, probe an inner-table equality
     index with key values computed from the outer row, instead of scanning
@@ -711,9 +663,7 @@ class _IndexJoinStep:
                 )
 
 
-JoinStep = (
-    _JoinStep | _IndexJoinStep | HashJoinStep | MergeJoinStep | BlockNestedLoopStep
-)
+JoinStep = _IndexJoinStep | HashJoinStep | MergeJoinStep | BlockNestedLoopStep
 
 
 def _plan_join_step(
@@ -841,22 +791,16 @@ def _plan_join_step(
         pred = compile_predicate(join.on, scope) if join.on is not None else None
         return BlockNestedLoopStep(right.name, arity, pred, kind)
 
-    def make_legacy():
-        pred = compile_predicate(join.on, scope) if join.on is not None else None
-        return _JoinStep(right.name, arity, pred, kind)
-
     build_inner = inner_live <= outer_est
 
     # -- choice ---------------------------------------------------------------
     forced = env.force_join
     if forced is not None:
-        if forced == "hash" and eq_cols:
-            algo = "hash"
-        elif forced == "merge" and eq_cols:
-            algo = "merge"
-        elif forced == "inl":
-            algo = "inl" if index is not None else "nested"
-        else:  # bnl, or an infeasible hash/merge force (non-equi join)
+        if (forced in ("hash", "merge") and eq_cols) or (
+            forced == "inl" and index is not None
+        ):
+            algo = forced
+        else:  # bnl, or a force this join cannot honour (non-equi, no index)
             algo = "bnl"
     else:
         # tie order: inl < hash < merge < bnl (most index-exploiting first)
@@ -872,9 +816,6 @@ def _plan_join_step(
     elif algo == "merge":
         step = make_equi(MergeJoinStep)
         op = "MergeJoin"
-    elif algo == "nested":
-        step = make_legacy()
-        op = "NestedLoopJoin"
     else:
         step = make_bnl()
         op = "BlockNestedLoopJoin"

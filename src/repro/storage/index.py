@@ -107,10 +107,6 @@ class HashIndex:
     def clear(self) -> None:
         self._map.clear()
 
-    def probe_count(self) -> int:
-        """Number of distinct keys (used by tests and cost accounting)."""
-        return len(self._map)
-
 
 class OrderedIndex:
     """Range index over a single column, kept as a sorted key list.

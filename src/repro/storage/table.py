@@ -199,10 +199,6 @@ class Table:
             index.insert_many(keys, first)
         return range(first, first + n)
 
-    def insert_mapping(self, mapping: dict[str, Any]) -> int:
-        """Insert from a column→value mapping (missing columns default)."""
-        return self.insert(self.schema.row_from_mapping(mapping))
-
     def get(self, rowid: int) -> tuple | None:
         return self._rows.get(rowid)
 
@@ -350,12 +346,6 @@ class Table:
         """Row tuples only, insertion order (no-mutation contract as above)."""
         self._ensure_order()
         yield from self._rows.values()
-
-    def select_by_index(self, index: Index, key: tuple) -> Iterator[tuple[int, tuple]]:
-        for rowid in index.lookup(key):
-            row = self._rows.get(rowid)
-            if row is not None:
-                yield rowid, row
 
     def truncate(self) -> int:
         """Delete all rows; returns how many were removed."""

@@ -169,20 +169,3 @@ def _run_recover(scenario, ops, tmp_path, crash_at, setup) -> RunResult:
         aborts += run_ops(recovered, ops[cut:])
         return _finish(scenario, recovered, ops, aborts, "recover")
 
-
-def conformance_matrix(
-    scenario: Scenario,
-    ops: Sequence[Op],
-    shapes: Sequence[str] = ALL_SHAPES,
-    *,
-    partitions: int = 2,
-    tmp_path=None,
-) -> dict[str, RunResult]:
-    """Run every shape; callers assert all digests equal the single
-    reference and no shape reported violations."""
-    return {
-        shape: run_shape(
-            scenario, ops, shape, partitions=partitions, tmp_path=tmp_path
-        )
-        for shape in shapes
-    }

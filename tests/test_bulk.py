@@ -4,7 +4,6 @@ undo records, batch atomicity, and stream garbage collection."""
 
 import pytest
 
-from repro.common.clock import CostModel
 from repro.common.errors import ConstraintViolation, NoSuchRowError
 from repro.common.types import ColumnType as T
 from repro.engine import Database
@@ -147,7 +146,7 @@ def test_ordered_index_bulk_insert_keeps_range_scans_sorted():
 
 
 def engine_db():
-    db = Database(cost=CostModel.free())
+    db = Database()
     db.create_table(
         schema(
             "users",
@@ -201,7 +200,7 @@ def test_executemany_bulk_abort_restores_identical_state():
 
 
 def test_executemany_records_one_compact_undo_entry():
-    db = Database(cost=CostModel.calibrated())
+    db = Database()
     db.create_table(
         schema("t", ("id", T.BIGINT, False), primary_key=["id"])
     )
@@ -313,7 +312,7 @@ def test_executemany_parameter_arity_checked_per_row():
 
 
 def stream_db():
-    db = Database(cost=CostModel.free())
+    db = Database()
     db.create_stream(schema("s", ("v", T.INTEGER)))
     db.create_table(schema("sink", ("v", T.INTEGER)))
     return db

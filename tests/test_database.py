@@ -10,7 +10,7 @@ from repro.storage.schema import schema
 
 
 def fresh_db():
-    db = Database(cost=CostModel.calibrated())
+    db = Database()
     db.create_table(
         schema(
             "users",
@@ -145,7 +145,7 @@ def test_plan_cache_rejects_bad_capacity():
 
 
 def test_database_lru_eviction_forces_replan():
-    db = Database(cost=CostModel.free(), plan_cache_size=2)
+    db = Database(plan_cache_size=2)
     db.create_table(schema("t", ("a", T.INTEGER)))
     db.execute("SELECT a FROM t")           # miss 1
     db.execute("SELECT a + 1 FROM t")       # miss 2
@@ -175,14 +175,6 @@ def test_execution_charges_follow_counters():
         + cost.txn_commit_us
     )
     assert db.clock.now_us - t0 == pytest.approx(expected)
-
-
-def test_free_cost_model_never_advances_clock():
-    db = Database(cost=CostModel.free())
-    db.create_table(schema("t", ("a", T.INTEGER)))
-    db.execute("INSERT INTO t VALUES (1)")
-    db.execute("SELECT * FROM t")
-    assert db.clock.now_us == 0.0
 
 
 def test_lifetime_counters_accumulate():
@@ -251,16 +243,11 @@ def test_resultset_is_iterable_sized_and_indexable():
 # -- misc ---------------------------------------------------------------------
 
 def test_external_clock_shared():
-    clock = SimClock(CostModel.calibrated())
+    clock = SimClock(CostModel())
     db = Database(clock=clock)
     db.create_table(schema("t", ("a", T.INTEGER)))
     db.execute("INSERT INTO t VALUES (1)")
     assert clock.now_us > 0
-
-
-def test_cost_and_clock_together_rejected():
-    with pytest.raises(ValueError):
-        Database(cost=CostModel.free(), clock=SimClock())
 
 
 def test_drop_table():

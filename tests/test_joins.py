@@ -7,6 +7,9 @@ equi-joins, LEFT OUTER joins, NULL join keys, residual ON conjuncts,
 non-equi joins, comma/cross joins, and aggregates over joins.
 """
 
+import gc
+import time
+
 import pytest
 
 from repro.common.errors import PlanningError
@@ -171,22 +174,13 @@ def test_cost_based_picks_hash_for_unindexed_equi_join(db):
 
 
 def test_non_equi_forced_hash_falls_back_to_bnl(db):
-    sql = "SELECT e.id, d.id FROM emp e JOIN dept d ON e.salary < d.budget"
-    for strategy in ("hash", "merge"):
+    non_equi = "SELECT e.id, d.id FROM emp e JOIN dept d ON e.salary < d.budget"
+    # emp.dept_ref has no index, so inner=emp under forced inl has no index path
+    unindexed = "SELECT d.id, e.id FROM dept d JOIN emp e ON d.id = e.dept_ref"
+    for strategy, sql in (("hash", non_equi), ("merge", non_equi), ("inl", unindexed)):
         db.force_join = strategy
         info = db.explain(sql)
         assert info["joins"][0]["op"] == "BlockNestedLoopJoin", strategy
-    db.force_join = None
-
-
-def test_inl_without_index_uses_nested_loop(db):
-    # emp.dept_ref has no index, so inner=emp under forced inl has no
-    # index path: the legacy per-outer rescan operator runs instead
-    db.force_join = "inl"
-    info = db.explain(
-        "SELECT d.id, e.id FROM dept d JOIN emp e ON d.id = e.dept_ref"
-    )
-    assert info["joins"][0]["op"] == "NestedLoopJoin"
     db.force_join = None
 
 
@@ -219,3 +213,49 @@ def test_hash_join_scans_inner_once(db):
     # both materialise each side exactly once: 60 emp + 8 dept
     assert hash_scanned == 68
     assert bnl_scanned == 68
+
+
+@pytest.mark.wallclock
+def test_cost_picked_hash_join_beats_forced_bnl():
+    # the fraud-style stream-to-table join on an unindexed key: 2,000
+    # transactions against 150 customers joined on customers.cust_ref
+    db = Database()
+    db.create_table(schema(
+        "customers", ("cust_pk", T.BIGINT, False), ("cust_ref", T.BIGINT, False),
+        ("tier", T.VARCHAR), primary_key=["cust_pk"],
+    ))
+    db.create_table(schema(
+        "txns", ("txn_id", T.BIGINT, False), ("cust_ref", T.BIGINT, False),
+        ("amount", T.FLOAT), primary_key=["txn_id"],
+    ))
+    tiers = ("gold", "silver", "bronze")
+    db.executemany(
+        "INSERT INTO customers VALUES (?, ?, ?)",
+        [(i, i, tiers[i % 3]) for i in range(150)],
+    )
+    db.executemany(
+        "INSERT INTO txns VALUES (?, ?, ?)",
+        [(i, i * 7919 % 150, float(i * 31 % 1000)) for i in range(2_000)],
+    )
+    db.execute("ANALYZE")
+    sql = (
+        "SELECT t.txn_id, c.tier, t.amount FROM txns t "
+        "JOIN customers c ON c.cust_ref = t.cust_ref WHERE t.amount > 500.0"
+    )
+
+    def best_of_3() -> float:
+        db.execute(sql)  # plan outside the timed runs
+        best = float("inf")
+        for _ in range(3):
+            gc.collect()
+            start = time.perf_counter()
+            db.execute(sql)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    assert db.explain(sql)["joins"][0]["op"] == "HashJoin"
+    hash_s = best_of_3()
+    db.force_join = "bnl"
+    assert db.explain(sql)["joins"][0]["op"] == "BlockNestedLoopJoin"
+    bnl_s = best_of_3()
+    assert hash_s < bnl_s

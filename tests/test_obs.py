@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.common.clock import CostModel
 from repro.common.types import ColumnType as T
 from repro.engine import Database
 from repro.obs import (
@@ -30,7 +29,6 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 def fresh_db(**kw):
-    kw.setdefault("cost", CostModel.free())
     return Database(**kw)
 
 

@@ -17,9 +17,7 @@ VOTE_SELECT = "SELECT num_votes FROM votes WHERE contestant_id = ?"
 VOTE_UPDATE = "UPDATE votes SET num_votes = num_votes + 1 WHERE contestant_id = ?"
 
 
-def voter_db(cost=None, clock=None):
-    if clock is None:
-        clock = SimClock(cost if cost is not None else CostModel.free())
+def voter_db(clock=None):
     db = Database(clock=clock)
     db.create_table(
         schema(
@@ -98,7 +96,7 @@ def test_call_inside_open_transaction_rejected():
 # -- compile-once pinning -----------------------------------------------------
 
 def test_procedure_plans_each_statement_exactly_once():
-    db = voter_db(cost=CostModel.calibrated())
+    db = voter_db()
     register_vote(db)
     plans_before = db.clock.events["sql_plan"]
     db.call("vote", 0)  # cold: both statements planned here
@@ -112,7 +110,7 @@ def test_procedure_plans_each_statement_exactly_once():
 
 
 def test_pinned_statements_repin_after_schema_change():
-    db = voter_db(cost=CostModel.calibrated())
+    db = voter_db()
     register_vote(db)
     db.call("vote", 0)
     plans_before = db.clock.events["sql_plan"]
@@ -249,8 +247,8 @@ def scripted_voter_run(clock):
 
 
 def test_lazily_priced_clock_matches_eager_reference():
-    lazy_db, lazy = scripted_voter_run(SimClock(CostModel.calibrated()))
-    eager_db, eager = scripted_voter_run(EagerClock(CostModel.calibrated()))
+    lazy_db, lazy = scripted_voter_run(SimClock(CostModel()))
+    eager_db, eager = scripted_voter_run(EagerClock(CostModel()))
     assert len(lazy) == len(eager) == 3
     for (lazy_us, lazy_events), (eager_us, eager_events) in zip(lazy, eager):
         assert lazy_events == eager_events  # counts are exact
@@ -273,7 +271,7 @@ def test_lazily_priced_clock_matches_eager_reference():
 
 
 def test_caller_supplied_clock_prices_on_read():
-    clock = SimClock(CostModel.calibrated())
+    clock = SimClock(CostModel())
     db = voter_db(clock=clock)
     db.execute(VOTE_SELECT, (1,))
     assert clock.sql_stmt > 0  # counted, not yet priced

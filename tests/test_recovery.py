@@ -13,7 +13,6 @@ import shutil
 
 import pytest
 
-from repro.common.clock import CostModel
 from repro.common.errors import RecoveryError, TransactionError
 from repro.common.types import ColumnType as T
 from repro.engine import Database
@@ -124,7 +123,6 @@ def copy_dir(src, dst):
 
 
 def open_db(directory, bootstrap, **kw):
-    kw.setdefault("cost", CostModel.free())
     return Database(recovery_dir=directory, bootstrap=bootstrap, **kw)
 
 
@@ -382,7 +380,7 @@ class TestCheckpoints:
                 db.checkpoint()
 
     def test_standalone_checkpoint_export(self, tmp_path):
-        db = Database(cost=CostModel.free(), bootstrap=table_bootstrap)
+        db = Database(bootstrap=table_bootstrap)
         db.call("deposit", 1, 5.0)
         out = db.checkpoint(tmp_path / "export.ckpt")
         assert out.exists()
@@ -596,7 +594,7 @@ class TestLogMechanics:
         ]
 
     def test_memory_only_database_reports_no_recovery(self):
-        db = Database(cost=CostModel.free())
+        db = Database()
         assert db.stats()["recovery"] is None
         db.flush_log()  # no-ops
         db.close()

@@ -3,7 +3,6 @@ registration, shadowing, degradation, and selective ``stats(section=)``."""
 
 import pytest
 
-from repro.common.clock import CostModel
 from repro.common.errors import ServerError
 from repro.common.types import ColumnType as T
 from repro.engine import Database
@@ -13,7 +12,7 @@ from repro.storage.schema import schema
 
 
 def fresh_db():
-    return Database(cost=CostModel.free())
+    return Database()
 
 
 def part_deploy(db, part):

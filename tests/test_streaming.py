@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.common.clock import CostModel
 from repro.common.errors import (
     BatchOrderError,
     ConstraintViolation,
@@ -16,12 +15,12 @@ from repro.engine import Database
 from repro.storage.schema import TableKind, schema
 
 
-def fresh_db(cost=None):
-    return Database(cost=cost if cost is not None else CostModel.free())
+def fresh_db():
+    return Database()
 
 
-def votes_db(cost=None):
-    db = fresh_db(cost)
+def votes_db():
+    db = fresh_db()
     db.create_stream(schema("votes", ("phone", T.BIGINT), ("contestant", T.INTEGER)))
     return db
 
@@ -223,7 +222,7 @@ def test_aborted_ingest_is_atomic_and_batch_id_reusable():
 
 
 def test_ee_trigger_fires_in_ingesting_transaction():
-    db = votes_db(cost=CostModel.calibrated())
+    db = votes_db()
     db.create_table(schema("audit", ("phone", T.BIGINT), ("batch", T.BIGINT)))
 
     def on_votes(ctx, rows):
@@ -290,7 +289,7 @@ def test_ee_trigger_requires_stream_and_unique_name():
 
 
 def test_pe_trigger_fires_after_commit_with_batch():
-    db = votes_db(cost=CostModel.calibrated())
+    db = votes_db()
     seen = []
 
     def on_commit(d, batch):
@@ -306,7 +305,7 @@ def test_pe_trigger_fires_after_commit_with_batch():
 
 
 def test_aborted_ingest_fires_no_pe_triggers():
-    db = fresh_db(cost=CostModel.calibrated())
+    db = fresh_db()
     db.create_stream(schema("keyed", ("k", T.INTEGER, False), primary_key=["k"]))
     seen = []
     db.create_pe_trigger("watch", "keyed", lambda d, b: seen.append(b.batch_id))
@@ -321,7 +320,7 @@ def test_aborted_ingest_fires_no_pe_triggers():
 
 
 def test_tuple_window_slides_and_evicts():
-    db = votes_db(cost=CostModel.calibrated())
+    db = votes_db()
     db.create_window("recent", "votes", size=4, slide=2)
     db.ingest("votes", [(1, 1)])
     # one staged tuple: below the slide threshold, nothing visible

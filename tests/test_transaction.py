@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.common.clock import CostModel
 from repro.common.errors import ConstraintViolation, TransactionError
 from repro.common.types import ColumnType as T
 from repro.engine import Database, Transaction, UndoLog
 from repro.storage.schema import schema
 
 
-def fresh_db(cost=None):
-    db = Database(cost=cost if cost is not None else CostModel.free())
+def fresh_db():
+    db = Database()
     db.create_table(
         schema(
             "accounts",
@@ -145,7 +144,7 @@ def test_abort_restores_scan_arrival_order():
 
 
 def test_indexes_probe_correctly_after_abort():
-    db = fresh_db(cost=CostModel.calibrated())
+    db = fresh_db()
     txn = db.begin()
     db.execute("DELETE FROM accounts WHERE id = 2")           # pk + owner index
     db.execute("INSERT INTO accounts (id, owner, balance) VALUES (30, 'o30', 5)")
@@ -210,7 +209,7 @@ def test_undo_log_protocol_and_replay_order():
 # -- cost accounting ----------------------------------------------------------
 
 def test_txn_boundary_costs_charged():
-    db = fresh_db(cost=CostModel.calibrated())
+    db = fresh_db()
     cost = db.clock.cost
     t0 = db.clock.now_us
     with db.transaction():
@@ -238,7 +237,7 @@ def test_txn_boundary_costs_charged():
 
 
 def test_abort_counts_rows_undone_per_record():
-    db = fresh_db(cost=CostModel.calibrated())
+    db = fresh_db()
     txn = db.begin()
     db.execute("UPDATE accounts SET balance = 0")  # 5 updates
     txn.abort()

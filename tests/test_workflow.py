@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.common.clock import CostModel
 from repro.common.errors import UserAbort, WorkflowError
 from repro.common.types import ColumnType as T
 from repro.engine import Database
 from repro.storage.schema import schema
 
 
-def fresh_db(cost=None):
-    return Database(cost=cost if cost is not None else CostModel.free())
+def fresh_db():
+    return Database()
 
 
 # -- definition-time validation -----------------------------------------------
@@ -130,7 +129,7 @@ def _raw_batch(b):
 
 
 def test_three_stage_dag_processes_batches_in_order_exactly_once():
-    db = fresh_db(cost=CostModel.calibrated())
+    db = fresh_db()
     seen = _linear_pipeline(db)
     for b in range(1, 11):
         assert db.ingest("raw", _raw_batch(b)) == [b]
@@ -157,7 +156,7 @@ def test_three_stage_dag_processes_batches_in_order_exactly_once():
 def test_end_to_end_demo_abort_retry_rolls_back_window_and_reprocesses():
     """The PR's acceptance demo: 10 batches through a 3-node DAG with an
     injected abort in the middle (window-aggregate) stage."""
-    db = fresh_db(cost=CostModel.calibrated())
+    db = fresh_db()
     seen = _linear_pipeline(db)
     window_table = db.catalog.table("recent")
 
