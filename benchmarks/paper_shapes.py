@@ -1,8 +1,8 @@
 """Paper-shape reproduction of S-Store §4.6 and §4.7 in simulated time.
 
-Everything here reads the deterministic ``SimClock`` through
-``stats()["sim_time_us"]``, so a given ``--seed`` prints the same figures
-on every machine.  Simulated time reproduces the paper's *shapes*; the
+Everything here reads simulated time through ``stats()["sim_time_us"]``,
+a pure function of the engine's event counts, so a given ``--seed``
+prints the same figures on every machine.  Simulated time reproduces the paper's *shapes*; the
 wall-clock benchmark is ``benchmarks/e2e/run.py``.
 
 1. **§4.6 relative throughput.**  The Linear Road dataflow (position

@@ -1,44 +1,26 @@
-"""Deterministic simulated time and the architectural cost model.
+"""The engine's event ledger, and simulated time as a function of it.
 
-Why simulated time
-==================
-The paper's evaluation ran a Java/C++ engine on a 64-core Xeon; absolute
-CPython wall-clock numbers cannot (and should not) be compared to that.  The
-paper's *relative* results, however, are driven entirely by counts of
-architectural events — batch submissions, trigger firings, synchronous log
-writes, plan compilations, and index probes versus full scans.  This module
-makes those events explicit:
-
-* every engine in this repository does its data work for real (real tuples,
-  real SQL, real logs), and
-* every performance-relevant event *additionally* advances a deterministic
-  :class:`SimClock` by an amount taken from a :class:`CostModel`.
-
-Simulated time is deterministic and machine-independent, and — because
-event counts are exact — reproduces the paper's *shapes*; it is not a
-performance measurement.  It is read through ``stats()["sim_time_us"]``,
-which ``benchmarks/paper_shapes.py`` turns into the §4.6/§4.7 figures.
-
-The clock also tallies event counts, which the test suite asserts on
-directly (e.g. "weak recovery wrote exactly one log record per workflow").
-
-The clock is a *view over counters*: the events the engine produces per
-statement (``sql_stmt``, rows scanned/written, index probes) are only
-*counted* on the hot path — plain ``+=`` on int slots of the clock — and
-priced (count × ``CostModel`` cost) when simulated time or the event
-tallies are next read.  Nothing on the execution path reads them.
+The paper's *relative* results are driven by counts of architectural
+events — batch submissions, trigger firings, synchronous log writes, plan
+compilations, index probes versus full scans — not by the absolute speed
+of its 64-core Xeon.  Every engine here does its data work for real and
+*counts* each such event in one :class:`EventLedger` (a plain ``+=`` on an
+int slot; ``stats()["events"]``).  Simulated time, :func:`sim_time_us`, is
+a pure function of those counts: deterministic and machine-independent,
+it reproduces the paper's *shapes* (``benchmarks/paper_shapes.py``) and
+is not a performance measurement.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from typing import Mapping, Optional
 
 
 @dataclass
 class CostModel:
     """Costs, in simulated microseconds, of the architectural events the
-    engine charges on its :class:`SimClock`.
+    engine counts in its :class:`EventLedger`.
 
     client_submit_us
         Asynchronous submission cost of one ingested atomic batch (the
@@ -85,88 +67,51 @@ class CostModel:
     snapshot_row_us: float = 0.2
 
 
-#: Events counted in int slots of the clock and priced on read:
-#: (event and slot name, ``CostModel`` field charged per occurrence).
-TALLIED_EVENTS: tuple[tuple[str, str], ...] = (
-    ("sql_stmt", "sql_stmt_us"),
-    ("rows_scanned", "sql_row_us"),
-    ("index_probes", "index_probe_us"),
-    ("rows_inserted", "sql_row_us"),
-    ("rows_updated", "sql_row_us"),
-    ("rows_deleted", "sql_row_us"),
-)
+#: Every event the ledger counts, and the ``CostModel`` field that prices
+#: one occurrence (None: a tally only, free in simulated time).
+EVENTS: dict[str, Optional[str]] = {
+    "sql_stmt": "sql_stmt_us",
+    "rows_scanned": "sql_row_us",
+    "index_probes": "index_probe_us",
+    "rows_inserted": "sql_row_us",
+    "rows_updated": "sql_row_us",
+    "rows_deleted": "sql_row_us",
+    "rows_undone": "sql_row_us",
+    "sql_plan": "sql_plan_us",
+    "plan_cache_hit": "plan_cache_hit_us",
+    "txn_begin": "txn_begin_us",
+    "txn_commit": "txn_commit_us",
+    "txn_abort": "txn_abort_us",
+    "txn_implicit": None,  # auto-commit wrappers, also counted as txn_begin
+    "procedure_call": None,
+    "client_submit": "client_submit_us",
+    "ee_trigger": "ee_trigger_us",
+    "pe_trigger": "pe_trigger_us",
+    "window_slide": "window_slide_us",
+    "log_write": "log_write_us",
+    "log_group_commit": "log_group_commit_us",
+    "snapshot_row": "snapshot_row_us",
+}
 
 
-class SimClock:
-    """A deterministic logical clock measured in microseconds.
+class EventLedger:
+    """One int slot per event of :data:`EVENTS`, all starting at 0; the
+    engine counts with ``events.txn_begin += 1``."""
 
-    :meth:`charge` advances time by a named cost and tallies the event.
-    Event tallies (:attr:`events`) let tests assert on exact architectural
-    event counts independently of the cost table in use.
+    __slots__ = tuple(EVENTS)
 
-    The per-statement events of ``TALLIED_EVENTS`` bypass :meth:`charge`: the
-    engine adds their counts onto the like-named int slots
-    (``clock.rows_scanned += n``), and reading :attr:`now_us`,
-    :attr:`events` or :attr:`charged_us` first folds the unpriced counts
-    in at the cost table's current prices.  Event counts are exact either
-    way; simulated time differs from eager charging only in float
-    summation order.
-    """
-
-    __slots__ = (
-        "cost", "_now_us", "_events", "_charged_us", *(event for event, _ in TALLIED_EVENTS)
-    )
-
-    def __init__(self, cost: CostModel | None = None):
-        self.cost = cost if cost is not None else CostModel()
-        self._now_us: float = 0.0
-        self._events: Counter[str] = Counter()
-        self._charged_us: Counter[str] = Counter()
-        for event, _ in TALLIED_EVENTS:
+    def __init__(self) -> None:
+        for event in EVENTS:
             setattr(self, event, 0)
 
-    def _priced(self) -> "SimClock":
-        """Fold every counted-but-unpriced event into time and tallies."""
-        for event, cost_field in TALLIED_EVENTS:
-            n = getattr(self, event)
-            if n:
-                setattr(self, event, 0)
-                self.charge(event, getattr(self.cost, cost_field) * n, count=n)
-        return self
+    def snapshot(self) -> dict[str, int]:
+        """The non-zero tallies, in :data:`EVENTS` order."""
+        return {event: n for event in EVENTS if (n := getattr(self, event))}
 
-    @property
-    def now_us(self) -> float:
-        return self._priced()._now_us
 
-    @property
-    def events(self) -> Counter[str]:
-        return self._priced()._events
-
-    @property
-    def charged_us(self) -> Counter[str]:
-        return self._priced()._charged_us
-
-    # -- charging -----------------------------------------------------------
-
-    def charge(self, event: str, us: float, *, count: int = 1) -> None:
-        """Advance the clock by ``us`` and record ``count`` ``event``s."""
-        self._now_us += us
-        self._events[event] += count
-        self._charged_us[event] += us
-
-    def charge_cost(self, event: str, *, count: int = 1) -> None:
-        """Charge ``count`` occurrences of a named :class:`CostModel` field.
-
-        ``event`` must be the name of a ``CostModel`` attribute without the
-        ``_us`` suffix, e.g. ``charge_cost("pe_trigger")``.
-        """
-        unit = getattr(self.cost, f"{event}_us")
-        self.charge(event, unit * count, count=count)
-
-    def snapshot_events(self) -> Counter[str]:
-        """A copy of the event tally (for before/after diffs in tests)."""
-        return Counter(self.events)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SimClock(now_us={self.now_us:.1f}, events={sum(self.events.values())})"
-
+def sim_time_us(events: Mapping[str, int], cost: Optional[CostModel] = None) -> float:
+    """Simulated microseconds of ``events`` (an :meth:`EventLedger.snapshot`):
+    Σ count × price, at the default :class:`CostModel` unless ``cost`` is
+    given."""
+    cost = cost or CostModel()
+    return sum((n * getattr(cost, EVENTS[e]) for e, n in events.items() if EVENTS[e]), 0.0)

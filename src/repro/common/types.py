@@ -22,8 +22,8 @@ class ColumnType(enum.Enum):
     """Supported column types.
 
     ``TIMESTAMP`` is stored as an integer number of microseconds since an
-    arbitrary epoch (the simulated clock's origin), matching H-Store's
-    microsecond-precision TIMESTAMP columns.
+    arbitrary epoch, matching H-Store's microsecond-precision TIMESTAMP
+    columns.
     """
 
     INTEGER = "INTEGER"

@@ -29,19 +29,15 @@ engine's (private) access guard.  Observer and guard are **not** part of
 the public signatures — they are the seams the trigger, window-visibility,
 and command-logging layers plug into.
 
-Cost accounting per statement (on the deterministic
-:class:`~repro.common.clock.SimClock`):
+Events per statement, counted on the
+:class:`~repro.common.clock.EventLedger` (``self.events``):
 
-* plan-cache **miss** → one ``sql_plan`` charge; **hit** → one (much
-  cheaper) ``plan_cache_hit`` charge; a procedure's *pinned* statement →
-  no planning charge at all after the first invocation;
-* every execution → one ``sql_stmt`` plus the execution counters
-  (``rows_scanned``/written at ``sql_row_us``, ``index_probes`` at
-  ``index_probe_us``), *counted* on the clock's int slots and priced only
-  when the clock is read;
-* transaction boundaries → ``txn_begin`` / ``txn_commit`` / ``txn_abort``
-  charges, the abort adding ``sql_row_us`` per undo record replayed
-  (``rows_undone`` events).
+* plan-cache **miss** → one ``sql_plan``; **hit** → one ``plan_cache_hit``;
+  a procedure's *pinned* statement → neither, after the first invocation;
+* every execution → one ``sql_stmt`` plus its execution counters
+  (``rows_scanned``/written, ``index_probes``);
+* transaction boundaries → ``txn_begin`` / ``txn_commit`` / ``txn_abort``,
+  an abort adding one ``rows_undone`` per undo record replayed.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from pathlib import Path
 
-from ..common.clock import SimClock
+from ..common.clock import EventLedger, sim_time_us
 from ..common.errors import (
     NoSuchProcedureError,
     PlanningError,
@@ -79,9 +75,6 @@ from .plan_cache import PlanCache
 from .procedure import ProcedureContext, ProcedureFn, StoredProcedure
 from .stats import StatsCatalog
 from .transaction import Transaction
-
-#: keys always present in ``stats()["transactions"]``
-_TXN_STAT_KEYS = ("begun", "committed", "aborted", "implicit", "procedure_calls")
 
 
 def _copy_plan_info(info: Any) -> Any:
@@ -115,7 +108,6 @@ class Database(StatsSections):
     def __init__(
         self,
         *,
-        clock: Optional[SimClock] = None,
         plan_cache_size: int = 256,
         recovery_dir: Optional[str | Path] = None,
         recovery: str = "strong",
@@ -129,9 +121,6 @@ class Database(StatsSections):
         """Open one partition's engine.
 
         Args:
-            clock: an externally owned :class:`SimClock` to charge on;
-                defaults to one over the default
-                :class:`~repro.common.clock.CostModel`.
             plan_cache_size: LRU capacity of the plan cache (SQL texts).
             recovery_dir: directory for the command log and checkpoints.
                 When given, the database is **durable**: every committed
@@ -172,7 +161,8 @@ class Database(StatsSections):
                 torn-tail contract, or references schema objects the
                 bootstrap did not create.
         """
-        self.clock = clock if clock is not None else SimClock()
+        #: every architectural event this engine counts (``stats("events")``)
+        self.events = EventLedger()
         #: the observability handle; DISABLED (a shared no-op) by default.
         #: Instrumentation sites guard on ``self.obs.enabled`` so the
         #: disabled path costs one attribute load and a branch.
@@ -197,12 +187,8 @@ class Database(StatsSections):
         #: EXPLAIN's per-operator actual-row sink; threaded into the
         #: ExecutionContext of statements run under :meth:`explain`
         self._explain_counts: Optional[dict[int, int]] = None
-        #: lifetime aggregate of per-execution tallies (see :attr:`counters`)
-        self._lifetime = ExecutionCounters()
         #: tallies of the most recent execution (see :attr:`last_counters`)
         self._last = ExecutionCounters()
-        #: transaction life-cycle tallies (begun/committed/aborted/...)
-        self.txn_stats: Counter[str] = Counter()
         self._txn: Optional[Transaction] = None
         self._next_txn_id = 1
         self._procedures: dict[str, StoredProcedure] = {}
@@ -349,14 +335,14 @@ class Database(StatsSections):
     def create_ee_trigger(self, name: str, stream: str, fn) -> EETrigger:
         """Attach an EE trigger: ``fn(ctx, rows)`` fires per batch-insert
         statement on ``stream``, inside the inserting transaction
-        (paper §3.2.3); charged at ``ee_trigger_us`` per firing."""
+        (paper §3.2.3); each firing counts one ``ee_trigger`` event."""
         self._reject_ddl_in_txn("CREATE TRIGGER")
         return self.streaming.create_ee_trigger(name, stream, fn)
 
     def create_pe_trigger(self, name: str, stream: str, fn) -> PETrigger:
         """Attach a PE trigger: ``fn(db, batch)`` fires after a transaction
         commits an atomic batch into ``stream``, outside any transaction
-        (paper §3.2.3); charged at ``pe_trigger_us`` per firing."""
+        (paper §3.2.3); each firing counts one ``pe_trigger`` event."""
         self._reject_ddl_in_txn("CREATE TRIGGER")
         return self.streaming.create_pe_trigger(name, stream, fn)
 
@@ -475,7 +461,7 @@ class Database(StatsSections):
                 explicit ``path`` was given, or it was opened
                 ``readonly``.
 
-        Charges ``snapshot_row_us`` per serialised row.
+        Counts one ``snapshot_row`` event per serialised row.
         """
         if self._txn is not None:
             raise TransactionError(
@@ -498,7 +484,7 @@ class Database(StatsSections):
                 "catalog": self.catalog.snapshot(),
                 "streaming": self.streaming.persistent_state(),
             },
-            self.clock,
+            self.events,
         )
 
     def flush_log(self) -> None:
@@ -622,10 +608,9 @@ class Database(StatsSections):
         txn = Transaction(self, self._next_txn_id, implicit=implicit)
         self._next_txn_id += 1
         self._txn = txn
-        self.clock.charge_cost("txn_begin")
-        self.txn_stats["begun"] += 1
+        self.events.txn_begin += 1
         if implicit:
-            self.txn_stats["implicit"] += 1
+            self.events.txn_implicit += 1
         obs = self.obs
         if obs.enabled:
             # open until _txn_closed, so trigger/log spans nest inside it
@@ -635,10 +620,9 @@ class Database(StatsSections):
     def _txn_closed(self, txn: Transaction, event: str) -> None:
         """Called by :class:`Transaction` after commit/abort settles state."""
         self._txn = None
-        self.clock.charge_cost(event)
         try:
             if event == "txn_commit":
-                self.txn_stats["committed"] += 1
+                self.events.txn_commit += 1
                 # Command logging rides the commit path, before post-commit
                 # hooks fire, so parent records precede the downstream
                 # deliveries they trigger.
@@ -646,7 +630,7 @@ class Database(StatsSections):
                 if capture is not None:
                     capture.on_commit(txn)
             else:
-                self.txn_stats["aborted"] += 1
+                self.events.txn_abort += 1
                 # aborted transactions publish no stream batches (no PE triggers)
                 self.streaming.on_abort(txn)
         finally:
@@ -779,7 +763,7 @@ class Database(StatsSections):
             txn = self._begin(implicit=False)
             if capture is not None:
                 txn.log_record = log_record
-            self.txn_stats["procedure_calls"] += 1
+            self.events.procedure_call += 1
             ctx = ProcedureContext(self, proc, txn)
             prev_proc = self._current_proc
             self._current_proc = proc.name
@@ -868,7 +852,7 @@ class Database(StatsSections):
             # validate serialisability before any effect, like db.call;
             # a rolled-back fragment deletes its own entry below
             capture.record_call_in_txn(txn, proc.name, args)
-        self.txn_stats["procedure_calls"] += 1
+        self.events.procedure_call += 1
         ctx = ProcedureContext(self, proc, txn)
         prev_proc = self._current_proc
         self._current_proc = proc.name
@@ -876,18 +860,18 @@ class Database(StatsSections):
         try:
             return proc.fn(ctx, *args)
         except TransactionAborted:
-            self._charge_undone(txn.undo.rollback_to(mark))
+            self.events.rows_undone += txn.undo.rollback_to(mark)
             del txn.log_cmds[cmd_mark:]
             raise
         except Exception as exc:
-            self._charge_undone(txn.undo.rollback_to(mark))
+            self.events.rows_undone += txn.undo.rollback_to(mark)
             del txn.log_cmds[cmd_mark:]
             raise ProcedureError(
                 f"procedure {proc.name!r} failed and was rolled back to its "
                 f"savepoint: {type(exc).__name__}: {exc}"
             ) from exc
         except BaseException:
-            self._charge_undone(txn.undo.rollback_to(mark))
+            self.events.rows_undone += txn.undo.rollback_to(mark)
             del txn.log_cmds[cmd_mark:]
             raise
         finally:
@@ -897,8 +881,8 @@ class Database(StatsSections):
 
     def prepare(self, sql: str) -> PreparedStatement:
         """Fetch the prepared statement for ``sql``, planning it on a cache
-        miss.  A hit charges ``plan_cache_hit_us``; a miss charges the full
-        ``sql_plan_us`` compile cost.
+        miss.  A hit counts one ``plan_cache_hit`` event; a miss one
+        ``sql_plan``.
 
         Args:
             sql: one statement (the exact text is the cache key).
@@ -918,9 +902,9 @@ class Database(StatsSections):
         stats.maybe_auto_refresh(self.catalog)
         stmt = self.plan_cache.get(sql, self.schema_epoch, stats.version)
         if stmt is not None:
-            self.clock.charge_cost("plan_cache_hit")
+            self.events.plan_cache_hit += 1
             return stmt
-        self.clock.charge_cost("sql_plan")
+        self.events.sql_plan += 1
         span = self.obs.span("plan.compile", sql=sql[:120]) if self.obs.enabled else None
         try:
             stmt = prepare(
@@ -988,7 +972,7 @@ class Database(StatsSections):
         table or — with no argument — every table; the SQL spelling is
         ``ANALYZE [table]``.
 
-        Each analyzed table is scanned once (charged per row like a
+        Each analyzed table is scanned once (counted per row like a
         sequential scan).  The statistics version bump invalidates every
         cached plan, so subsequent statements are re-costed against the
         fresh numbers.
@@ -1006,7 +990,7 @@ class Database(StatsSections):
         for t in targets:
             snap = self.table_stats.analyze(t)
             out[t.name] = snap.analyzed_rows
-            self.clock.rows_scanned += snap.analyzed_rows
+            self.events.rows_scanned += snap.analyzed_rows
         return out
 
     def explain(
@@ -1109,7 +1093,7 @@ class Database(StatsSections):
                 except RecoveryError:
                     # uncapturable params: undo this statement so the open
                     # transaction stays consistent with its eventual record
-                    self._charge_undone(txn.undo.rollback_to(mark))
+                    self.events.rows_undone += txn.undo.rollback_to(mark)
                     raise
             return result
         with self._implicit_txn() as txn:
@@ -1173,7 +1157,7 @@ class Database(StatsSections):
                     try:
                         capture.record_many(txn, sql, param_rows)
                     except RecoveryError:
-                        self._charge_undone(txn.undo.rollback_to(mark))
+                        self.events.rows_undone += txn.undo.rollback_to(mark)
                         raise
                 return total
             with self._implicit_txn() as txn:
@@ -1191,7 +1175,7 @@ class Database(StatsSections):
                 if capture is not None and len(txn.undo) > mark:
                     capture.record_many(txn, sql, param_rows)
             except BaseException:
-                self._charge_undone(txn.undo.rollback_to(mark))
+                self.events.rows_undone += txn.undo.rollback_to(mark)
                 raise
         else:
             with self._implicit_txn() as txn:
@@ -1232,7 +1216,7 @@ class Database(StatsSections):
         try:
             total = stmt.run_many(ctx, param_rows)
         except BaseException:
-            self._charge_undone(txn.undo.rollback_to(mark))
+            self.events.rows_undone += txn.undo.rollback_to(mark)
             raise
         self._tally(ctx)
         return total
@@ -1275,7 +1259,7 @@ class Database(StatsSections):
         try:
             result = stmt.execute(ctx)
         except BaseException:
-            self._charge_undone(txn.undo.rollback_to(mark))
+            self.events.rows_undone += txn.undo.rollback_to(mark)
             raise
         self._tally(ctx)
         return result
@@ -1299,29 +1283,12 @@ class Database(StatsSections):
 
     # -- accounting ------------------------------------------------------------
 
-    def _charge_undone(self, undone: int) -> None:
-        """Charge the replay cost of ``undone`` undo-log records (statement
-        savepoint rollback and full abort share this accounting)."""
-        if undone:
-            self.clock.charge(
-                "rows_undone", self.clock.cost.sql_row_us * undone, count=undone
-            )
-
     def _tally(self, ctx: ExecutionContext) -> None:
-        """Account one successful execution: its tallies join the lifetime
-        totals and the clock's unpriced counts (priced when read)."""
+        """Account one successful execution: one ``sql_stmt`` plus its
+        execution counters onto the ledger."""
         self._last = ctx
-        ctx.add_to(self._lifetime)
-        clock = self.clock
-        clock.sql_stmt += 1
-        ctx.add_to(clock)
-
-    @property
-    def counters(self) -> Counter[str]:
-        """Lifetime aggregate of per-execution counters (statement
-        executions only — unlike ``clock.events``, which also tallies
-        ANALYZE scans, undo replays and streaming maintenance)."""
-        return self._lifetime.counters
+        self.events.sql_stmt += 1
+        ctx.add_to(self.events)
 
     @property
     def last_counters(self) -> Counter[str]:
@@ -1332,13 +1299,20 @@ class Database(StatsSections):
     def _builtin_stats_sections(self) -> dict[str, Any]:
         """Name → thunk for every built-in :meth:`stats` section, so a
         selective ``stats(section=...)`` computes only what it returns."""
+        events = self.events
         return {
-            "sim_time_us": lambda: self.clock.now_us,
+            "sim_time_us": lambda: sim_time_us(events.snapshot()),
             "schema_epoch": lambda: self.schema_epoch,
-            "events": lambda: dict(self.clock.events),
-            "counters": lambda: dict(self.counters),
+            "events": events.snapshot,
+            "counters": lambda: {
+                k: n for k, n in events.snapshot().items() if k in ExecutionCounters.__slots__
+            },
             "transactions": lambda: {
-                **{key: self.txn_stats.get(key, 0) for key in _TXN_STAT_KEYS},
+                "begun": events.txn_begin,
+                "committed": events.txn_commit,
+                "aborted": events.txn_abort,
+                "implicit": events.txn_implicit,
+                "procedure_calls": events.procedure_call,
                 "open": self._txn is not None,
             },
             "procedures": lambda: {
@@ -1372,11 +1346,11 @@ class Database(StatsSections):
                 shadow built-ins, matching the full-snapshot behaviour.
 
         Returns:
-            With ``section=None``, a dict with ``sim_time_us`` (simulated
-            clock), ``events`` (architectural event tallies),
-            ``schema_epoch``, ``counters`` (lifetime execution counters),
-            ``transactions`` (begun/committed/aborted/implicit/
-            procedure_calls/open), ``procedures`` (pinned-plan counts),
+            With ``section=None``, a dict with ``events`` (the event
+            ledger), ``sim_time_us`` (its price at the default costs),
+            ``schema_epoch``, ``counters`` and ``transactions`` (ledger
+            views: the execution tallies; begun/committed/aborted/
+            implicit/procedure_calls/open), ``procedures`` (pinned-plan counts),
             ``plan_cache`` (hits/pin_hits/misses/evictions/replans and the
             ``hit_rate`` over all three kinds of lookup), ``tables``
             (row counts, kinds, declared columns), ``streaming``

@@ -9,7 +9,7 @@ supplies both halves:
 * :class:`StoredProcedure` owns the procedure function and a *pin table*
   of its :class:`~repro.sql.planner.PreparedStatement`\\ s.  The first time
   a statement text is executed the plan comes from the database's plan
-  cache (charging the usual cold-plan or cache-hit cost); thereafter the
+  cache (one ``sql_plan`` or ``plan_cache_hit`` event); thereafter the
   pinned plan is used directly with **zero** planning or cache-lookup
   cost — the H-Store deploy-time-planning behaviour.  A pin is reused
   only while :meth:`~repro.sql.planner.PreparedStatement.fresh` holds
@@ -73,7 +73,7 @@ class StoredProcedure:
         """The pinned plan for ``sql``, (re-)pinning through the plan cache.
 
         On a pin-table hit this is a dict lookup plus the freshness check —
-        no plan-cache traffic, no clock charge.  A pin gone stale (DDL, an
+        no plan-cache traffic, no counted event.  A pin gone stale (DDL, an
         ANALYZE, or a costed table leaving its row band) is replaced via
         :meth:`Database.prepare`, statement by statement.
         """

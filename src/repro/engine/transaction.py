@@ -34,10 +34,10 @@ inserts are never reused (``Table._next_rowid`` only moves forward).
 :class:`Transaction` is the handle returned by ``Database.begin()`` and
 ``with db.transaction():``.  The serial model makes its life cycle strict:
 begin → (statements) → commit | abort, nesting is an error, and DDL inside
-a transaction is rejected.  Boundary costs (``txn_begin_us`` /
-``txn_commit_us`` / ``txn_abort_us``) are charged on the database's
-:class:`~repro.common.clock.SimClock`; an abort additionally charges
-``sql_row_us`` per undo record replayed (``rows_undone`` events).
+a transaction is rejected.  Boundaries count ``txn_begin`` /
+``txn_commit`` / ``txn_abort`` events on the database's
+:class:`~repro.common.clock.EventLedger`; an abort also counts one
+``rows_undone`` per undo record replayed.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class UndoLog:
         mark undoes just that statement's writes (statement-level atomicity
         for multi-row DML that fails midway).  Returns the number of *rows*
         replayed — a range record counts all its rows — so the caller can
-        charge ``rows_undone`` identically to the per-row path.
+        count ``rows_undone`` identically to the per-row path.
         """
         undone = 0
         entries = self._entries
@@ -220,7 +220,7 @@ class Transaction:
         self._require_active("abort")
         self._commit_hooks.clear()
         db = self._db
-        db._charge_undone(self.undo.rollback_to(0))
+        db.events.rows_undone += self.undo.rollback_to(0)
         self.state = self.ABORTED
         db._txn_closed(self, "txn_abort")
 

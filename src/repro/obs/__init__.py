@@ -1,7 +1,7 @@
 """End-to-end observability: metrics registry + wall-clock trace spans.
 
 This package is the measurement substrate of the engine (ISSUE 8): a
-:class:`MetricsRegistry` of counters/gauges/mergeable latency histograms
+:class:`MetricsRegistry` of gauges and mergeable latency histograms
 and a :class:`~repro.obs.tracing.Tracer` of per-stage wall-clock spans,
 bundled behind one :class:`Observability` facade that every layer —
 engine, streaming, recovery, partition coordinator/workers, network
@@ -90,9 +90,6 @@ class Observability:
     def observe(self, name: str, us: float) -> None:
         self.metrics.observe(name, us)
 
-    def count(self, name: str, n: int = 1) -> None:
-        self.metrics.inc(name, n)
-
     # -- surfacing -------------------------------------------------------------
 
     def stats_section(self) -> dict[str, Any]:
@@ -138,9 +135,6 @@ class _Disabled:
         return NOOP_SPAN
 
     def observe(self, name: str, us: float) -> None:
-        pass
-
-    def count(self, name: str, n: int = 1) -> None:
         pass
 
     def stats_section(self) -> dict[str, Any]:

@@ -1,4 +1,4 @@
-"""Counters, gauges, and mergeable fixed-bucket latency histograms.
+"""Gauges and mergeable fixed-bucket latency histograms.
 
 The registry is the *data* half of the observability layer (the tracer in
 :mod:`repro.obs.tracing` is the *event* half): every span name doubles as
@@ -16,7 +16,6 @@ into one logical histogram without any shared memory.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from typing import Any, Callable, Iterable, Optional
 
 #: Upper bounds (µs) of the fixed histogram buckets: 2^0 .. 2^26, plus an
@@ -143,29 +142,25 @@ class LatencyHistogram:
 
 
 class MetricsRegistry:
-    """Named counters, gauges, and :class:`LatencyHistogram` families.
+    """Named gauges and :class:`LatencyHistogram` families (event counts
+    live in the engine's ledger, ``stats()["events"]``).
 
-    * **counters** — monotonically increasing tallies (``inc``);
     * **gauges** — point-in-time values, either set directly or backed by
       a callable evaluated at snapshot time;
     * **histograms** — created on first :meth:`observe`/:meth:`histogram`
       of a name; every histogram shares the fixed bucket layout.
 
     :meth:`snapshot` is JSON-safe; :meth:`merge_snapshots` combines the
-    snapshots of several registries (counters add, numeric gauges add,
-    histograms bucket-merge) — the coordinator uses it to present N
+    snapshots of several registries (numeric gauges add, histograms
+    bucket-merge) — the coordinator uses it to present N
     partition workers as one logical registry.
     """
 
-    __slots__ = ("counters", "_gauges", "_histograms")
+    __slots__ = ("_gauges", "_histograms")
 
     def __init__(self) -> None:
-        self.counters: Counter[str] = Counter()
         self._gauges: dict[str, Any] = {}
         self._histograms: dict[str, LatencyHistogram] = {}
-
-    def inc(self, name: str, n: int = 1) -> None:
-        self.counters[name] += n
 
     def gauge(self, name: str, value: Any) -> None:
         """Set a gauge; a callable is re-evaluated at every snapshot."""
@@ -185,7 +180,6 @@ class MetricsRegistry:
         for name, value in self._gauges.items():
             gauges[name] = value() if callable(value) else value
         return {
-            "counters": dict(self.counters),
             "gauges": gauges,
             "histograms": {
                 name: hist.snapshot() for name, hist in sorted(self._histograms.items())
@@ -194,13 +188,11 @@ class MetricsRegistry:
 
     @staticmethod
     def merge_snapshots(snaps: Iterable[dict[str, Any]]) -> dict[str, Any]:
-        counters: Counter[str] = Counter()
         gauges: dict[str, Any] = {}
         hists: dict[str, LatencyHistogram] = {}
         for snap in snaps:
             if not snap:
                 continue
-            counters.update(snap.get("counters") or {})
             for name, value in (snap.get("gauges") or {}).items():
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     gauges[name] = value  # non-numeric: last writer wins
@@ -209,7 +201,6 @@ class MetricsRegistry:
             for name, hsnap in (snap.get("histograms") or {}).items():
                 hists.setdefault(name, LatencyHistogram()).merge(hsnap)
         return {
-            "counters": dict(counters),
             "gauges": gauges,
             "histograms": {name: h.snapshot() for name, h in sorted(hists.items())},
         }

@@ -34,7 +34,7 @@ import os
 from pathlib import Path
 from typing import Any, Optional
 
-from ..common.clock import SimClock
+from ..common.clock import EventLedger
 from ..common.errors import RecoveryError
 from ..common.serde import decode_record, encode_record
 
@@ -52,22 +52,15 @@ def _snapshot_rows(catalog_snapshot: dict[str, Any]) -> int:
     return sum(len(state["rows"]) for state in catalog_snapshot.values())
 
 
-def write_checkpoint(
-    path: str | Path,
-    payload: dict[str, Any],
-    clock: Optional[SimClock] = None,
-) -> Path:
+def write_checkpoint(path: str | Path, payload: dict[str, Any], events: EventLedger) -> Path:
     """Write one checkpoint atomically (temp file + rename + fsync).
 
     ``payload`` must carry ``lsn``, ``catalog``, and ``streaming`` keys.
-    Charges ``snapshot_row_us`` per serialised row when a clock is given.
-    Returns the final path.
+    Counts one ``snapshot_row`` event per serialised row.  Returns the
+    final path.
     """
     path = Path(path)
-    if clock is not None:
-        rows = _snapshot_rows(payload["catalog"])
-        if rows:
-            clock.charge_cost("snapshot_row", count=rows)
+    events.snapshot_row += _snapshot_rows(payload["catalog"])
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w", encoding="utf-8") as f:
         f.write(encode_record(payload) + "\n")
@@ -77,12 +70,12 @@ def write_checkpoint(
     return path
 
 
-def load_checkpoint(path: str | Path, clock: Optional[SimClock] = None) -> dict[str, Any]:
+def load_checkpoint(path: str | Path, events: EventLedger) -> dict[str, Any]:
     """Decode one checkpoint file, verifying its checksum.
 
     Raises :class:`RecoveryError` on any corruption (the caller decides
-    whether to fall back to an older checkpoint).  Charges
-    ``snapshot_row_us`` per loaded row when a clock is given.
+    whether to fall back to an older checkpoint).  Counts one
+    ``snapshot_row`` event per loaded row.
     """
     path = Path(path)
     try:
@@ -93,10 +86,7 @@ def load_checkpoint(path: str | Path, clock: Optional[SimClock] = None) -> dict[
     for key in ("lsn", "catalog", "streaming"):
         if key not in payload:
             raise RecoveryError(f"checkpoint {path.name!r} is missing {key!r}")
-    if clock is not None:
-        rows = _snapshot_rows(payload["catalog"])
-        if rows:
-            clock.charge_cost("snapshot_row", count=rows)
+    events.snapshot_row += _snapshot_rows(payload["catalog"])
     return payload
 
 
@@ -114,7 +104,7 @@ def list_checkpoints(directory: str | Path) -> list[Path]:
 
 
 def newest_valid_checkpoint(
-    directory: str | Path, clock: Optional[SimClock] = None
+    directory: str | Path, events: EventLedger
 ) -> Optional[tuple[Path, dict[str, Any]]]:
     """The newest checkpoint that decodes cleanly, or None.
 
@@ -123,7 +113,7 @@ def newest_valid_checkpoint(
     """
     for path in list_checkpoints(directory):
         try:
-            return path, load_checkpoint(path, clock)
+            return path, load_checkpoint(path, events)
         except RecoveryError:
             continue
     return None

@@ -20,11 +20,13 @@ builds on them):
   unflushed group — a bounded suffix of *acknowledged-but-undurable*
   commands, exactly H-Store's group-commit window.  Everything before
   the last flush is durable.
-* **Cost accounting.**  Each buffered append charges
-  ``log_group_commit_us`` (the amortised per-transaction logging cost);
-  each physical flush charges ``log_write_us`` (the synchronous fsync).
-  The ratio ``appended / flushes`` is the group-commit batching factor
-  the PR-5 benchmark asserts on.
+* **A failed write or fsync stops the log.**  Records are durable only
+  once their fsync returned, and a retried fsync proves nothing about
+  pages the kernel may have dropped: the failing flush raises
+  :class:`RecoveryError` naming the first LSN not durable, and so does
+  every later append and flush.
+* **Events.**  An append counts one ``log_group_commit``, an fsync one
+  ``log_write``; ``stats()`` reads ``appended``/``flushes`` off them.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import time
 from pathlib import Path
 from typing import Any, Optional
 
-from ..common.clock import SimClock
+from ..common.clock import EventLedger
 from ..common.errors import RecoveryError
 from ..common.serde import decode_record, encode_record
 from ..obs import DISABLED
@@ -130,7 +132,7 @@ class CommandLog:
     def __init__(
         self,
         path: str | Path,
-        clock: SimClock,
+        events: EventLedger,
         *,
         base_lsn: int = 0,
         existing_records: int = 0,
@@ -140,7 +142,7 @@ class CommandLog:
         if group_size < 1:
             raise ValueError("group_size must be >= 1")
         self.path = Path(path)
-        self._clock = clock
+        self._events = events
         self.group_size = group_size
         self.group_bytes = group_bytes
         self.base_lsn = base_lsn
@@ -148,9 +150,9 @@ class CommandLog:
         self._flushed_records = existing_records
         self._buffer: list[str] = []
         self._pending_bytes = 0
-        self.appended = 0
-        self.flushes = 0
         self._closed = False
+        #: the error that stopped the log after a failed write or fsync
+        self.failure: Optional[RecoveryError] = None
         #: observability handle; the recovery manager points this at its
         #: database's ``obs`` after opening the writer
         self.obs = DISABLED
@@ -186,6 +188,7 @@ class CommandLog:
         """
         if self._closed:
             raise RecoveryError("command log is closed")
+        self._check_failed()
         try:
             line = encode_record(record) + "\n"
         except TypeError as exc:
@@ -196,10 +199,9 @@ class CommandLog:
             ) from exc
         self._buffer.append(line)
         self._pending_bytes += len(line)
-        self.appended += 1
         if self.obs.enabled:
             self._append_ns.append(time.perf_counter_ns())
-        self._clock.charge_cost("log_group_commit")
+        self._events.log_group_commit += 1
         if len(self._buffer) >= self.group_size or self._pending_bytes >= self.group_bytes:
             self.flush()
         return self.lsn
@@ -212,6 +214,7 @@ class CommandLog:
         ``log.buffer_wait`` histogram — the group-commit latency the
         paper trades against throughput.
         """
+        self._check_failed()
         if not self._buffer:
             return
         obs = self.obs
@@ -222,11 +225,18 @@ class CommandLog:
             if obs.enabled
             else NOOP_SPAN
         ):
-            self._file.write("".join(self._buffer))
+            try:
+                self._file.write("".join(self._buffer))
+                self._fsync()
+            except OSError as exc:
+                self.failure = RecoveryError(
+                    f"command log {self.path.name!r}: write or fsync failed ({exc}); "
+                    f"records from LSN {self.durable_lsn + 1} on are not durable"
+                )
+                raise self.failure from exc
             self._flushed_records += records
             self._buffer.clear()
             self._pending_bytes = 0
-            self._fsync()
         if self._append_ns:
             now_ns = time.perf_counter_ns()
             for t0 in self._append_ns:
@@ -236,16 +246,22 @@ class CommandLog:
     def _fsync(self) -> None:
         self._file.flush()
         os.fsync(self._file.fileno())
-        self._clock.charge_cost("log_write")
-        self.flushes += 1
+        self._events.log_write += 1
+
+    def _check_failed(self) -> None:
+        if self.failure is not None:
+            raise RecoveryError(
+                f"stopped by an earlier failure: {self.failure}"
+            ) from self.failure.__cause__
 
     def close(self) -> None:
-        """Flush and close; further appends raise :class:`RecoveryError`."""
+        """Flush (unless failed) and close; later appends raise RecoveryError."""
         if self._closed:
             return
-        self.flush()
-        self._file.close()
         self._closed = True
+        with self._file:
+            if self.failure is None:
+                self.flush()
 
     # -- truncation ----------------------------------------------------------
 
@@ -274,11 +290,12 @@ class CommandLog:
             "base_lsn": self.base_lsn,
             "lsn": self.lsn,
             "durable_lsn": self.durable_lsn,
-            "appended": self.appended,
+            "appended": self._events.log_group_commit,
             "pending": len(self._buffer),
-            "flushes": self.flushes,
+            "flushes": self._events.log_write,
             "group_size": self.group_size,
             "group_bytes": self.group_bytes,
+            "failed": None if self.failure is None else str(self.failure),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -20,7 +20,7 @@ with ``recovery_dir=``.  Invariants the manager maintains:
 * **Replay is deterministic re-execution.**  Records replay through the
   same public entry points that produced them (``execute``/
   ``executemany``/``call``/``ingest``/the delivery scheduler), so every
-  constraint check, EE trigger, window slide, and cost charge happens
+  constraint check, EE trigger, window slide, and counted event happens
   again exactly; procedure bodies must be deterministic functions of
   their arguments and database state.
 * **Recovery ends with a fresh checkpoint.**  After replay the manager
@@ -127,7 +127,7 @@ class RecoveryManager:
         db = self._db
         ckpt_lsn = 0
         ckpt_name = None
-        found = newest_valid_checkpoint(self.directory, db.clock)
+        found = newest_valid_checkpoint(self.directory, db.events)
         if found is not None:
             path, payload = found
             ckpt_lsn = int(payload["lsn"])
@@ -224,7 +224,7 @@ class RecoveryManager:
                 os.truncate(path, valid_end)
             self._log = CommandLog(
                 path,
-                self._db.clock,
+                self._db.events,
                 base_lsn=base,
                 existing_records=len(records),
                 group_size=self.group_size,
@@ -237,7 +237,7 @@ class RecoveryManager:
                 os.truncate(path, 0)
             self._log = CommandLog(
                 path,
-                self._db.clock,
+                self._db.events,
                 base_lsn=ckpt_lsn,
                 group_size=self.group_size,
                 group_bytes=self.group_bytes,
@@ -373,8 +373,8 @@ class RecoveryManager:
             "streaming": self._db.streaming.persistent_state(),
         }
         if path is not None:
-            return write_checkpoint(path, payload, self._db.clock)
-        dest = write_checkpoint(checkpoint_path(self.directory, lsn), payload, self._db.clock)
+            return write_checkpoint(path, payload, self._db.events)
+        dest = write_checkpoint(checkpoint_path(self.directory, lsn), payload, self._db.events)
         self._log.truncate_to(lsn)
         self.last_checkpoint_lsn = lsn
         prune_checkpoints(self.directory, keep=2)

@@ -14,8 +14,7 @@ requires an :class:`ExecutionContext`, which carries:
   (paper §3.2.2; likewise private engine wiring), and
 * event tallies (rows scanned, index probes, rows written) kept in plain
   int slots (:class:`ExecutionCounters`); the execution engine adds them
-  onto the simulated clock, which prices them when read, and tests assert
-  on them directly.
+  onto its event ledger, and tests assert on them directly.
 
 All writes go through the context (:meth:`ExecutionContext.insert` /
 :meth:`delete` / :meth:`update`) so that undo logging, visibility guards,
@@ -126,7 +125,7 @@ class ExecutionCounters:
     def add_to(self, target) -> None:
         """Add these tallies onto ``target``'s slots of the same names —
         another :class:`ExecutionCounters` (lifetime totals, a batch
-        aggregate) or the :class:`~repro.common.clock.SimClock`."""
+        aggregate) or the :class:`~repro.common.clock.EventLedger`."""
         n = self.rows_scanned
         if n:
             target.rows_scanned += n

@@ -62,45 +62,42 @@ class _TxnOps:
 
     Mirrors what :class:`~repro.sql.executor.ExecutionContext` does for SQL
     writes: every mutation is appended to the transaction's undo log and
-    counted on the clock, so streaming maintenance aborts and replays with
-    the rest of the transaction.
+    counted on the event ledger, so streaming maintenance aborts and
+    replays with the rest of the transaction.
     """
 
-    __slots__ = ("_db", "_txn")
+    __slots__ = ("events", "_txn")
 
     def __init__(self, db: "Database", txn: "Transaction"):
-        self._db = db
+        self.events = db.events
         self._txn = txn
 
     def insert(self, table: Table, values: Sequence[Any]) -> int:
         rowid = table.insert(values)
         self._txn.undo.on_insert(table, rowid)
-        self._db.clock.rows_inserted += 1
+        self.events.rows_inserted += 1
         return rowid
 
     def insert_many(self, table: Table, rows: Sequence[Sequence[Any]]) -> range:
-        """Bulk insert: one undo-log range record and one clock tally for
-        the whole batch — identical events and simulated time as per-row
-        inserts, amortized bookkeeping."""
+        """Bulk insert: one undo-log range record and one ledger tally for
+        the whole batch — identical events as per-row inserts, amortized
+        bookkeeping."""
         rowids = table.insert_many(rows)
         n = len(rowids)
         if n:
             self._txn.undo.on_insert_many(table, rowids.start, n)
-            self._db.clock.rows_inserted += n
+            self.events.rows_inserted += n
         return rowids
 
     def update(self, table: Table, rowid: int, values: Sequence[Any]) -> None:
         old = table.update_row(rowid, values)
         self._txn.undo.on_update(table, rowid, old)
-        self._db.clock.rows_updated += 1
+        self.events.rows_updated += 1
 
     def delete(self, table: Table, rowid: int) -> None:
         old = table.delete_row(rowid)
         self._txn.undo.on_delete(table, rowid, old)
-        self._db.clock.rows_deleted += 1
-
-    def charge(self, event: str) -> None:
-        self._db.clock.charge_cost(event)
+        self.events.rows_deleted += 1
 
 
 @dataclass
@@ -356,7 +353,7 @@ class StreamingRuntime:
             # the only way it is still here): this explicit re-ingest is a
             # retry — replace the stuck copy instead of wedging the stream
             del stream.pending[batch_id]
-        db.clock.charge_cost("client_submit")
+        db.events.client_submit += 1
         applied: list[int] = []
         if batch_id != stream.expected_batch:
             # Coerce rows now, against the declared schema: a malformed row
@@ -488,7 +485,7 @@ class StreamingRuntime:
                     f"workflow before ingesting"
                 )
         ops = _TxnOps(db, txn)
-        db.clock.sql_stmt += 1  # the batch insert is one statement
+        db.events.sql_stmt += 1  # the batch insert is one statement
         # Vectorized batch apply: coerce the whole batch against the
         # declared schema, stamp metadata, and bulk-insert in one pass —
         # one undo range record, one index-maintenance loop per index.
@@ -527,7 +524,7 @@ class StreamingRuntime:
         self._ee_depth += 1
         try:
             for trigger in triggers:
-                db.clock.charge_cost("ee_trigger")
+                db.events.ee_trigger += 1
                 with (
                     obs.span(
                         "trigger.ee",
@@ -558,7 +555,7 @@ class StreamingRuntime:
         self._txn_staged.pop(txn.txn_id, None)
 
     def _publish(self, txn_id: int) -> None:
-        """Commit hook: advance stream watermarks, fire (charge + enqueue)
+        """Commit hook: advance stream watermarks, fire (count + enqueue)
         PE triggers and workflow subscriptions for every committed batch.
 
         During recovery replay the enqueue side is filtered: under
@@ -579,10 +576,10 @@ class StreamingRuntime:
             batch = Batch(stream.name, batch_id, _strip(ext_rows, stream.declared.arity()))
             if replay is None:
                 for trigger in self._pe_triggers.get(stream.name, ()):
-                    db.clock.charge_cost("pe_trigger")
+                    db.events.pe_trigger += 1
                     self._enqueue(_Delivery(batch, ext_rows, "pe_fn", trigger.name, trigger.fn))
             for _workflow, procedure in self._subscriptions.get(stream.name, ()):
-                db.clock.charge_cost("pe_trigger")
+                db.events.pe_trigger += 1
                 self._enqueue(_Delivery(batch, ext_rows, "proc", procedure))
 
     def _enqueue(self, delivery: _Delivery) -> None:
@@ -864,7 +861,6 @@ class StreamingRuntime:
     # -- introspection -----------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        events = self._db.clock.events
         return {
             "streams": {
                 s.name: {
@@ -894,8 +890,8 @@ class StreamingRuntime:
                 "pe": sorted(t.name for ts in self._pe_triggers.values() for t in ts),
             },
             "trigger_fires": {
-                "ee": events.get("ee_trigger", 0),
-                "pe": events.get("pe_trigger", 0),
+                "ee": self._db.events.ee_trigger,
+                "pe": self._db.events.pe_trigger,
             },
             "workflows": {name: wf.describe() for name, wf in self.workflows.items()},
             "scheduler": {

@@ -7,11 +7,11 @@ Two trigger classes, mirroring S-Store's split:
   :class:`TriggerContext` — it may execute SQL and ``emit`` into other
   streams, and every effect it produces belongs to the same transaction:
   if the transaction aborts, the trigger's work is rolled back with it.
-  Each firing charges ``ee_trigger_us``.
+  Each firing counts one ``ee_trigger`` event.
 
 * **PE (partition-engine) triggers** fire *per transaction commit*: when a
   transaction commits an atomic batch into their stream, the firing is
-  charged (``pe_trigger_us``) and queued; the body ``fn(db, batch)`` runs
+  counted (one ``pe_trigger`` event) and queued; the body ``fn(db, batch)`` runs
   after the committing transaction has fully closed, outside any
   transaction, so it may start transactions of its own (``db.call``,
   ``db.ingest``...).  Workflow edges are PE triggers whose body is a

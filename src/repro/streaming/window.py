@@ -124,8 +124,8 @@ class Window:
     #
     # ``ops`` is the runtime's transactional mutation helper: every insert /
     # update / delete is undo-logged against the current transaction and
-    # charged on the clock, so window maintenance aborts and replays with
-    # the rest of the transaction.
+    # counted on the event ledger (``ops.events``), so window maintenance
+    # aborts and replays with the rest of the transaction.
 
     def absorb(self, ops, ext_rows) -> None:
         """Stage newly committed source tuples, then slide if due.
@@ -158,7 +158,7 @@ class Window:
                         ops.delete(self.table, rowid)
                     del active[:excess]
                 slides += 1
-                ops.charge("window_slide")
+                ops.events.window_slide += 1
             return slides
 
         # unit == "batches": batch ids are the (logical) time axis
@@ -181,7 +181,7 @@ class Window:
                         ops.delete(self.table, rowid)
                 active = [p for p in active if p[1][batch_pos] not in evict_ids]
             slides += 1
-            ops.charge("window_slide")
+            ops.events.window_slide += 1
 
     def _rows_by_state(self) -> tuple[list, list]:
         """(staged, active) as ``(rowid, row)`` lists in arrival order."""

@@ -176,7 +176,7 @@ def test_executemany_bulk_matches_per_row_execute_on_commit():
         bulk.catalog.table("users").snapshot_state()
         == perrow.catalog.table("users").snapshot_state()
     )
-    assert bulk.counters["rows_inserted"] == perrow.counters["rows_inserted"] == 40
+    assert bulk.events.rows_inserted == perrow.events.rows_inserted == 40
     assert bulk.last_counters["rows_inserted"] == 40
 
 
@@ -208,7 +208,7 @@ def test_executemany_records_one_compact_undo_entry():
     db.executemany("INSERT INTO t (id) VALUES (?)", [(i,) for i in range(100)])
     assert len(txn.undo) == 1  # one range record for 100 rows
     txn.abort()
-    assert db.clock.events["rows_undone"] == 100  # charged per row undone
+    assert db.events.rows_undone == 100  # counted per row undone
     assert db.execute("SELECT count(*) FROM t").scalar() == 0
 
 

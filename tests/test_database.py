@@ -1,8 +1,10 @@
 """End-to-end SQL through the Database facade: caching, costs, lifecycle."""
 
+from collections import Counter
+
 import pytest
 
-from repro.common.clock import CostModel, SimClock
+from repro.common.clock import CostModel, sim_time_us
 from repro.common.errors import ConstraintViolation, NoSuchTableError
 from repro.common.types import ColumnType as T
 from repro.engine import Database, PlanCache
@@ -60,13 +62,13 @@ def test_repeated_statement_planned_exactly_once():
     db = fresh_db()
     load(db)
     sql = "SELECT name FROM users WHERE id = ?"
-    plans_before = db.clock.events["sql_plan"]
+    plans_before = db.events.sql_plan
     hits_before, misses_before = db.plan_cache.hits, db.plan_cache.misses
     for i in range(100):
         db.execute(sql, (i % 10,))
     # one cold plan, 99 cache hits — re-lex/re-parse/re-plan never happened
-    assert db.clock.events["sql_plan"] - plans_before == 1
-    assert db.clock.events["plan_cache_hit"] == 99
+    assert db.events.sql_plan - plans_before == 1
+    assert db.events.plan_cache_hit == 99
     assert db.plan_cache.hits - hits_before == 99
     assert db.plan_cache.misses - misses_before == 1
 
@@ -75,16 +77,15 @@ def test_cache_hit_is_cheaper_than_cold_plan():
     db = fresh_db()
     load(db)
     sql = "SELECT name FROM users WHERE id = ?"
-    t0 = db.clock.now_us
+    t0 = db.stats("sim_time_us")
     db.execute(sql, (1,))
-    cold = db.clock.now_us - t0
-    t1 = db.clock.now_us
+    cold = db.stats("sim_time_us") - t0
+    t1 = db.stats("sim_time_us")
     db.execute(sql, (2,))
-    warm = db.clock.now_us - t1
+    warm = db.stats("sim_time_us") - t1
     assert warm < cold
-    assert cold - warm == pytest.approx(
-        db.clock.cost.sql_plan_us - db.clock.cost.plan_cache_hit_us
-    )
+    cost = CostModel()
+    assert cold - warm == pytest.approx(cost.sql_plan_us - cost.plan_cache_hit_us)
 
 
 def test_ddl_invalidates_cache():
@@ -160,11 +161,11 @@ def test_database_lru_eviction_forces_replan():
 def test_execution_charges_follow_counters():
     db = fresh_db()
     load(db, 10)
-    events_before = db.clock.snapshot_events()
-    t0 = db.clock.now_us
+    events_before = Counter(db.stats("events"))
+    t0 = db.stats("sim_time_us")
     db.execute("SELECT name FROM users WHERE name = 'u3'")  # seq scan
-    delta = db.clock.snapshot_events() - events_before
-    cost = db.clock.cost
+    delta = Counter(db.stats("events")) - events_before
+    cost = CostModel()
     assert delta["rows_scanned"] == 10
     assert delta["txn_begin"] == 1 and delta["txn_commit"] == 1
     expected = (
@@ -174,7 +175,8 @@ def test_execution_charges_follow_counters():
         + 10 * cost.sql_row_us
         + cost.txn_commit_us
     )
-    assert db.clock.now_us - t0 == pytest.approx(expected)
+    assert db.stats("sim_time_us") - t0 == pytest.approx(expected)
+    assert sim_time_us(delta) == pytest.approx(expected)
 
 
 def test_lifetime_counters_accumulate():
@@ -182,8 +184,8 @@ def test_lifetime_counters_accumulate():
     load(db, 4)
     db.execute("SELECT * FROM users")
     db.execute("SELECT * FROM users")
-    assert db.counters["rows_inserted"] == 4
-    assert db.counters["rows_scanned"] == 8
+    assert db.stats("counters")["rows_inserted"] == 4
+    assert db.stats("counters")["rows_scanned"] == 8
     assert db.last_counters["rows_scanned"] == 4
 
 
@@ -243,11 +245,16 @@ def test_resultset_is_iterable_sized_and_indexable():
 # -- misc ---------------------------------------------------------------------
 
 def test_external_clock_shared():
-    clock = SimClock(CostModel())
-    db = Database(clock=clock)
+    # a caller's CostModel prices the engine's ledger; the engine holds none
+    db = Database()
     db.create_table(schema("t", ("a", T.INTEGER)))
     db.execute("INSERT INTO t VALUES (1)")
-    assert clock.now_us > 0
+    events = db.stats("events")
+    assert db.stats("sim_time_us") == sim_time_us(events) > 0
+    slow_plans = CostModel(sql_plan_us=1000.0)
+    assert sim_time_us(events, slow_plans) - sim_time_us(events) == pytest.approx(
+        events["sql_plan"] * (1000.0 - CostModel().sql_plan_us)
+    )
 
 
 def test_drop_table():

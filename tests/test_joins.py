@@ -209,7 +209,7 @@ def test_force_join_change_invalidates_plan_cache(db):
 
 def test_hash_join_scans_inner_once(db):
     def scanned() -> int:
-        return dict(db.counters).get("rows_scanned", 0)
+        return db.stats("counters").get("rows_scanned", 0)
 
     db.force_join = "bnl"
     before = scanned()

@@ -109,18 +109,18 @@ def test_pinned_join_replans_as_its_tables_grow():
     grow(db, "a", 0, 3)
     grow(db, "b", 0, 3)
     assert db.call("joined") == 3  # first call: pinned at 3 x 3
-    plans = db.clock.events["sql_plan"]
+    plans = db.events.sql_plan
     for size in (30, 300, 3000):
         grow(db, "a", db.catalog.table("a").row_count(), size)
         grow(db, "b", db.catalog.table("b").row_count(), size)
         assert db.call("joined") == size
-    replans = db.clock.events["sql_plan"] - plans
+    replans = db.events.sql_plan - plans
     # one plan per band crossing of either table, never one per call
     assert 1 <= replans <= 2 * band_crossings(3000)
     assert db.stats()["plan_cache"]["replans"] == replans
     # the plan cache shares the rule: EXPLAIN sees the plan the pin runs
     assert [j["op"] for j in db.explain(JOIN)["joins"]] == ["HashJoin"]
-    assert db.clock.events["sql_plan"] - plans == replans
+    assert db.events.sql_plan - plans == replans
 
 
 def test_pinned_index_join_flips_to_hash_when_probing_stops_paying():
@@ -157,12 +157,12 @@ def test_growth_from_empty_replans_a_bounded_number_of_times():
 
     db.call("get", 0)
     db.prepare(INSERT)  # an INSERT is costed against no table: planned once
-    plans = db.clock.events["sql_plan"]
+    plans = db.events.sql_plan
     for k in range(2000):
         db.execute(INSERT, (k, k))
         assert db.call("get", k) == k
     assert band_crossings(2000) <= 5
-    assert db.clock.events["sql_plan"] - plans == band_crossings(2000)
+    assert db.events.sql_plan - plans == band_crossings(2000)
 
 
 def test_table_oscillating_inside_its_band_never_replans():
@@ -176,7 +176,7 @@ def test_table_oscillating_inside_its_band_never_replans():
     db.call("get", 0)  # planned at 100 rows: fresh from 25 to 400
     db.execute(POINT_SELECT, (0,))
     db.prepare("DELETE FROM kv WHERE k >= 30")
-    plans = db.clock.events["sql_plan"]
+    plans = db.events.sql_plan
     pins = db.stats()["plan_cache"]["pin_hits"]
     for _ in range(5):  # a window sliding between 30 and 390 rows
         db.executemany(INSERT, [(k, k) for k in range(100, 390)])
@@ -185,7 +185,7 @@ def test_table_oscillating_inside_its_band_never_replans():
         db.execute("DELETE FROM kv WHERE k >= 30")
         db.call("get", 0)
         db.execute(POINT_SELECT, (0,))
-    assert db.clock.events["sql_plan"] == plans
+    assert db.events.sql_plan == plans
     assert db.stats()["plan_cache"]["pin_hits"] == pins + 10
     assert db.stats()["plan_cache"]["replans"] == 0
 
@@ -196,13 +196,13 @@ def test_emptied_small_table_never_thrashes():
     db = kv_db()
     for sql in (POINT_SELECT, INSERT, "DELETE FROM kv"):
         db.prepare(sql)
-    plans = db.clock.events["sql_plan"]
+    plans = db.events.sql_plan
     for _ in range(5):
         db.executemany(INSERT, [(k, k) for k in range(PLAN_ROW_BAND * PLAN_MIN_ROWS)])
         db.execute(POINT_SELECT, (0,))
         db.execute("DELETE FROM kv")
         db.execute(POINT_SELECT, (0,))
-    assert db.clock.events["sql_plan"] == plans
+    assert db.events.sql_plan == plans
 
 
 def test_shrinking_below_the_band_replans_too():

@@ -1,8 +1,10 @@
 """Stored procedures: registration, pinned compile-once plans, txn semantics."""
 
+import dataclasses
+
 import pytest
 
-from repro.common.clock import TALLIED_EVENTS, CostModel, SimClock
+from repro.common.clock import EVENTS, CostModel, sim_time_us
 from repro.common.errors import (
     NoSuchProcedureError,
     ProcedureError,
@@ -11,14 +13,15 @@ from repro.common.errors import (
 )
 from repro.common.types import ColumnType as T
 from repro.engine import Database
+from repro.sql.executor import ExecutionCounters
 from repro.storage.schema import schema
 
 VOTE_SELECT = "SELECT num_votes FROM votes WHERE contestant_id = ?"
 VOTE_UPDATE = "UPDATE votes SET num_votes = num_votes + 1 WHERE contestant_id = ?"
 
 
-def voter_db(clock=None):
-    db = Database(clock=clock)
+def voter_db():
+    db = Database()
     db.create_table(
         schema(
             "votes",
@@ -98,14 +101,14 @@ def test_call_inside_open_transaction_rejected():
 def test_procedure_plans_each_statement_exactly_once():
     db = voter_db()
     register_vote(db)
-    plans_before = db.clock.events["sql_plan"]
+    plans_before = db.events.sql_plan
     db.call("vote", 0)  # cold: both statements planned here
-    assert db.clock.events["sql_plan"] - plans_before == 2
+    assert db.events.sql_plan - plans_before == 2
     hits_after_first = db.plan_cache.hits
     for i in range(50):
         db.call("vote", i % 4)
     # no replanning AND no plan-cache traffic: the pin table short-circuits
-    assert db.clock.events["sql_plan"] - plans_before == 2
+    assert db.events.sql_plan - plans_before == 2
     assert db.plan_cache.hits == hits_after_first
 
 
@@ -113,12 +116,12 @@ def test_pinned_statements_repin_after_schema_change():
     db = voter_db()
     register_vote(db)
     db.call("vote", 0)
-    plans_before = db.clock.events["sql_plan"]
+    plans_before = db.events.sql_plan
     db.create_index("votes", "votes_by_count", ["num_votes"], ordered=True)
     assert db.call("vote", 0) == 2  # stale pins replaced, not misused
-    assert db.clock.events["sql_plan"] - plans_before == 2  # replanned once
+    assert db.events.sql_plan - plans_before == 2  # replanned once
     db.call("vote", 0)
-    assert db.clock.events["sql_plan"] - plans_before == 2  # pinned again
+    assert db.events.sql_plan - plans_before == 2  # pinned again
 
 
 # -- transaction semantics ----------------------------------------------------
@@ -194,32 +197,66 @@ def test_stats_reports_pinned_statement_counts():
     assert db.stats()["procedures"] == {"vote": 2}
 
 
-# -- the sim clock is a view over counters ------------------------------------
+# -- the event ledger, and simulated time as a function of it ----------------
+
+#: ``stats("events")`` at the three readings of :func:`scripted_voter_run`,
+#: as the engine reported them before the ledger replaced the sim clock.
+VOTER_EVENTS = [
+    {"index_probes": 51, "plan_cache_hit": 1, "rows_inserted": 4, "rows_scanned": 55,
+     "rows_updated": 26, "sql_plan": 4, "sql_stmt": 53, "txn_begin": 28, "txn_commit": 27},
+    {"index_probes": 53, "plan_cache_hit": 3, "rows_inserted": 4, "rows_scanned": 57,
+     "rows_undone": 1, "rows_updated": 28, "sql_plan": 4, "sql_stmt": 55,
+     "txn_abort": 1, "txn_begin": 29, "txn_commit": 28},
+    {"index_probes": 57, "plan_cache_hit": 3, "rows_inserted": 4, "rows_scanned": 65,
+     "rows_undone": 1, "rows_updated": 32, "sql_plan": 6, "sql_stmt": 59,
+     "txn_abort": 2, "txn_begin": 31, "txn_commit": 29},
+]
+#: simulated time of the last reading at the default costs, as reported then
+VOTER_SIM_TIME_US = 1415.8
+#: the two tallies that moved into the ledger from ``stats("transactions")``
+#: (its ``implicit`` and ``procedure_calls``), at the same readings
+VOTER_TXN_TALLIES = [
+    {"txn_implicit": 2, "procedure_call": 25},
+    {"txn_implicit": 2, "procedure_call": 26},
+    {"txn_implicit": 4, "procedure_call": 26},
+]
+
+#: a cost table with a distinct price per field, so a misrouted event shows
+ODD_COSTS = CostModel(**{
+    f.name: 1.0 + i / 8 for i, f in enumerate(dataclasses.fields(CostModel))
+})
+
+#: the ``CostModel`` field pricing each event; None = a free tally
+PRICE_FIELD = {
+    "sql_stmt": "sql_stmt_us", "rows_scanned": "sql_row_us",
+    "index_probes": "index_probe_us", "rows_inserted": "sql_row_us",
+    "rows_updated": "sql_row_us", "rows_deleted": "sql_row_us",
+    "rows_undone": "sql_row_us", "sql_plan": "sql_plan_us",
+    "plan_cache_hit": "plan_cache_hit_us", "txn_begin": "txn_begin_us",
+    "txn_commit": "txn_commit_us", "txn_abort": "txn_abort_us",
+    "client_submit": "client_submit_us", "ee_trigger": "ee_trigger_us",
+    "pe_trigger": "pe_trigger_us", "window_slide": "window_slide_us",
+    "log_write": "log_write_us", "log_group_commit": "log_group_commit_us",
+    "snapshot_row": "snapshot_row_us",
+    "txn_implicit": None, "procedure_call": None,
+}
 
 
-def _eager(event, cost_field):
-    def charge_now(clock, n):
-        if n:
-            clock.charge(event, getattr(clock.cost, cost_field) * n, count=n)
-
-    # ``clock.<event> += n`` reads 0, then sets n: price it on the spot
-    return property(lambda clock: 0, charge_now)
-
-
-#: The reference the lazily priced clock must agree with: every tally is
-#: priced (count x cost) the moment it is added, never deferred.
-EagerClock = type(
-    "EagerClock",
-    (SimClock,),
-    {"__slots__": (), **{event: _eager(event, field) for event, field in TALLIED_EVENTS}},
-)
+def assert_priced_by_hand(events, cost=ODD_COSTS):
+    """``sim_time_us`` is exactly Σ count × price, free tallies at 0."""
+    by_hand = sum(
+        n * getattr(cost, PRICE_FIELD[event])
+        for event, n in events.items()
+        if PRICE_FIELD[event] is not None
+    )
+    assert sim_time_us(events, cost) == pytest.approx(by_hand, rel=1e-12)
 
 
-def scripted_voter_run(clock):
-    """Votes, an ad-hoc read, a mid-transaction clock read, an aborted
+def scripted_voter_run():
+    """Votes, an ad-hoc read, a mid-transaction ledger read, an aborted
     call, an ANALYZE and a failing statement; returns the mid-run
-    readings."""
-    db = voter_db(clock=clock)
+    ``stats("events")`` readings."""
+    db = voter_db()
     register_vote(db)
 
     @db.register_procedure
@@ -233,47 +270,55 @@ def scripted_voter_run(clock):
     db.execute("SELECT contestant_id FROM votes WHERE num_votes > 3")  # a scan
     with db.transaction():
         db.execute(VOTE_UPDATE, (1,))
-        readings.append((clock.now_us, dict(clock.events)))  # mid-transaction
+        readings.append(db.stats("events"))  # mid-transaction
         db.execute(VOTE_UPDATE, (2,))
     with pytest.raises(UserAbort):
         db.call("vote_then_change_mind", 3)
-    readings.append((clock.now_us, dict(clock.events)))
+    readings.append(db.stats("events"))
     db.analyze()
     with pytest.raises(Exception):
         db.execute("INSERT INTO votes (contestant_id, num_votes) VALUES (0, 0)")
     db.executemany(VOTE_UPDATE, [(c,) for c in range(4)])
-    readings.append((clock.now_us, dict(clock.events)))
+    readings.append(db.stats("events"))
     return db, readings
 
 
 def test_lazily_priced_clock_matches_eager_reference():
-    lazy_db, lazy = scripted_voter_run(SimClock(CostModel()))
-    eager_db, eager = scripted_voter_run(EagerClock(CostModel()))
-    assert len(lazy) == len(eager) == 3
-    for (lazy_us, lazy_events), (eager_us, eager_events) in zip(lazy, eager):
-        assert lazy_events == eager_events  # counts are exact
-        assert lazy_us == pytest.approx(eager_us, rel=1e-9)  # summation order only
-    assert lazy[0][0] < lazy[1][0] < lazy[2][0]
-    assert lazy_db.clock.charged_us == pytest.approx(eager_db.clock.charged_us, rel=1e-9)
-    # execution tallies stay apart from the clock's: ANALYZE's scan and the
-    # undo replays are events, not statement counters
-    assert lazy_db.stats()["counters"] == eager_db.stats()["counters"]
-    events, counters = lazy_db.stats()["events"], lazy_db.stats()["counters"]
-    assert events["rows_scanned"] == counters["rows_scanned"] + 4  # ANALYZE read 4 rows
-    assert events["rows_undone"] == 1 and "rows_undone" not in counters
-    # and time is exactly the priced events: nothing is charged twice or lost
-    clock = lazy_db.clock
-    assert clock.now_us == pytest.approx(sum(clock.charged_us.values()), rel=1e-9)
-    for event, cost_field in TALLIED_EVENTS:
-        assert clock.charged_us[event] == pytest.approx(
-            clock.events[event] * getattr(clock.cost, cost_field), rel=1e-9
-        )
+    # golden counts: every event the engine reported before the ledger is
+    # bit-identical, and the only new keys are the two moved tallies
+    assert PRICE_FIELD == EVENTS  # the engine prices every event as pinned here
+    db, readings = scripted_voter_run()
+    assert readings == [
+        {**old, **moved} for old, moved in zip(VOTER_EVENTS, VOTER_TXN_TALLIES)
+    ]
+    times = [sim_time_us(events) for events in readings]
+    assert times[0] < times[1] < times[2]
+    assert db.stats("sim_time_us") == times[-1]
+    assert times[-1] == pytest.approx(VOTER_SIM_TIME_US, rel=1e-9)
+    for events in readings:
+        assert_priced_by_hand(events)
+        assert_priced_by_hand(events, CostModel())
+    # stats() views of the same ledger
+    events = readings[-1]
+    assert db.stats("counters") == {
+        k: events[k] for k in ExecutionCounters.__slots__ if k in events
+    }
+    assert db.stats("transactions") == {
+        "begun": 31, "committed": 29, "aborted": 2, "implicit": 4,
+        "procedure_calls": 26, "open": False,
+    }
 
 
 def test_caller_supplied_clock_prices_on_read():
-    clock = SimClock(CostModel())
-    db = voter_db(clock=clock)
+    # counts are readable the moment they happen; simulated time is a pure
+    # function of them, under any caller's cost table
+    db = voter_db()
     db.execute(VOTE_SELECT, (1,))
-    assert clock.sql_stmt > 0  # counted, not yet priced
-    assert clock.events["sql_stmt"] == 2  # the seeding batch + the read
-    assert clock.sql_stmt == 0  # folded in by the read
+    assert db.events.sql_stmt == 2  # the seeding batch + the read
+    events = db.stats("events")
+    assert events["sql_stmt"] == 2
+    assert db.stats("events") == events  # reading prices nothing, moves nothing
+    assert db.stats("sim_time_us") == sim_time_us(events) == sim_time_us(events, CostModel())
+    free = CostModel(**{f.name: 0.0 for f in dataclasses.fields(CostModel)})
+    assert sim_time_us(events, free) == 0.0
+    assert sim_time_us(events, ODD_COSTS) != sim_time_us(events)

@@ -9,11 +9,14 @@ the same history twice (recovery itself re-checkpoints and truncates the
 log, so each recovery needs its own copy of the crash-time directory).
 """
 
+import errno
+import os
 import shutil
 
 import pytest
 
-from repro.common.errors import RecoveryError, TransactionError
+from repro.common.clock import EVENTS, CostModel, sim_time_us
+from repro.common.errors import RecoveryError, TransactionError, UserAbort
 from repro.common.types import ColumnType as T
 from repro.engine import Database
 from repro.recovery.log import scan_log
@@ -521,7 +524,7 @@ class TestLogMechanics:
         db = Database(recovery_dir=tmp_path / "db", bootstrap=table_bootstrap)
         db.call("deposit", 1, 1.0)
         db.flush_log()
-        events = db.clock.events
+        events = db.stats("events")
         assert events["log_group_commit"] >= 1
         assert events["log_write"] >= 1
 
@@ -598,6 +601,171 @@ class TestLogMechanics:
         assert db.stats()["recovery"] is None
         db.flush_log()  # no-ops
         db.close()
+
+
+# ---------------------------------------------------------------------------
+# A failing fsync: reported, never trusted again
+# ---------------------------------------------------------------------------
+
+
+def fail_next_fsync(monkeypatch):
+    """Make the next ``os.fsync`` raise EIO (later ones work); returns the
+    list of fsync calls made from now on."""
+    real, calls = os.fsync, []
+
+    def fsync(fd):
+        calls.append(fd)
+        if len(calls) == 1:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return calls
+
+
+INSERT_ACCOUNT = "INSERT INTO accounts (id, balance) VALUES (?, ?)"
+
+
+def failed_fsync_db(tmp_path, monkeypatch):
+    """Synchronous logging; LSN 1 is durable, the fsync of LSN 2 fails.
+    Returns the database, the error the failing statement raised, and the
+    fsync calls made since the failure was armed."""
+    db = open_db(tmp_path / "db", table_bootstrap, group_commit=1)
+    db.execute(INSERT_ACCOUNT, (1, 1.0))
+    calls = fail_next_fsync(monkeypatch)
+    with pytest.raises(RecoveryError) as info:
+        db.execute(INSERT_ACCOUNT, (2, 2.0))
+    return db, info.value, calls
+
+
+class TestFailedFsync:
+    def test_failure_raises_recovery_error_naming_first_undurable_lsn(
+        self, tmp_path, monkeypatch
+    ):
+        _db, err, _calls = failed_fsync_db(tmp_path, monkeypatch)
+        assert isinstance(err.__cause__, OSError)
+        assert err.__cause__.errno == errno.EIO
+        assert "from LSN 2 on are not durable" in str(err)
+
+    def test_records_count_as_durable_only_after_fsync_returns(
+        self, tmp_path, monkeypatch
+    ):
+        db, _err, _calls = failed_fsync_db(tmp_path, monkeypatch)
+        log = db.stats()["recovery"]["log"]
+        assert log["durable_lsn"] == 1
+        assert log["lsn"] == 2
+
+    def test_every_later_append_and_flush_names_the_original_failure(
+        self, tmp_path, monkeypatch
+    ):
+        db, err, _calls = failed_fsync_db(tmp_path, monkeypatch)
+        # fsync works again, but a retried fsync proves nothing about pages
+        # the kernel may already have dropped: the log stays stopped
+        for attempt in (
+            lambda: db.execute(INSERT_ACCOUNT, (3, 3.0)),
+            db.flush_log,
+            db.checkpoint,
+        ):
+            with pytest.raises(RecoveryError, match="earlier failure") as info:
+                attempt()
+            assert str(err.__cause__) in str(info.value)
+            assert info.value.__cause__ is err.__cause__
+        assert db.stats()["recovery"]["log"]["durable_lsn"] == 1
+
+    def test_close_does_not_retry_the_fsync(self, tmp_path, monkeypatch):
+        db, _err, calls = failed_fsync_db(tmp_path, monkeypatch)
+        fsyncs = len(calls)
+        db.close()
+        db.close()  # idempotent
+        assert len(calls) == fsyncs
+        assert db.stats()["recovery"]["active"] is False
+
+    def test_log_stats_report_the_failure(self, tmp_path, monkeypatch):
+        healthy = open_db(tmp_path / "healthy", table_bootstrap)
+        assert healthy.stats()["recovery"]["log"]["failed"] is None
+        db, err, _calls = failed_fsync_db(tmp_path, monkeypatch)
+        failed = db.stats()["recovery"]["log"]["failed"]
+        assert failed is not None and failed in str(err)
+        assert os.strerror(errno.EIO) in failed
+
+    def test_reopen_recovers_every_record_through_durable_lsn(
+        self, tmp_path, monkeypatch
+    ):
+        db, _err, _calls = failed_fsync_db(tmp_path, monkeypatch)
+        assert db.stats()["recovery"]["log"]["durable_lsn"] == 1
+        # crash: abandon the failed database and reopen its directory
+        recovered = open_db(tmp_path / "db", table_bootstrap)
+        ids = {row[0] for row in recovered.execute("SELECT id FROM accounts")}
+        assert 1 in ids  # LSN 1; LSN 2 is in doubt, either way is allowed
+        assert ids <= {1, 2}
+
+
+# ---------------------------------------------------------------------------
+# Golden event counts of a durable dataflow
+# ---------------------------------------------------------------------------
+
+#: ``stats("events")`` after :func:`durable_dag_run`, as the engine reported
+#: them before the event ledger replaced the sim clock.  Every priced event
+#: appears at least once.
+DAG_EVENTS = {
+    "client_submit": 5, "ee_trigger": 5, "index_probes": 41, "log_group_commit": 31,
+    "log_write": 10, "pe_trigger": 20, "plan_cache_hit": 9, "rows_deleted": 65,
+    "rows_inserted": 358, "rows_scanned": 223, "rows_undone": 1, "rows_updated": 133,
+    "snapshot_row": 102, "sql_plan": 6, "sql_stmt": 80, "txn_abort": 1,
+    "txn_begin": 27, "txn_commit": 26, "window_slide": 5,
+}
+#: simulated time of :data:`DAG_EVENTS` at the default costs, as reported then
+DAG_SIM_TIME_US = 7006.5
+
+
+def durable_dag_run(directory):
+    """The Voter DAG (window, EE trigger, workflow PE triggers) plus a user
+    PE trigger, group commit, an aborted call, a checkpoint and a delete."""
+
+    def bootstrap(db):
+        dag_bootstrap(db)
+        db.create_pe_trigger(
+            "audit_counts",
+            "counts",
+            lambda db, batch: db.execute(
+                "INSERT INTO audit (batch) VALUES (?)", (-batch.batch_id,)
+            ),
+        )
+
+        @db.register_procedure
+        def recount(ctx, contestant):
+            ctx.execute(
+                "UPDATE leaderboard SET total = total + 1 WHERE contestant = ?",
+                (contestant,),
+            )
+            ctx.abort("recount refused")
+
+    db = open_db(directory, bootstrap, group_commit=4)
+    drive_dag(db, 3)
+    with pytest.raises(UserAbort):
+        db.call("recount", 0)
+    db.checkpoint()
+    drive_dag(db, 2, start=3)
+    db.execute("DELETE FROM audit WHERE batch < ?", (0,))
+    db.flush_log()
+    return db
+
+
+def test_durable_dag_event_counts_are_pinned(tmp_path):
+    db = durable_dag_run(tmp_path / "db")
+    events = db.stats("events")
+    # bit-identical to the pinned counts; the only new keys are the two
+    # tallies that moved into the ledger from stats("transactions")
+    assert events == {**DAG_EVENTS, "txn_implicit": 11, "procedure_call": 16}
+    assert {event for event, field in EVENTS.items() if field} <= events.keys()
+    assert db.stats("sim_time_us") == pytest.approx(DAG_SIM_TIME_US, rel=1e-9)
+    cost = CostModel(log_write_us=1000.0, snapshot_row_us=1.5, pe_trigger_us=7.0)
+    by_hand = sum(n * getattr(cost, EVENTS[e]) for e, n in events.items() if EVENTS[e])
+    assert sim_time_us(events, cost) == pytest.approx(by_hand, rel=1e-12)
+    assert db.stats("transactions") == {
+        "begun": 27, "committed": 26, "aborted": 1, "implicit": 11,
+        "procedure_calls": 16, "open": False,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,7 @@ class TestEngineFacadeOverTheWire:
 
 class TestWireFaults:
     def test_malformed_frame_gets_error_frame_then_close(self, db, server):
-        txns_before = dict(db.txn_stats)
+        txns_before = db.stats("transactions")
         sock = raw_connection(server)
         try:
             send_frame(sock, {"op": "hello", "protocol": PROTOCOL_VERSION})
@@ -214,7 +214,7 @@ class TestWireFaults:
         finally:
             sock.close()
         assert wait_until(lambda: db.stats()["server"]["protocol_errors"] == 1)
-        assert dict(db.txn_stats) == txns_before  # engine never touched
+        assert db.stats("transactions") == txns_before  # engine never touched
 
     def test_oversized_request_rejected_by_server(self, db):
         with ReproServer(db, max_frame_bytes=2048) as srv:

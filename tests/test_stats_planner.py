@@ -64,9 +64,9 @@ def test_analyze_api_bumps_stats_version():
 
 def test_analyze_charges_rows_scanned():
     db = make_db(40)
-    before = db.clock.events.get("rows_scanned", 0)
+    before = db.events.rows_scanned
     db.analyze()
-    assert db.clock.events["rows_scanned"] - before == 40
+    assert db.events.rows_scanned - before == 40
 
 
 # -- column statistics and selectivity ---------------------------------------

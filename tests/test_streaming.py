@@ -233,14 +233,14 @@ def test_ee_trigger_fires_in_ingesting_transaction():
             )
 
     db.create_ee_trigger("audit_votes", "votes", on_votes)
-    fires_before = db.clock.events.get("ee_trigger", 0)
+    fires_before = db.events.ee_trigger
     db.ingest("votes", [(100, 1), (101, 2)])
     db.ingest("votes", [(102, 1)])
     assert db.execute("SELECT phone, batch FROM audit").rows == [
         (100, 1), (101, 1), (102, 2),
     ]
     # one firing per batch-insert statement
-    assert db.clock.events["ee_trigger"] - fires_before == 2
+    assert db.events.ee_trigger - fires_before == 2
 
 
 def test_failing_ee_trigger_aborts_whole_ingest():
@@ -301,7 +301,7 @@ def test_pe_trigger_fires_after_commit_with_batch():
     db.ingest("votes", [(100, 1)])
     db.ingest("votes", [(101, 2)])
     assert seen == [("votes", 1, ((100, 1),)), ("votes", 2, ((101, 2),))]
-    assert db.clock.events["pe_trigger"] == 2
+    assert db.events.pe_trigger == 2
 
 
 def test_aborted_ingest_fires_no_pe_triggers():
@@ -312,7 +312,7 @@ def test_aborted_ingest_fires_no_pe_triggers():
     with pytest.raises(ConstraintViolation):
         db.ingest("keyed", [(1,), (1,)])
     assert seen == []
-    assert db.clock.events.get("pe_trigger", 0) == 0
+    assert db.events.pe_trigger == 0
     assert db.stats()["streaming"]["scheduler"]["pending_deliveries"] == 0
 
 
@@ -333,7 +333,7 @@ def test_tuple_window_slides_and_evicts():
     db.ingest("votes", [(6, 1)])
     # (5, 6) activate; eviction drops (1, 2)
     assert db.execute("SELECT phone FROM recent").rows == [(3,), (4,), (5,), (6,)]
-    assert db.clock.events["window_slide"] == 3
+    assert db.events.window_slide == 3
 
 
 def test_tuple_window_with_large_slide_keeps_all_activated_rows():

@@ -1,7 +1,10 @@
 """Transaction life cycle, undo correctness, and boundary cost accounting."""
 
+from collections import Counter
+
 import pytest
 
+from repro.common.clock import CostModel
 from repro.common.errors import ConstraintViolation, TransactionError
 from repro.common.types import ColumnType as T
 from repro.engine import Database, Transaction, UndoLog
@@ -210,21 +213,21 @@ def test_undo_log_protocol_and_replay_order():
 
 def test_txn_boundary_costs_charged():
     db = fresh_db()
-    cost = db.clock.cost
-    t0 = db.clock.now_us
+    cost = CostModel()
+    t0 = db.stats("sim_time_us")
     with db.transaction():
         pass
-    assert db.clock.now_us - t0 == pytest.approx(cost.txn_begin_us + cost.txn_commit_us)
+    assert db.stats("sim_time_us") - t0 == pytest.approx(cost.txn_begin_us + cost.txn_commit_us)
 
-    before = db.clock.snapshot_events()
-    t1 = db.clock.now_us
+    before = Counter(db.stats("events"))
+    t1 = db.stats("sim_time_us")
     txn = db.begin()
     db.execute("DELETE FROM accounts WHERE id = 0")
     txn.abort()
-    delta = db.clock.snapshot_events() - before
+    delta = Counter(db.stats("events")) - before
     assert delta["txn_begin"] == 1 and delta["txn_abort"] == 1
     assert delta["rows_undone"] == 1
-    assert db.clock.now_us - t1 == pytest.approx(
+    assert db.stats("sim_time_us") - t1 == pytest.approx(
         cost.txn_begin_us
         + cost.sql_plan_us            # cold plan for the DELETE
         + cost.sql_stmt_us
@@ -241,4 +244,4 @@ def test_abort_counts_rows_undone_per_record():
     txn = db.begin()
     db.execute("UPDATE accounts SET balance = 0")  # 5 updates
     txn.abort()
-    assert db.clock.events["rows_undone"] == 5
+    assert db.events.rows_undone == 5
