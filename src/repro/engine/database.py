@@ -43,8 +43,7 @@ Events per statement, counted on the
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from pathlib import Path
 
@@ -211,6 +210,10 @@ class Database(StatsSections):
         self.add_stats_section("planner", self._planner_stats_section)
         #: durability sidecar (command log + checkpoints); None = memory-only
         self._recovery: Optional[RecoveryManager] = None
+        #: the recovery manager iff it is capturing commits right now (None
+        #: while memory-only, replaying, or read-only) — the engine's single
+        #: check before paying any logging cost; the manager sets it
+        self._log_capture: Optional[RecoveryManager] = None
         if recovery_dir is not None:
             self._recovery = RecoveryManager(
                 self,
@@ -225,16 +228,6 @@ class Database(StatsSections):
             self._recovery.open()
         elif bootstrap is not None:
             bootstrap(self)
-
-    @property
-    def _log_capture(self) -> Optional[RecoveryManager]:
-        """The recovery manager, iff it is capturing commits right now
-        (None while memory-only, replaying, or read-only) — the engine's
-        single check before paying any logging cost."""
-        recovery = self._recovery
-        if recovery is not None and recovery.active:
-            return recovery
-        return None
 
     # -- DDL -----------------------------------------------------------------
 
@@ -562,44 +555,27 @@ class Database(StatsSections):
             TransactionError: a transaction is already open
                 (single-partition serial model: no nesting).
         """
-        return self._begin(implicit=False)
+        return self._scope(implicit=False)
 
-    @contextmanager
-    def transaction(self) -> Iterator[Transaction]:
+    def transaction(self) -> Transaction:
         """Scope one transaction: commit on clean exit, abort on exception.
 
         A transaction already finished inside the block (manual
         ``txn.abort()``/``txn.commit()``) is left as-is on exit.
 
-        Yields:
-            The open :class:`Transaction` handle.
+        Returns:
+            The open :class:`Transaction`, which is its own ``with`` scope.
 
         Raises:
             TransactionError: a transaction is already open.
         """
-        txn = self.begin()
-        try:
-            yield txn
-        except BaseException:
-            if txn.is_active:
-                txn.abort()
-            raise
-        if txn.is_active:
-            txn.commit()
+        return self._scope(implicit=False)
 
-    @contextmanager
-    def _implicit_txn(self) -> Iterator[Transaction]:
-        """Auto-commit scope for one statement (or one batch): begin an
-        implicit transaction, abort on exception, commit on clean exit."""
-        txn = self._begin(implicit=True)
-        try:
-            yield txn
-        except BaseException:
-            txn.abort()
-            raise
-        txn.commit()
-
-    def _begin(self, *, implicit: bool) -> Transaction:
+    def _scope(self, *, implicit: bool) -> Transaction:
+        """Begin the one open transaction — the one begin/commit/abort
+        scope of ``begin()``, ``transaction()``, procedure calls, ingest and
+        implicit statements: ``with`` it to commit on clean exit and abort
+        on exception."""
         if self._txn is not None:
             raise TransactionError(
                 f"transaction {self._txn.txn_id} is already open "
@@ -710,15 +686,16 @@ class Database(StatsSections):
             RecoveryError: recovery is enabled and ``args`` are not
                 JSON-serialisable.
         """
-        proc = self._procedures.get(name.lower())
-        if proc is None:
-            known = ", ".join(sorted(self._procedures)) or "none"
-            raise NoSuchProcedureError(f"no stored procedure {name!r} (have: {known})")
+        proc = self._procedures.get(name.lower()) or self._no_such_procedure(name)
         result = self._call_procedure(proc, args)
         # A committed call may have emitted stream batches; run the
         # downstream workflow deliveries before handing control back.
         self.streaming.drain()
         return result
+
+    def _no_such_procedure(self, name: str):
+        known = ", ".join(sorted(self._procedures)) or "none"
+        raise NoSuchProcedureError(f"no stored procedure {name!r} (have: {known})")
 
     def _call_procedure(
         self,
@@ -747,11 +724,6 @@ class Database(StatsSections):
         (same bounds, same proc tag), so a second span would only add
         hot-path cost and a redundant tree level.
         """
-        if self._txn is not None:
-            raise TransactionError(
-                f"cannot invoke procedure {proc.name!r}: transaction "
-                f"{self._txn.txn_id} is already open (serial model)"
-            )
         capture = self._log_capture
         if capture is not None and log_record is None:
             # build + validate the record while nothing has happened yet:
@@ -760,41 +732,37 @@ class Database(StatsSections):
         obs = self.obs
         proc_span = obs.span("procedure", proc=proc.name) if span and obs.enabled else None
         try:
-            txn = self._begin(implicit=False)
-            if capture is not None:
+            with self._scope(implicit=False) as txn:
                 txn.log_record = log_record
-            self.events.procedure_call += 1
-            ctx = ProcedureContext(self, proc, txn)
-            prev_proc = self._current_proc
-            self._current_proc = proc.name
-            try:
-                try:
-                    if before is not None:
-                        before(ctx)
-                    result = proc.fn(ctx, *args)
-                except TransactionAborted:
-                    if txn.is_active:
-                        txn.abort()
-                    raise
-                except Exception as exc:
-                    if txn.is_active:
-                        txn.abort()
-                    raise ProcedureError(
-                        f"procedure {proc.name!r} failed and was rolled back: "
-                        f"{type(exc).__name__}: {exc}"
-                    ) from exc
-                except BaseException:
-                    if txn.is_active:
-                        txn.abort()
-                    raise
-                if txn.is_active:
-                    txn.commit()
-            finally:
-                self._current_proc = prev_proc
+                return self._invoke(proc, txn, args, before)
         finally:
             if proc_span is not None:
                 proc_span.finish()
-        return result
+
+    def _invoke(
+        self, proc: StoredProcedure, txn: Transaction, args: Sequence[Any], before=None
+    ) -> Any:
+        """The one procedure-body runner, inside ``txn`` (whose enclosing
+        step owns the rollback): ``before(ctx)`` then ``proc.fn(ctx,
+        *args)``.  :class:`TransactionAborted` propagates unwrapped; any
+        other exception is wrapped in :class:`ProcedureError`."""
+        self.events.procedure_call += 1
+        ctx = ProcedureContext(self, proc, txn)
+        prev_proc = self._current_proc
+        self._current_proc = proc.name
+        try:
+            if before is not None:
+                before(ctx)
+            return proc.fn(ctx, *args)
+        except TransactionAborted:
+            raise
+        except Exception as exc:
+            raise ProcedureError(
+                f"procedure {proc.name!r} failed and was rolled back: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+        finally:
+            self._current_proc = prev_proc
 
     def call_in_txn(self, name: str, *args: Any) -> Any:
         """Run a stored procedure's **body** inside the open explicit
@@ -814,8 +782,9 @@ class Database(StatsSections):
         savepoint taken at entry — the enclosing transaction stays
         consistent and usable, exactly like a failed statement.  With
         recovery enabled the invocation is captured as one ``callx``
-        command in the transaction's log record, so replay re-invokes the
-        body deterministically at the same point of the transaction.
+        command in the transaction's log record — if, and only if, the
+        body wrote — so replay re-invokes the body deterministically at the
+        same point of the transaction.
 
         Args:
             name: registered procedure name (case-insensitive).
@@ -832,13 +801,11 @@ class Database(StatsSections):
             TransactionAborted: the body called ``ctx.abort()``; its
                 writes are rolled back, the transaction stays open.
             ProcedureError: the body raised; writes rolled back likewise.
-            RecoveryError: recovery is enabled and ``args`` are not
-                JSON-serialisable (raised before the body runs).
+            RecoveryError: recovery is enabled, the body wrote, and
+                ``args`` are not JSON-serialisable (checked after the body
+                returns; its writes are rolled back likewise).
         """
-        proc = self._procedures.get(name.lower())
-        if proc is None:
-            known = ", ".join(sorted(self._procedures)) or "none"
-            raise NoSuchProcedureError(f"no stored procedure {name!r} (have: {known})")
+        proc = self._procedures.get(name.lower()) or self._no_such_procedure(name)
         txn = self._txn
         if txn is None or txn.implicit:
             raise TransactionError(
@@ -846,36 +813,8 @@ class Database(StatsSections):
                 f"(the caller owns commit/abort); use db.call() for the "
                 f"auto-commit form"
             )
-        capture = self._log_capture
-        cmd_mark = len(txn.log_cmds)
-        if capture is not None:
-            # validate serialisability before any effect, like db.call;
-            # a rolled-back fragment deletes its own entry below
-            capture.record_call_in_txn(txn, proc.name, args)
-        self.events.procedure_call += 1
-        ctx = ProcedureContext(self, proc, txn)
-        prev_proc = self._current_proc
-        self._current_proc = proc.name
-        mark = txn.undo.mark()
-        try:
-            return proc.fn(ctx, *args)
-        except TransactionAborted:
-            self.events.rows_undone += txn.undo.rollback_to(mark)
-            del txn.log_cmds[cmd_mark:]
-            raise
-        except Exception as exc:
-            self.events.rows_undone += txn.undo.rollback_to(mark)
-            del txn.log_cmds[cmd_mark:]
-            raise ProcedureError(
-                f"procedure {proc.name!r} failed and was rolled back to its "
-                f"savepoint: {type(exc).__name__}: {exc}"
-            ) from exc
-        except BaseException:
-            self.events.rows_undone += txn.undo.rollback_to(mark)
-            del txn.log_cmds[cmd_mark:]
-            raise
-        finally:
-            self._current_proc = prev_proc
+        with Transaction.savepoint(self, ("callx", proc.name, args)):
+            return self._invoke(proc, txn, args)
 
     # -- statement preparation -----------------------------------------------
 
@@ -1080,27 +1019,8 @@ class Database(StatsSections):
         last schema change (:class:`PlanningError`) — a stale plan could
         silently read the wrong columns or probe a dropped index;
         re-prepare (or go through :meth:`execute`) after DDL."""
-        txn = self._txn
-        capture = self._log_capture
-        if txn is not None:
-            if capture is None:
-                return self._execute(stmt, params, txn)
-            mark = len(txn.undo)
-            result = self._execute(stmt, params, txn)
-            if len(txn.undo) > mark:
-                try:
-                    capture.record_statement(txn, stmt.sql, params)
-                except RecoveryError:
-                    # uncapturable params: undo this statement so the open
-                    # transaction stays consistent with its eventual record
-                    self.events.rows_undone += txn.undo.rollback_to(mark)
-                    raise
-            return result
-        with self._implicit_txn() as txn:
-            result = self._execute(stmt, params, txn)
-            if capture is not None and len(txn.undo) > 0:
-                capture.record_statement(txn, stmt.sql, params)
-        return result
+        with Transaction.savepoint(self, ("sql", stmt.sql, params)) as txn:
+            return self._execute(stmt, params, txn)
 
     def executemany(
         self,
@@ -1143,82 +1063,27 @@ class Database(StatsSections):
             the batch rolls back the entire batch.
         """
         stmt = self.prepare(sql)
-        txn = self._txn
-        capture = self._log_capture
-        if capture is not None:
+        if self._log_capture is not None:
             # the logical command is (sql, all rows): materialise so the
             # batch can ride in one command-log record
             param_rows = [list(row) for row in param_rows]
-        if stmt.run_many is not None:
-            if txn is not None:
-                mark = len(txn.undo)
-                total = self._execute_bulk(stmt, param_rows, txn)
-                if capture is not None and len(txn.undo) > mark:
-                    try:
-                        capture.record_many(txn, sql, param_rows)
-                    except RecoveryError:
-                        self.events.rows_undone += txn.undo.rollback_to(mark)
-                        raise
+        with Transaction.savepoint(self, ("many", sql, param_rows)) as txn:
+            if stmt.run_many is not None:
+                # one vectorized execution over the whole batch (mirrors
+                # _execute; the step is its savepoint)
+                self._check_executable(stmt, txn)
+                ctx = ExecutionContext(
+                    self.catalog, (), observer=txn.undo, guard=self._guard, obs=self.obs
+                )
+                total = stmt.run_many(ctx, param_rows)
+                self._tally(ctx)
                 return total
-            with self._implicit_txn() as txn:
-                total = self._execute_bulk(stmt, param_rows, txn)
-                if capture is not None and len(txn.undo) > 0:
-                    capture.record_many(txn, sql, param_rows)
-            return total
-        batch = ExecutionCounters()
-        if txn is not None:
-            # batch-level savepoint: the whole batch rolls back together,
-            # keeping the atomicity contract uniform with the bulk path
-            mark = txn.undo.mark()
-            try:
-                total = self._execute_batch(stmt, param_rows, txn, batch)
-                if capture is not None and len(txn.undo) > mark:
-                    capture.record_many(txn, sql, param_rows)
-            except BaseException:
-                self.events.rows_undone += txn.undo.rollback_to(mark)
-                raise
-        else:
-            with self._implicit_txn() as txn:
-                total = self._execute_batch(stmt, param_rows, txn, batch)
-                if capture is not None and len(txn.undo) > 0:
-                    capture.record_many(txn, sql, param_rows)
+            batch = ExecutionCounters()
+            total = 0
+            for params in param_rows:
+                total += self._execute(stmt, params, txn).rowcount
+                self._last.add_to(batch)
         self._last = batch
-        return total
-
-    def _execute_batch(
-        self,
-        stmt: PreparedStatement,
-        param_rows: Iterable[Sequence[Any]],
-        txn: Transaction,
-        batch: ExecutionCounters,
-    ) -> int:
-        total = 0
-        for params in param_rows:
-            result = self._execute(stmt, params, txn)
-            total += result.rowcount
-            self._last.add_to(batch)
-        return total
-
-    def _execute_bulk(
-        self,
-        stmt: PreparedStatement,
-        param_rows: Iterable[Sequence[Any]],
-        txn: Transaction,
-    ) -> int:
-        """One vectorized statement execution over a whole parameter batch
-        (mirrors :meth:`_execute`: same liveness/staleness checks, same
-        savepoint semantics, same accounting — amortized across the batch)."""
-        self._check_executable(stmt, txn)
-        ctx = ExecutionContext(
-            self.catalog, (), observer=txn.undo, guard=self._guard, obs=self.obs
-        )
-        mark = txn.undo.mark()
-        try:
-            total = stmt.run_many(ctx, param_rows)
-        except BaseException:
-            self.events.rows_undone += txn.undo.rollback_to(mark)
-            raise
-        self._tally(ctx)
         return total
 
     def query(self, sql: str, params: Sequence[Any] = ()) -> list[dict[str, Any]]:

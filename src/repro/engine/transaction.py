@@ -38,13 +38,18 @@ a transaction is rejected.  Boundaries count ``txn_begin`` /
 ``txn_commit`` / ``txn_abort`` events on the database's
 :class:`~repro.common.clock.EventLedger`; an abort also counts one
 ``rows_undone`` per undo record replayed.
+
+:class:`Step` is the one atomic unit every engine entry point runs in: a
+savepoint of the open transaction, or a transaction the step opened and
+owns.  A step that fails is undone as a whole; a step that wrote has its
+command captured for the command log — and only a step that wrote.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Optional
 
-from ..common.errors import TransactionError
+from ..common.errors import RecoveryError, TransactionError
 from ..storage.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -130,6 +135,52 @@ class UndoLog:
         return f"UndoLog({len(self._entries)} records)"
 
 
+class Step:
+    """One atomic unit of work; a context manager yielding its transaction.
+
+    An *owned* step opened its transaction and exits it like ``with txn``
+    (see :meth:`Transaction.__exit__`).  Otherwise it is a savepoint of
+    the open transaction: an exception undoes the writes and captured
+    commands since entry, leaving the transaction usable.  Given ``cmd =
+    (kind, text, payload)``, a clean exit whose body wrote captures it for
+    the command log; a failed capture undoes the step.  A ``__slots__``
+    class, not a generator: it is per statement.
+    """
+
+    __slots__ = ("txn", "_db", "_owned", "_mark", "_cmd_mark", "_cmd")
+
+    def __init__(self, db: "Database", txn: "Transaction", owned: bool, cmd=None):
+        self._db = db
+        self.txn = txn
+        self._owned = owned
+        if owned:
+            self._mark = 0
+        else:
+            self._mark = len(txn.undo)
+            self._cmd_mark = len(txn.log_cmds)
+        self._cmd = cmd
+
+    def __enter__(self) -> "Transaction":
+        return self.txn
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        txn = self.txn
+        if exc_type is None and self._cmd is not None and len(txn.undo) > self._mark:
+            capture = self._db._log_capture
+            if capture is not None:
+                try:
+                    capture.record(txn, *self._cmd)
+                except RecoveryError as error:
+                    self.__exit__(RecoveryError, error, None)
+                    raise
+        if self._owned:
+            return txn.__exit__(exc_type, exc, tb)
+        if exc_type is not None:
+            self._db.events.rows_undone += txn.undo.rollback_to(self._mark)
+            del txn.log_cmds[self._cmd_mark:]
+        return False
+
+
 class Transaction:
     """One serial transaction on one partition.
 
@@ -174,7 +225,7 @@ class Transaction:
         #: the ingest / procedure-call / workflow-delivery paths); when
         #: None, the record is assembled from :attr:`log_cmds` instead.
         self.log_record = None
-        #: Captured ad-hoc statements ``("sql"|"many", text, params)`` in
+        #: Captured commands ``("sql"|"many"|"callx", text, payload)`` in
         #: execution order — the logical command list of an explicit or
         #: implicit client transaction.  Discarded on abort.
         self.log_cmds: list = []
@@ -182,6 +233,30 @@ class Transaction:
         #: transaction (the paper's PE-trigger firing point, §3.2.3).  An
         #: abort discards them unrun — an aborted ingest fires no triggers.
         self._commit_hooks: list = []
+
+    @staticmethod
+    def savepoint(db: "Database", cmd: Optional[tuple] = None) -> Step:
+        """A :class:`Step` on ``db``: a savepoint of its open transaction,
+        or — with none open — an implicit transaction the step owns and
+        commits on clean exit.  ``cmd`` is the command captured if the
+        step writes."""
+        txn = db._txn
+        if txn is None:
+            return Step(db, db._scope(implicit=True), True, cmd)
+        return Step(db, txn, False, cmd)
+
+    def __enter__(self) -> "Transaction":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        """The ``with`` scope: commit on clean exit, abort on exception; a
+        transaction the block already finished is left as-is."""
+        if self.state == self.ACTIVE:
+            if exc_type is None:
+                self.commit()
+            else:
+                self.abort()
+        return False
 
     @property
     def is_active(self) -> bool:

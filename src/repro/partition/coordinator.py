@@ -5,7 +5,7 @@ cores, each core running transaction executions "in a serial, single-sited
 fashion" for its slice.  This module is the coordinator half — it owns N
 worker processes (one single-partition :class:`~repro.engine.Database`
 each, see :mod:`repro.partition.worker`), routes work to them with a
-strict-mode :class:`~repro.storage.partitioning.PartitionMap`, and runs
+strict-mode :class:`~repro.partition.partitioning.PartitionMap`, and runs
 the ordered-commit protocol for the transactions that cannot be confined
 to one partition.
 
@@ -82,7 +82,7 @@ from ..obs import MetricsRegistry, observability
 from ..obs.tracing import NOOP_SPAN
 from ..sql.executor import ResultSet
 from ..sql.lexer import TokenType, tokenize
-from ..storage.partitioning import PartitionMap
+from .partitioning import PartitionMap
 from .rpc import Channel, open_span, settle
 from .worker import InlineWorker, PartitionInfo, worker_main
 

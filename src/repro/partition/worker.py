@@ -42,7 +42,7 @@ from ..common.ops import BY_NAME, UNTRACED_OPS, bind
 from ..common.serde import decode_record, encode_record
 from ..engine.database import Database
 from ..obs import observability
-from ..storage.partitioning import PartitionMap
+from .partitioning import PartitionMap
 from .rpc import Channel, error_reply, respond, value_reply
 
 

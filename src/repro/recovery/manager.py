@@ -84,13 +84,16 @@ class RecoveryManager:
         self.group_bytes = group_bytes
         self.verify = verify
         self.readonly = readonly
-        #: True once open() finished: committed transactions are captured.
-        #: Always False while replaying and in readonly mode.
-        self.active = False
         self._log: Optional[CommandLog] = None
         self.last_checkpoint_lsn = 0
         #: summary of what the open-time recovery did (``stats()`` shows it)
         self.recovered: Optional[dict[str, Any]] = None
+
+    @property
+    def active(self) -> bool:
+        """True once open() finished: committed transactions are captured.
+        Always False while replaying and in readonly mode."""
+        return self._db._log_capture is self
 
     @property
     def log_path(self) -> Path:
@@ -121,7 +124,7 @@ class RecoveryManager:
             # in a fresh checkpoint, and the replayed log is truncated, so
             # the next crash replays only post-recovery commands.
             self.checkpoint()
-        self.active = True
+        self._db._log_capture = self
 
     def _recover(self) -> tuple[int, int, list[dict[str, Any]], int]:
         db = self._db
@@ -293,32 +296,18 @@ class RecoveryManager:
                 f"must be JSON-safe values"
             ) from exc
 
-    def record_statement(self, txn: "Transaction", sql: str, params) -> None:
-        """Capture one ad-hoc statement that wrote (joins the transaction's
-        logical command list; logged as one ``txn`` record on commit).
-        Raises :class:`RecoveryError` — before the transaction can commit
-        — when ``params`` cannot ride in a log record."""
-        params = list(params)
-        self._ensure_jsonable(params, "statement parameters")
-        txn.log_cmds.append(("sql", sql, params))
-
-    def record_many(self, txn: "Transaction", sql: str, rows) -> None:
-        """Capture one ``executemany`` batch that wrote; raises
-        :class:`RecoveryError` pre-commit when ``rows`` are not JSON-safe."""
-        self._ensure_jsonable(rows, "executemany parameter rows")
-        txn.log_cmds.append(("many", sql, rows))
-
-    def record_call_in_txn(self, txn: "Transaction", name: str, args) -> None:
-        """Capture one procedure body run via
-        :meth:`~repro.engine.database.Database.call_in_txn` (a
-        cross-partition fragment).  Joins the transaction's logical command
-        list as a ``callx`` entry — the name rides in the ``sql`` slot —
-        and replays by re-invoking the body inside the replayed
-        transaction.  Raises :class:`RecoveryError` pre-commit when
-        ``args`` cannot ride in a log record."""
-        args = list(args)
-        self._ensure_jsonable(args, f"arguments of procedure {name!r}")
-        txn.log_cmds.append(("callx", name, args))
+    def record(self, txn: "Transaction", kind: str, text: str, payload) -> None:
+        """Capture one command whose step wrote into the transaction's
+        logical command list (logged as one ``txn`` record on commit):
+        ``("sql", sql, params)``, ``("many", sql, rows)``, or ``("callx",
+        name, args)`` for a procedure body run by
+        :meth:`~repro.engine.database.Database.call_in_txn`, which replay
+        re-invokes at the same point of the transaction.  Raises
+        :class:`RecoveryError` — before the transaction can commit — when
+        ``payload`` cannot ride in a log record."""
+        payload = list(payload)
+        self._ensure_jsonable(payload, f"parameters of {kind} command {text!r}")
+        txn.log_cmds.append((kind, text, payload))
 
     def call_record(self, proc_name: str, args) -> dict[str, Any]:
         """Build (and validate, pre-transaction) one ``call`` record."""
@@ -390,7 +379,7 @@ class RecoveryManager:
     def close(self) -> None:
         """Flush and close the log; the database stays queryable but no
         further commits are captured."""
-        self.active = False
+        self._db._log_capture = None
         if self._log is not None:
             self._log.close()
 

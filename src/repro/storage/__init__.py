@@ -1,8 +1,7 @@
-"""Storage substrate: schemas, tables, indexes, catalog, partitioning."""
+"""Storage substrate: schemas, tables, indexes, catalog."""
 
 from .catalog import Catalog
 from .index import HashIndex, Index, OrderedIndex
-from .partitioning import PartitionMap, stable_hash
 from .schema import Column, TableKind, TableSchema, schema
 from .table import Table
 
@@ -12,10 +11,8 @@ __all__ = [
     "HashIndex",
     "Index",
     "OrderedIndex",
-    "PartitionMap",
     "Table",
     "TableKind",
     "TableSchema",
     "schema",
-    "stable_hash",
 ]

@@ -400,20 +400,15 @@ class StreamingRuntime:
             # (idempotent); the batch is the dataflow's external input, so
             # its rows must ride in the log record itself.
             rows = [self._coerce_declared(stream, raw) for raw in rows]
-        txn = db._begin(implicit=True)
-        if capture is not None:
-            txn.log_record = {
-                "op": "ingest",
-                "stream": stream.name,
-                "batch_id": batch_id,
-                "rows": [list(r) for r in rows],
-            }
-        try:
+        with db._scope(implicit=True) as txn:
+            if capture is not None:
+                txn.log_record = {
+                    "op": "ingest",
+                    "stream": stream.name,
+                    "batch_id": batch_id,
+                    "rows": [list(r) for r in rows],
+                }
             self._emit_into(txn, stream, batch_id, rows, coerced=capture is not None)
-        except BaseException:
-            txn.abort()
-            raise
-        txn.commit()
 
     def emit(self, txn: "Transaction", stream_name: str, rows, batch_id=None) -> int:
         """Append an atomic batch to a stream inside ``txn`` (procedures and
@@ -864,9 +859,6 @@ class StreamingRuntime:
         return {
             "streams": {
                 s.name: {
-                    # renamed from "last_batch"/"reclaimed_rows" (PR 8): stats
-                    # keys mirror the attribute names and the scheduler's
-                    # "rows_reclaimed" spelling — one canonical scheme
                     "last_committed": s.last_committed,
                     "pending_batches": sorted(s.pending),
                     "rows": s.table.row_count(),

@@ -10,7 +10,7 @@ per-vehicle accounts, so the scenario exercises a two-hop DAG with
 ``ctx.emit`` fan-in.
 
 Everything is keyed by expressway (``xway``) — the paper's partitioning
-axis (see ``storage/partitioning.py``) — and the generator pins each
+axis (see ``partition/partitioning.py``) — and the generator pins each
 vehicle to one expressway, so per-vehicle state also lives entirely
 inside one partition.  All arithmetic is integer-only so final-state
 digests are bit-identical across engine shapes.

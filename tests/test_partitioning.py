@@ -1,4 +1,4 @@
-"""Unit coverage of ``storage/partitioning.py``: the stable hash, routing
+"""Unit coverage of ``partition/partitioning.py``: the stable hash, routing
 modes, key registration, and the strict-mode error paths."""
 
 import subprocess
@@ -9,7 +9,7 @@ import pytest
 
 from repro.common.errors import SchemaError
 from repro.common.types import ColumnType as T
-from repro.storage.partitioning import PartitionMap, stable_hash
+from repro.partition.partitioning import PartitionMap, stable_hash
 from repro.storage.schema import schema
 
 
@@ -29,7 +29,7 @@ def test_stable_hash_is_stable_across_processes():
     values = [None, True, False, 0, 1, 41, "x-way-3", 2.5]
     expected = [stable_hash(v) for v in values]
     code = (
-        "from repro.storage.partitioning import stable_hash\n"
+        "from repro.partition.partitioning import stable_hash\n"
         f"print([stable_hash(v) for v in {values!r}])\n"
     )
     out = subprocess.run(

@@ -769,6 +769,115 @@ def test_durable_dag_event_counts_are_pinned(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Golden command log: every capture path, one scripted run
+# ---------------------------------------------------------------------------
+
+INSERT_ACCOUNT = "INSERT INTO accounts (id, balance) VALUES (?, ?)"
+DOUBLE_BALANCE = "UPDATE accounts SET balance = balance * 2 WHERE id = ?"
+
+
+def capture_paths_bootstrap(db):
+    table_bootstrap(db)
+    db.create_stream(schema("feed", ("id", T.BIGINT), ("amount", T.FLOAT)))
+
+    @db.register_procedure
+    def balance_of(ctx, account_id):
+        return ctx.execute(
+            "SELECT balance FROM accounts WHERE id = ?", (account_id,)
+        ).scalar()
+
+    @db.register_procedure
+    def apply_feed(ctx, batch):
+        for account_id, amount in batch.rows:
+            ctx.execute(
+                "UPDATE accounts SET balance = balance + ? WHERE id = ?",
+                (amount, account_id),
+            )
+
+    db.create_workflow("feed_flow", [("feed", "apply_feed")])
+
+
+def capture_paths_run(directory):
+    """One statement of every kind the engine can command-log, each both
+    writing and not writing where the path allows it."""
+    db = open_db(directory, capture_paths_bootstrap, group_commit=4)
+    # ad-hoc execute: implicit, then explicit
+    db.execute(INSERT_ACCOUNT, (1, 10.0))
+    db.execute("SELECT balance FROM accounts WHERE id = ?", (1,))
+    with db.transaction():
+        db.execute("UPDATE accounts SET balance = balance + ? WHERE id = ?", (1.0, 1))
+        db.execute("SELECT count(*) FROM accounts")
+        db.execute("UPDATE accounts SET balance = 0 WHERE id = ?", (99,))
+    # executemany: bulk INSERT and per-row UPDATE, implicit then explicit
+    db.executemany(INSERT_ACCOUNT, [(2, 1.0), (3, 2.0)])
+    db.executemany(DOUBLE_BALANCE, [(2,), (3,)])
+    db.executemany(DOUBLE_BALANCE, [(97,)])
+    with db.transaction():
+        db.executemany(INSERT_ACCOUNT, [(4, 4.0), (5, 5.0)])
+        db.executemany(DOUBLE_BALANCE, [(4,), (98,)])
+        db.executemany(DOUBLE_BALANCE, [(97,)])
+    # procedure calls: writing and read-only, standalone and as fragments
+    db.call("deposit", 1, 5.0)
+    db.call("balance_of", 1)
+    with db.transaction():
+        db.call_in_txn("deposit", 2, 1.0)
+        db.call_in_txn("balance_of", 2)
+    # ingest -> workflow delivery -> stream GC
+    db.ingest("feed", [(1, 0.5), (2, 0.25)])
+    db.ingest("feed", [(3, 0.125)])
+    db.flush_log()
+    return db
+
+
+#: ``scan_log`` after :func:`capture_paths_run`.  Rule: a command is logged
+#: iff its step wrote.  The read-only ``call_in_txn("balance_of", 2)``
+#: fragment is therefore absent from the ``callx`` record; it has no
+#: effect on replay.
+CAPTURE_LOG = [
+    {"op": "txn", "cmds": [["sql", INSERT_ACCOUNT, [1, 10.0]]]},
+    {"op": "txn", "cmds": [
+        ["sql", "UPDATE accounts SET balance = balance + ? WHERE id = ?", [1.0, 1]],
+    ]},
+    {"op": "txn", "cmds": [["many", INSERT_ACCOUNT, [[2, 1.0], [3, 2.0]]]]},
+    {"op": "txn", "cmds": [["many", DOUBLE_BALANCE, [[2], [3]]]]},
+    {"op": "txn", "cmds": [
+        ["many", INSERT_ACCOUNT, [[4, 4.0], [5, 5.0]]],
+        ["many", DOUBLE_BALANCE, [[4], [98]]],
+    ]},
+    {"op": "call", "proc": "deposit", "args": [1, 5.0]},
+    {"op": "txn", "cmds": [["callx", "deposit", [2, 1.0]]]},
+    {"op": "ingest", "stream": "feed", "batch_id": 1, "rows": [[1, 0.5], [2, 0.25]]},
+    {"op": "delivery", "stream": "feed", "batch_id": 1, "proc": "apply_feed"},
+    {"op": "gc", "horizons": {"feed": 1}},
+    {"op": "ingest", "stream": "feed", "batch_id": 2, "rows": [[3, 0.125]]},
+    {"op": "delivery", "stream": "feed", "batch_id": 2, "proc": "apply_feed"},
+    {"op": "gc", "horizons": {"feed": 2}},
+]
+#: ``stats("events")`` after :func:`capture_paths_run`
+CAPTURE_EVENTS = {
+    "client_submit": 2, "index_probes": 16, "log_group_commit": 13, "log_write": 5,
+    "pe_trigger": 2, "plan_cache_hit": 8, "procedure_call": 6, "rows_inserted": 8,
+    "rows_scanned": 13, "rows_updated": 9, "sql_plan": 6, "sql_stmt": 22,
+    "txn_begin": 14, "txn_commit": 14, "txn_implicit": 7,
+}
+
+
+def test_golden_command_log_covers_every_capture_path(tmp_path):
+    d = tmp_path / "db"
+    db = capture_paths_run(d)
+    _base, records, _end = scan_log(d / "command.log")
+    assert records == CAPTURE_LOG
+    assert ["callx", "balance_of", [2]] not in [
+        cmd for record in records for cmd in record.get("cmds", ())
+    ]
+    assert db.stats("events") == CAPTURE_EVENTS
+    pre = db.catalog.snapshot()
+    recovered = open_db(copy_dir(d, tmp_path / "r"), capture_paths_bootstrap)
+    assert recovered.catalog.snapshot() == pre
+    assert recovered.stats()["recovery"]["recovered"]["replayed"] == len(CAPTURE_LOG)
+
+
+# ---------------------------------------------------------------------------
 # Workload-driven crash (the conformance harness as a recovery oracle)
 # ---------------------------------------------------------------------------
 

@@ -1,11 +1,17 @@
 """Transaction life cycle, undo correctness, and boundary cost accounting."""
 
 from collections import Counter
+from decimal import Decimal
 
 import pytest
 
 from repro.common.clock import CostModel
-from repro.common.errors import ConstraintViolation, TransactionError
+from repro.common.errors import (
+    ConstraintViolation,
+    ProcedureError,
+    RecoveryError,
+    TransactionError,
+)
 from repro.common.types import ColumnType as T
 from repro.engine import Database, Transaction, UndoLog
 from repro.storage.schema import schema
@@ -245,3 +251,111 @@ def test_abort_counts_rows_undone_per_record():
     db.execute("UPDATE accounts SET balance = 0")  # 5 updates
     txn.abort()
     assert db.events.rows_undone == 5
+
+
+# -- one atomic step per entry point -------------------------------------------
+#
+# Every engine entry point runs as one atomic step.  This table is the
+# place for new entry points and failure kinds: add a row, not a new test.
+
+PUT = "INSERT INTO t (id, v) VALUES (?, ?)"
+
+
+def atomicity_bootstrap(db):
+    db.create_table(schema("t", ("id", T.BIGINT, False), ("v", T.BIGINT), primary_key=["id"]))
+    db.create_stream(schema("feed", ("id", T.BIGINT), ("v", T.BIGINT)))
+
+    @db.register_procedure
+    def put(ctx, tag, rows):
+        for row in rows:
+            ctx.execute(PUT, tuple(row))
+        if tag == "raise":
+            raise RuntimeError("procedure body failed")
+
+    def copy_feed(ctx, rows):
+        for row in rows:
+            ctx.execute(PUT, row)
+            if row[1] < 0:
+                raise RuntimeError("trigger body failed")
+
+    db.create_ee_trigger("copy_feed", "feed", copy_feed)
+
+
+#: (entry point, failure, action, expected exception, rows undone).  The
+#: bulk path is INSERT-only and ingest rows are coerced to their declared
+#: types, so neither can carry a JSON-unsafe value past the write.
+ATOMICITY = [
+    # ids 1 -> 11 moves, then 2 -> 12 collides with the seeded 12
+    ("execute", "constraint", lambda db: db.execute("UPDATE t SET id = id + 10"),
+     ConstraintViolation, 1),
+    ("execute", "json_unsafe",
+     lambda db: db.execute("UPDATE t SET v = v + 1 WHERE id = ?", (Decimal(1),)),
+     RecoveryError, 1),
+    # the bulk binder validates the batch before writing any row
+    ("bulk_executemany", "constraint",
+     lambda db: db.executemany(PUT, [(10, 0), (11, 0), (1, 0)]), ConstraintViolation, 0),
+    ("row_executemany", "constraint",
+     lambda db: db.executemany("UPDATE t SET id = ? WHERE id = ?", [(10, 1), (3, 2)]),
+     ConstraintViolation, 1),
+    ("row_executemany", "json_unsafe",
+     lambda db: db.executemany("UPDATE t SET v = v + 1 WHERE id = ?", [(1,), (Decimal(2),)]),
+     RecoveryError, 2),
+    ("call", "constraint", lambda db: db.call("put", "ok", [[10, 0], [1, 0]]),
+     ProcedureError, 1),
+    # a call's arguments are checked before its transaction opens
+    ("call", "json_unsafe", lambda db: db.call("put", Decimal(1), [[10, 0]]),
+     RecoveryError, 0),
+    ("call", "raises", lambda db: db.call("put", "raise", [[10, 0]]), ProcedureError, 1),
+    ("call_in_txn", "constraint", lambda db: db.call_in_txn("put", "ok", [[10, 0], [1, 0]]),
+     ProcedureError, 1),
+    ("call_in_txn", "json_unsafe", lambda db: db.call_in_txn("put", Decimal(1), [[10, 0]]),
+     RecoveryError, 1),
+    ("call_in_txn", "raises", lambda db: db.call_in_txn("put", "raise", [[10, 0]]),
+     ProcedureError, 1),
+    # two stream rows plus the trigger's first insert
+    ("ingest", "constraint", lambda db: db.ingest("feed", [(10, 0), (1, 0)]),
+     ConstraintViolation, 3),
+    ("ingest", "raises", lambda db: db.ingest("feed", [(10, -1)]), RuntimeError, 2),
+]
+
+#: procedures and ingests open their own transaction; call_in_txn needs one
+SCOPES = {"call": ("implicit",), "ingest": ("implicit",), "call_in_txn": ("explicit",)}
+
+
+@pytest.mark.parametrize(
+    "action, exc, undone, scope",
+    [
+        pytest.param(action, exc, undone, scope, id=f"{entry}-{scope}-{failure}")
+        for entry, failure, action, exc, undone in ATOMICITY
+        for scope in SCOPES.get(entry, ("implicit", "explicit"))
+    ],
+)
+def test_failed_step_leaves_no_trace(tmp_path, action, exc, undone, scope):
+    def rows(db):  # aborted inserts still advance next_rowid (never reused)
+        return {name: table["rows"] for name, table in db.catalog.snapshot().items()}
+
+    db = Database(recovery_dir=tmp_path / "db", bootstrap=atomicity_bootstrap)
+    db.executemany(PUT, [(1, 0), (2, 0), (3, 0), (12, 0)])
+    txn = db.begin() if scope == "explicit" else None
+    if txn is not None:
+        db.execute("UPDATE t SET v = 7 WHERE id = 3")  # the step's savepoint is not 0
+    before = rows(db)
+    cmds = list(txn.log_cmds) if txn is not None else None
+    undone_before = db.events.rows_undone
+    with pytest.raises(exc):
+        action(db)
+    assert rows(db) == before
+    assert db.events.rows_undone - undone_before == undone
+    if txn is not None:
+        assert txn.is_active and txn.log_cmds == cmds
+        db.execute("UPDATE t SET v = 8 WHERE id = 2")
+        txn.commit()
+        assert db.query("SELECT id, v FROM t WHERE v > 0 ORDER BY id") == [
+            {"id": 2, "v": 8}, {"id": 3, "v": 7}
+        ]
+    assert db.stats("transactions")["open"] is False
+    db.flush_log()
+    replayed = Database(
+        recovery_dir=tmp_path / "db", bootstrap=atomicity_bootstrap, readonly=True
+    )
+    assert rows(replayed) == rows(db)
