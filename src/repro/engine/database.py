@@ -860,7 +860,6 @@ class Database(StatsSections):
 
     _JOIN_OP_TALLY = {
         "HashJoin": "join_hash",
-        "MergeJoin": "join_merge",
         "IndexNestedLoopJoin": "join_inl",
         "BlockNestedLoopJoin": "join_bnl",
     }
@@ -889,7 +888,7 @@ class Database(StatsSections):
 
     @property
     def force_join(self) -> Optional[str]:
-        """Forced join algorithm (``"inl"``/``"hash"``/``"merge"``/``"bnl"``)
+        """Forced join algorithm (``"inl"``/``"hash"``/``"bnl"``)
         or None for cost-based selection.  Setting it clears the plan cache
         so already-cached plans do not leak the previous strategy — this is
         the differential-testing hook, not a tuning knob."""

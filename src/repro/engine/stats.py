@@ -31,8 +31,6 @@ DEFAULT_EQ_SELECTIVITY = 0.1
 #: selectivity assumed for a range conjunct whose bounds are parameters
 #: (unknown until execution) or fall outside the collected min/max.
 DEFAULT_RANGE_SELECTIVITY = 0.3
-#: selectivity assumed for a residual conjunct the estimator cannot read.
-DEFAULT_OTHER_SELECTIVITY = 0.33
 
 
 class ColumnStats:

@@ -28,7 +28,7 @@ read p99s from the same snapshot API as every other counter.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Union
+from typing import Any, Union
 
 from .metrics import BUCKET_BOUNDS_US, LatencyHistogram, MetricsRegistry
 from .tracing import NOOP_SPAN, Span, Tracer, read_jsonl, write_jsonl
@@ -100,14 +100,6 @@ class Observability:
         snap["spans"] = self.tracer.stats()
         return snap
 
-    def export_jsonl(self, path: str, extra_spans: Optional[list] = None) -> int:
-        """Write the buffered spans (plus any ``extra_spans``, e.g. spans
-        fetched from partition workers) as tracetool-renderable JSONL."""
-        spans = self.tracer.spans()
-        if extra_spans:
-            spans = spans + list(extra_spans)
-        return write_jsonl(path, spans)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Observability(process={self.tracer.process!r}, "
@@ -139,9 +131,6 @@ class _Disabled:
 
     def stats_section(self) -> dict[str, Any]:
         return {"enabled": False}
-
-    def export_jsonl(self, path: str, extra_spans: Optional[list] = None) -> int:
-        return write_jsonl(path, list(extra_spans or []))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "Observability(DISABLED)"

@@ -1,4 +1,4 @@
-"""Hash, sort-merge, and block-nested-loop join operators.
+"""Hash and block-nested-loop join operators.
 
 Each step follows the planner's join-step protocol — configured once at
 plan time, then ``apply(rows, ctx)`` maps the outer row iterator to the
@@ -14,27 +14,23 @@ ORDER BY, and the differential tests compare sorted row sets).
   NULL join keys never match (SQL equality), and LEFT OUTER rows are
   null-padded after probing.  Emits ``join.build`` / ``join.probe``
   observability spans when tracing is on.
-* :class:`MergeJoinStep` — equi-join; materialises and sorts both sides
-  by the key, then merges duplicate blocks.  Key types must be mutually
-  comparable (:class:`ExpressionError` otherwise).
 * :class:`BlockNestedLoopStep` — the fallback for arbitrary (non-equi)
   ON predicates: materialises the inner table **once** and loops, unlike
   the legacy per-outer-row rescan.
 
 ``rows_scanned`` counts each inner-table row visit exactly once per
-statement for all three (the build/materialise pass), which is the point:
+statement for both (the build/materialise pass), which is the point:
 the legacy nested loop charged ``outer × inner``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
-from ..common.errors import ExpressionError
 from .executor import ExecutionContext
 from .expressions import Compiled
 
-__all__ = ["HashJoinStep", "MergeJoinStep", "BlockNestedLoopStep"]
+__all__ = ["HashJoinStep", "BlockNestedLoopStep"]
 
 
 class HashJoinStep:
@@ -181,120 +177,6 @@ class HashJoinStep:
             ctx.rows_scanned += scanned
             if span is not None:
                 span.finish()
-            if ctx.explain_counts is not None:
-                ctx.explain_counts[self.op_id] = (
-                    ctx.explain_counts.get(self.op_id, 0) + emitted
-                )
-
-
-class MergeJoinStep:
-    """Sort-merge equi-join: sort both sides on the key, merge duplicate
-    blocks.  LEFT OUTER unmatched rows are emitted (null-padded) in their
-    original outer order after the merge."""
-
-    __slots__ = (
-        "table_name",
-        "arity",
-        "outer_key_fns",
-        "inner_key_slots",
-        "residual",
-        "kind",
-        "op_id",
-        "_null_pad",
-    )
-
-    def __init__(
-        self,
-        table_name: str,
-        arity: int,
-        outer_key_fns: Sequence[Compiled],
-        inner_key_slots: Sequence[int],
-        residual,
-        kind: str,
-    ):
-        self.table_name = table_name
-        self.arity = arity
-        self.outer_key_fns = tuple(outer_key_fns)
-        self.inner_key_slots = tuple(inner_key_slots)
-        self.residual = residual
-        self.kind = kind
-        self.op_id = -1
-        self._null_pad = (None,) * arity
-
-    def apply(self, rows: Iterator[tuple], ctx: ExecutionContext) -> Iterator[tuple]:
-        table = ctx.read_table(self.table_name)
-        obs = ctx.obs
-        params = ctx.params
-        residual = self.residual
-        left_outer = self.kind == "left"
-        slots = self.inner_key_slots
-
-        span = obs.span("join.sort", table=self.table_name) if obs.enabled else None
-        outer_rows = list(rows)
-        inner_rows = [row for _rowid, row in table.scan_visible()]
-        ctx.rows_scanned += len(inner_rows)
-        okeys: list[tuple[tuple, int]] = []
-        for idx, left in enumerate(outer_rows):
-            key = tuple(fn(left, params) for fn in self.outer_key_fns)
-            if None not in key:  # NULL never joins
-                okeys.append((key, idx))
-        ikeys: list[tuple[tuple, int]] = []
-        for idx, right in enumerate(inner_rows):
-            key = tuple(right[s] for s in slots)
-            if None not in key:
-                ikeys.append((key, idx))
-        try:
-            okeys.sort(key=lambda p: p[0])
-            ikeys.sort(key=lambda p: p[0])
-        except TypeError:
-            raise ExpressionError(
-                "sort-merge join keys are not mutually comparable"
-            ) from None
-        if span is not None:
-            span.finish()
-
-        emitted = 0
-        matched: Optional[set[int]] = set() if left_outer else None
-        try:
-            i = j = 0
-            n, m = len(okeys), len(ikeys)
-            while i < n and j < m:
-                ko = okeys[i][0]
-                ki = ikeys[j][0]
-                try:
-                    if ko < ki:
-                        i += 1
-                        continue
-                    if ko > ki:
-                        j += 1
-                        continue
-                except TypeError:
-                    raise ExpressionError(
-                        "sort-merge join keys are not mutually comparable"
-                    ) from None
-                i2 = i
-                while i2 < n and okeys[i2][0] == ko:
-                    i2 += 1
-                j2 = j
-                while j2 < m and ikeys[j2][0] == ko:
-                    j2 += 1
-                for a in range(i, i2):
-                    left = outer_rows[okeys[a][1]]
-                    for b in range(j, j2):
-                        combined = left + inner_rows[ikeys[b][1]]
-                        if residual is None or residual(combined, params):
-                            if matched is not None:
-                                matched.add(okeys[a][1])
-                            emitted += 1
-                            yield combined
-                i, j = i2, j2
-            if left_outer:
-                pad = self._null_pad
-                for idx, left in enumerate(outer_rows):
-                    if idx not in matched:
-                        emitted += 1
-                        yield left + pad
-        finally:
             if ctx.explain_counts is not None:
                 ctx.explain_counts[self.op_id] = (
                     ctx.explain_counts.get(self.op_id, 0) + emitted

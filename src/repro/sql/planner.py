@@ -19,7 +19,7 @@ Physical choices are **priced by a cost model** over table statistics
   (ties prefer the more selective path, preserving the classic rule).
 * Join algorithms per step: index-nested-loop (probe an inner-table
   index per outer row), hash join (build on the estimated-smaller side),
-  sort-merge, and block-nested-loop as the universal fallback.  The
+  and block-nested-loop as the universal fallback.  The
   estimate of rows flowing *into* each step is carried left-to-right, so
   the same ON clause can plan differently for a selective vs. a broad
   outer.  ``force_join`` pins one algorithm for differential testing.
@@ -43,7 +43,6 @@ prepared statement works on every partition with the same schema.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from ..common.errors import PlanningError
@@ -81,7 +80,7 @@ from .executor import (
 )
 from .expressions import Compiled, Scope, SlotRef, transform
 from .functions import make_accumulator
-from .joins import BlockNestedLoopStep, HashJoinStep, MergeJoinStep
+from .joins import BlockNestedLoopStep, HashJoinStep
 from .parser import parse
 
 #: Scope with no sources: compiles expressions over (params, literals) only.
@@ -92,7 +91,7 @@ _VALUE_SCOPE = Scope()
 Runner = Callable[[ExecutionContext], ResultSet]
 
 #: join strategies accepted by ``force_join``
-JOIN_STRATEGIES = ("inl", "hash", "merge", "bnl")
+JOIN_STRATEGIES = ("inl", "hash", "bnl")
 
 # ---------------------------------------------------------------------------
 # Cost model.  The unit is "one sequential row visit" = 1.0; everything else
@@ -105,7 +104,6 @@ _COST_ROW = 1.0          # visiting one row sequentially
 _COST_PROBE = 0.4        # one hash/index lookup
 _COST_BUILD_ROW = 1.5    # inserting one row into a join hash table
 _COST_PAIR = 0.25        # evaluating a predicate on one candidate pair
-_COST_SORT_FACTOR = 1.2  # per-element sort factor (× log2 n)
 
 #: fallback selectivity of a conjunct the estimator cannot read
 _OTHER_SELECTIVITY = 0.33
@@ -121,10 +119,6 @@ PLAN_MIN_ROWS = 10
 #: this factor of its (floored) planned row count; see
 #: :meth:`PreparedStatement.fresh`.
 PLAN_ROW_BAND = 4
-
-
-def _sort_cost(n: float) -> float:
-    return _COST_SORT_FACTOR * n * math.log2(n + 2)
 
 
 _FALLBACK_STATS = None
@@ -281,8 +275,8 @@ def prepare(
 
     ``stats`` is a :class:`~repro.engine.stats.StatsCatalog` (cardinality
     and selectivity estimates; defaults apply without one).  ``force_join``
-    pins every join step to one algorithm — ``"inl"``, ``"hash"``,
-    ``"merge"``, or ``"bnl"`` — falling back to the nearest feasible
+    pins every join step to one algorithm — ``"inl"``, ``"hash"``, or
+    ``"bnl"`` — falling back to the nearest feasible
     algorithm when the forced one cannot run the join shape.
     """
     return plan(parse(sql), catalog, sql=sql, stats=stats, force_join=force_join)
@@ -560,24 +554,6 @@ def _build_scan_costed(
     return make_scan(), est, info
 
 
-def build_scan(
-    where: Optional[Expr],
-    table: Table,
-    scope: Scope,
-    base_arity: int,
-    *,
-    extra_conjuncts: Sequence[Expr] = (),
-    stats=None,
-) -> Scan:
-    """Access-path selection without the cost/estimate plumbing — the
-    compatibility entry point (tests drive it directly)."""
-    env = _PlanEnv(stats, None)
-    scan, _est, _info = _build_scan_costed(
-        where, table, scope, base_arity, env, extra_conjuncts=extra_conjuncts
-    )
-    return scan
-
-
 def combine_conjuncts(conjuncts: Sequence[Expr], scope: Scope):
     """AND pre-split conjuncts back together and compile as a WHERE-style
     predicate (NULL → not satisfied); None when there is nothing to test."""
@@ -663,9 +639,6 @@ class _IndexJoinStep:
                 )
 
 
-JoinStep = _IndexJoinStep | HashJoinStep | MergeJoinStep | BlockNestedLoopStep
-
-
 def _plan_join_step(
     join,
     right: Table,
@@ -681,10 +654,9 @@ def _plan_join_step(
     just-added source, and every column the other side references
     resolves to a slot *before* it (so the key is computable from the
     outer row alone).  Equi conjuncts can drive an index-nested-loop
-    (via an inner-table equality index), a hash join, or a sort-merge
-    join; everything else stays in the residual predicate.  Without any
-    equi conjunct the block-nested-loop fallback evaluates the full ON
-    clause per pair.
+    (via an inner-table equality index) or a hash join; everything else
+    stays in the residual predicate.  Without any equi conjunct the
+    block-nested-loop fallback evaluates the full ON clause per pair.
 
     Returns ``(step, estimated_output_rows, plan_info_node)``.
     """
@@ -753,10 +725,6 @@ def _plan_join_step(
         considered["hash"] = (
             _COST_BUILD_ROW * build + _COST_PROBE * probe + est_out * _COST_PAIR
         )
-        considered["merge"] = (
-            _sort_cost(outer_est) + _sort_cost(inner_live)
-            + (outer_est + inner_live) * _COST_ROW + est_out * _COST_PAIR
-        )
     considered["bnl"] = (
         inner_live * _COST_ROW + outer_est * inner_live * _COST_PAIR
     )
@@ -774,7 +742,7 @@ def _plan_join_step(
         )
         return _IndexJoinStep(right.name, arity, index.name, key_fns, residual, kind)
 
-    def make_equi(cls, **kw):
+    def make_hash():
         consumed = set()
         outer_key_fns = []
         inner_key_slots = []
@@ -785,7 +753,10 @@ def _plan_join_step(
         residual = combine_conjuncts(
             [c for i, c in enumerate(conjuncts) if i not in consumed], scope
         )
-        return cls(right.name, arity, outer_key_fns, inner_key_slots, residual, kind, **kw)
+        return HashJoinStep(
+            right.name, arity, outer_key_fns, inner_key_slots, residual, kind,
+            build_inner=build_inner,
+        )
 
     def make_bnl():
         pred = compile_predicate(join.on, scope) if join.on is not None else None
@@ -796,26 +767,23 @@ def _plan_join_step(
     # -- choice ---------------------------------------------------------------
     forced = env.force_join
     if forced is not None:
-        if (forced in ("hash", "merge") and eq_cols) or (
+        if (forced == "hash" and eq_cols) or (
             forced == "inl" and index is not None
         ):
             algo = forced
         else:  # bnl, or a force this join cannot honour (non-equi, no index)
             algo = "bnl"
     else:
-        # tie order: inl < hash < merge < bnl (most index-exploiting first)
-        order = {"inl": 0, "hash": 1, "merge": 2, "bnl": 3}
+        # tie order: inl < hash < bnl (most index-exploiting first)
+        order = {"inl": 0, "hash": 1, "bnl": 2}
         algo = min(considered, key=lambda a: (considered[a], order[a]))
 
     if algo == "inl":
         step = make_inl()
         op = "IndexNestedLoopJoin"
     elif algo == "hash":
-        step = make_equi(HashJoinStep, build_inner=build_inner)
+        step = make_hash()
         op = "HashJoin"
-    elif algo == "merge":
-        step = make_equi(MergeJoinStep)
-        op = "MergeJoin"
     else:
         step = make_bnl()
         op = "BlockNestedLoopJoin"

@@ -245,7 +245,11 @@ Index = HashIndex | OrderedIndex
 
 
 def rebuild(index: Index, rows: Iterable[tuple[int, tuple]], key_of) -> None:
-    """Rebuild an index from scratch over ``(rowid, row)`` pairs."""
+    """Rebuild an index from scratch over ``(rowid, row)`` pairs.  Keys
+    containing NULL are skipped, as on every other write path (SQL: NULL
+    is distinct from every value, including NULL)."""
     index.clear()
     for rowid, row in rows:
-        index.insert(key_of(row, index.key_columns), rowid)
+        key = key_of(row, index.key_columns)
+        if None not in key:
+            index.insert(key, rowid)

@@ -26,7 +26,7 @@ from ..common.errors import (
     NoSuchRowError,
     SchemaError,
 )
-from .index import HashIndex, Index, OrderedIndex
+from .index import HashIndex, Index, OrderedIndex, rebuild
 from .schema import TableSchema
 
 
@@ -82,8 +82,7 @@ class Table:
             index = OrderedIndex(name, key_columns)
         else:
             index = HashIndex(name, key_columns, unique=unique)
-        for rowid, row in self._rows.items():
-            index.insert(self.schema.key_of(row, index.key_columns), rowid)
+        rebuild(index, self._rows.items(), self.schema.key_of)
         self.indexes[name] = index
         return index
 
@@ -377,19 +376,9 @@ class Table:
         self._order_dirty = False  # snapshots are emitted in rowid order
         self._next_rowid = int(state["next_rowid"])
         for index in self.indexes.values():
-            index.clear()
-            for rowid, row in self._rows.items():
-                key = self.schema.key_of(row, index.key_columns)
-                if self._indexable(index, key):
-                    index.insert(key, rowid)
+            rebuild(index, self._rows.items(), self.schema.key_of)
 
     # -- internals ----------------------------------------------------------------
-
-    @staticmethod
-    def _indexable(index: Index, key: tuple) -> bool:
-        """Keys containing NULL are not stored in unique/ordered indexes
-        (SQL: NULL is distinct from every value, including NULL)."""
-        return None not in key
 
     def _index_keys(self, row: tuple) -> list[tuple[Index, tuple | None]]:
         """One ``(index, key)`` pair per index, each key computed exactly

@@ -74,7 +74,7 @@ def deploy(db, part) -> None:
     # the owner must exist before the window that names it
     @db.register_procedure
     def fraud_detect(ctx, batch):
-        # window-to-table join: the planner chooses inl/hash/merge/bnl
+        # window-to-table join: the planner chooses inl/hash/bnl
         over = ctx.query(
             "SELECT r.txn_id AS txn_id, r.card AS card, r.amount AS amount, "
             "c.lim AS lim FROM recent r JOIN cards c ON r.card = c.card "

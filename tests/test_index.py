@@ -83,3 +83,12 @@ def test_rebuild():
     assert list(idx.lookup((9,))) == []
     assert list(idx.lookup((10,))) == [1]
     assert list(idx.lookup((20,))) == [2]
+
+
+def test_rebuild_skips_null_keys():
+    idx = HashIndex("i", ["a"], unique=True)
+    rows = [(1, (None, "x")), (2, (None, "y")), (3, (30, "z"))]
+    rebuild(idx, rows, key_of=lambda row, cols: (row[0],))
+    assert len(idx) == 1
+    assert list(idx.lookup((None,))) == []
+    assert list(idx.lookup((30,))) == [3]

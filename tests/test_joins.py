@@ -1,6 +1,6 @@
 """Differential testing of the join suite.
 
-Every join strategy — cost-based default, forced hash, merge,
+Every join strategy — cost-based default, forced hash,
 block-nested-loop, and index-nested-loop — must produce the identical
 row set for the same query.  The fixtures cover indexed and unindexed
 equi-joins, LEFT OUTER joins, NULL join keys, residual ON conjuncts,
@@ -73,7 +73,7 @@ QUERIES = [
     # LEFT OUTER with residual ON condition
     "SELECT e.id, d.id FROM emp e LEFT JOIN dept d"
     " ON e.dept_ref = d.id AND d.budget > 3000.0",
-    # non-equi join: hash/merge are infeasible, planner must fall back
+    # non-equi join: hash is infeasible, planner must fall back
     "SELECT e.id, d.id FROM emp e JOIN dept d ON e.salary < d.budget / 10.0",
     # comma join with WHERE-clause join predicate
     "SELECT e.id, d.name FROM emp e, dept d"
@@ -112,6 +112,14 @@ def test_all_strategies_agree(db, sql):
         )
 
 
+def test_every_costed_strategy_is_forceable(db):
+    # what the cost model prices, force_join can pin — so the sweep above
+    # differentially tests every algorithm the planner may pick
+    for sql in QUERIES:
+        for join in db.explain(sql)["joins"]:
+            assert set(join["considered"]) <= set(JOIN_STRATEGIES), (sql, join)
+
+
 def test_order_by_preserved_under_every_strategy(db):
     sql = (
         "SELECT e.id FROM emp e JOIN dept d ON e.dept_ref = d.id"
@@ -143,7 +151,6 @@ def test_chosen_operators_match_forcing(db):
     sql = "SELECT e.id, d.name FROM emp e JOIN dept d ON e.dept_ref = d.id"
     expected = {
         "hash": "HashJoin",
-        "merge": "MergeJoin",
         "bnl": "BlockNestedLoopJoin",
         # dept.id is the primary-key index, so forcing inl uses it
         "inl": "IndexNestedLoopJoin",
@@ -175,10 +182,9 @@ def test_cost_based_picks_hash_for_unindexed_equi_join(db):
 
 def test_non_equi_forced_hash_falls_back_to_bnl(db):
     sql = "SELECT e.id, d.id FROM emp e JOIN dept d ON e.salary < d.budget"
-    for strategy in ("hash", "merge"):
-        db.force_join = strategy
-        info = db.explain(sql)
-        assert info["joins"][0]["op"] == "BlockNestedLoopJoin", strategy
+    db.force_join = "hash"
+    info = db.explain(sql)
+    assert info["joins"][0]["op"] == "BlockNestedLoopJoin"
     db.force_join = None
 
 
@@ -194,9 +200,10 @@ def test_inl_without_index_uses_nested_loop(db):
     assert sorted(rows) == sorted(db.execute(sql).rows)
 
 
-def test_force_join_rejects_unknown_strategy(db):
+@pytest.mark.parametrize("strategy", ["quantum", "merge"])
+def test_force_join_rejects_unknown_strategy(db, strategy):
     with pytest.raises(PlanningError):
-        db.force_join = "quantum"
+        db.force_join = strategy
 
 
 def test_force_join_change_invalidates_plan_cache(db):

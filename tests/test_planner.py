@@ -98,7 +98,7 @@ def test_equality_plus_residual_uses_index(catalog):
 
 
 def test_planner_emits_expected_scan_nodes(catalog):
-    from repro.sql.planner import build_scan
+    from repro.sql.planner import _PlanEnv, _build_scan_costed
     from repro.sql.expressions import Scope
 
     users = catalog.table("users")
@@ -107,7 +107,9 @@ def test_planner_emits_expected_scan_nodes(catalog):
     arity = users.schema.arity()
 
     def scan_for(where_sql):
-        return build_scan(parse_expression(where_sql), users, scope, arity)
+        return _build_scan_costed(
+            parse_expression(where_sql), users, scope, arity, _PlanEnv(None, None)
+        )[0]
 
     assert isinstance(scan_for("id = ?"), IndexScan)
     assert isinstance(scan_for("grp < ?"), IndexRangeScan)

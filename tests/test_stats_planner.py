@@ -207,8 +207,8 @@ def test_explain_join_includes_considered_costs():
     )
     join = info["joins"][0]
     # inl appears only when the inner side has a usable index
-    assert {"hash", "merge", "bnl"} <= set(join["considered"])
-    assert join["op"] in ("HashJoin", "MergeJoin", "IndexNestedLoopJoin")
+    assert {"hash", "bnl"} <= set(join["considered"])
+    assert join["op"] in ("HashJoin", "IndexNestedLoopJoin")
     assert join["actual_rows"] == 60
 
 

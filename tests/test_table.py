@@ -152,6 +152,25 @@ def test_create_index_backfills_and_rejects_duplicates():
         t.create_index("users_age", ["age"])
 
 
+def test_create_unique_index_over_null_keys():
+    # the backfill follows the insert path: NULL keys are never indexed
+    t = users_table()
+    t.insert((1, None, None))
+    t.insert((2, None, None))
+    t.create_index("users_age_uniq", ["age"], unique=True)
+    t.insert((3, None, 40))
+    with pytest.raises(ConstraintViolation):
+        t.insert((4, None, 40))
+
+
+def test_create_index_leaves_no_null_key_behind_a_delete():
+    t = users_table()
+    rowid = t.insert((1, None, None))
+    idx = t.create_index("users_age_hash", ["age"])
+    t.delete_row(rowid)
+    assert len(idx) == 0
+
+
 def test_snapshot_roundtrip():
     t = users_table()
     t.insert((1, "a@x", 30))

@@ -213,7 +213,7 @@ class TestFraudJoinSweep:
     window-to-table join — the PR 9 differential sweep extended from
     static tables to a live window on the ingest path."""
 
-    STRATEGIES = (None, "inl", "hash", "merge", "bnl")
+    STRATEGIES = (None, "inl", "hash", "bnl")
 
     @pytest.fixture(scope="class")
     def sweep(self):
