@@ -61,7 +61,8 @@ from ..common.ops import StatsSections
 from ..obs import observability
 from ..recovery.manager import RecoveryManager
 from ..sql.executor import ExecutionContext, ExecutionCounters, ResultSet
-from ..sql.planner import JOIN_STRATEGIES, PreparedStatement, prepare
+from ..sql.costing import JOIN_STRATEGIES
+from ..sql.planner import PreparedStatement, prepare
 from ..storage.catalog import Catalog
 from ..storage.schema import TableKind, TableSchema
 from ..storage.table import Table

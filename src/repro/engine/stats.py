@@ -4,7 +4,7 @@ Two freshness tiers, matching what each number costs to keep:
 
 * **row counts are always live** — ``Table.row_count()`` is a ``len()``,
   so the planner reads it at plan time (through its one floored helper,
-  ``_PlanEnv.rows``) and never from here;
+  ``PlanEnv.rows``) and never from here;
 * **per-column NDV / min / max / null counts** come from an explicit
   ``ANALYZE`` (``Database.analyze()`` or the ``ANALYZE [table]``
   statement), which scans the visible rows once, or from **automatic

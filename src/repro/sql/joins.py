@@ -1,14 +1,17 @@
-"""Hash and block-nested-loop join operators.
+"""Index-nested-loop, hash and block-nested-loop join operators.
 
-Each step follows the planner's join-step protocol — configured once at
-plan time, then ``apply(rows, ctx)`` maps the outer row iterator to the
-joined iterator — and joins the outer prefix (everything planned so far)
-against one named inner table.  The combined row is always
-``outer + inner`` regardless of which side builds, so downstream
+Each step follows one protocol — built once at plan time by
+:func:`~repro.sql.costing.choose_join`, then ``apply(rows, ctx)`` maps
+the outer row iterator to the joined iterator — and joins the outer
+prefix (everything planned so far) against one named inner table.  The
+combined row is always ``outer + inner`` regardless of which side
+builds, so downstream
 projection slots are stable across algorithms; only the *row order* may
 differ between algorithms (SQL makes no ordering promise without
 ORDER BY, and the differential tests compare sorted row sets).
 
+* :class:`IndexNestedLoopStep` — equi-join with an inner-table index
+  covering the key: one index probe per outer row, no inner scan.
 * :class:`HashJoinStep` — equi-join; builds a hash table on the side the
   planner estimated smaller (``build_inner``) and probes with the other.
   NULL join keys never match (SQL equality), and LEFT OUTER rows are
@@ -19,8 +22,9 @@ ORDER BY, and the differential tests compare sorted row sets).
   the legacy per-outer-row rescan.
 
 ``rows_scanned`` counts each inner-table row visit exactly once per
-statement for both (the build/materialise pass), which is the point:
-the legacy nested loop charged ``outer × inner``.
+statement for hash and block-nested-loop (the build/materialise pass),
+which is the point: the legacy nested loop charged ``outer × inner``.
+Index-nested-loop counts only the inner rows its probes fetch.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Iterator, Sequence
 from .executor import ExecutionContext
 from .expressions import Compiled
 
-__all__ = ["HashJoinStep", "BlockNestedLoopStep"]
+__all__ = ["BlockNestedLoopStep", "HashJoinStep", "IndexNestedLoopStep"]
 
 
 class HashJoinStep:
@@ -181,6 +185,70 @@ class HashJoinStep:
                 ctx.explain_counts[self.op_id] = (
                     ctx.explain_counts.get(self.op_id, 0) + emitted
                 )
+
+
+class IndexNestedLoopStep:
+    """Index-nested-loop join: per outer row, probe an inner-table equality
+    index with key values computed from the outer row, instead of scanning
+    the whole inner table.  Residual ON conjuncts (those not covered by the
+    index key) are evaluated on the combined row."""
+
+    __slots__ = (
+        "table_name", "arity", "index_name", "key_fns", "residual", "kind",
+        "op_id", "_null_pad",
+    )
+
+    def __init__(
+        self,
+        table_name: str,
+        arity: int,
+        index_name: str,
+        key_fns: Sequence[Compiled],
+        residual,
+        kind: str,
+    ):
+        self.table_name = table_name
+        self.arity = arity
+        self.index_name = index_name
+        self.key_fns = tuple(key_fns)
+        self.residual = residual
+        self.kind = kind
+        self.op_id = -1
+        self._null_pad = (None,) * arity
+
+    def apply(self, rows: Iterator[tuple], ctx: ExecutionContext) -> Iterator[tuple]:
+        table = ctx.read_table(self.table_name)
+        index = table.index(self.index_name)
+        residual = self.residual
+        params = ctx.params
+        left_outer = self.kind == "left"
+        visible = table.is_visible
+        emitted = 0
+        try:
+            for left in rows:
+                matched = False
+                key = tuple(fn(left, params) for fn in self.key_fns)
+                ctx.index_probes += 1
+                if not any(v is None for v in key):  # col = NULL never matches
+                    for rowid in index.lookup(key):
+                        right = table.get(rowid)
+                        if right is None or not visible(right):
+                            continue
+                        ctx.rows_scanned += 1
+                        combined = left + right
+                        if residual is None or residual(combined, params):
+                            matched = True
+                            emitted += 1
+                            yield combined
+                if left_outer and not matched:
+                    emitted += 1
+                    yield left + self._null_pad
+        finally:
+            if ctx.explain_counts is not None:
+                ctx.explain_counts[self.op_id] = (
+                    ctx.explain_counts.get(self.op_id, 0) + emitted
+                )
+
 
 
 class BlockNestedLoopStep:

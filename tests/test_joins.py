@@ -15,7 +15,7 @@ import pytest
 from repro.common.errors import PlanningError
 from repro.common.types import ColumnType as T
 from repro.engine.database import Database
-from repro.sql.planner import JOIN_STRATEGIES
+from repro.sql.costing import JOIN_STRATEGIES
 from repro.storage.schema import schema
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.common.types import ColumnType as T
 from repro.engine import Database
-from repro.sql.planner import PLAN_MIN_ROWS, PLAN_ROW_BAND
+from repro.sql.costing import PLAN_MIN_ROWS, PLAN_ROW_BAND
 from repro.storage.schema import schema
 
 POINT_SELECT = "SELECT v FROM kv WHERE k = ?"

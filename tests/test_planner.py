@@ -10,7 +10,8 @@ import pytest
 from repro.common.errors import PlanningError
 from repro.common.types import ColumnType as T
 from repro.sql.executor import ExecutionContext, IndexRangeScan, IndexScan, SeqScan
-from repro.sql.planner import prepare, split_conjuncts
+from repro.sql.costing import split_conjuncts
+from repro.sql.planner import prepare
 from repro.sql.parser import parse_expression
 from repro.storage.catalog import Catalog
 from repro.storage.schema import schema
@@ -98,7 +99,7 @@ def test_equality_plus_residual_uses_index(catalog):
 
 
 def test_planner_emits_expected_scan_nodes(catalog):
-    from repro.sql.planner import _PlanEnv, _build_scan_costed
+    from repro.sql.costing import PlanEnv, choose_scan
     from repro.sql.expressions import Scope
 
     users = catalog.table("users")
@@ -107,8 +108,8 @@ def test_planner_emits_expected_scan_nodes(catalog):
     arity = users.schema.arity()
 
     def scan_for(where_sql):
-        return _build_scan_costed(
-            parse_expression(where_sql), users, scope, arity, _PlanEnv(None, None)
+        return choose_scan(
+            parse_expression(where_sql), users, scope, arity, PlanEnv(None, None)
         )[0]
 
     assert isinstance(scan_for("id = ?"), IndexScan)
