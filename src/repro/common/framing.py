@@ -16,7 +16,8 @@ one set of guards shared by every user:
   :class:`ConnectionClosedError` with ``mid_frame=True``, distinct from a
   clean close between frames (``mid_frame=False``), so callers can tell
   "peer finished" from "peer died mid-message";
-* **corrupt frames** (checksum mismatch, bad JSON, bad UTF-8) raise
+* **corrupt frames** (checksum mismatch, bad JSON, bad UTF-8, a record
+  that is not a JSON object) raise
   :class:`ProtocolError` — the serde CRC turns line noise into a typed,
   catchable failure instead of garbage data.
 
@@ -82,12 +83,16 @@ def decode_payload(data: bytes) -> dict[str, Any]:
     typed error.
 
     Raises:
-        ProtocolError: checksum mismatch, invalid JSON, or invalid UTF-8.
+        ProtocolError: checksum mismatch, invalid JSON, invalid UTF-8, or
+            a record that is not a JSON object.
     """
     try:
-        return decode_record(data.decode("utf-8"))
+        record = decode_record(data.decode("utf-8"))
     except (RecoveryError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"malformed frame: {exc}") from None
+    if not isinstance(record, dict):
+        raise ProtocolError(f"malformed frame: a JSON {type(record).__name__}, not an object")
+    return record
 
 
 def _check_announced_length(length: int, limit: int) -> None:

@@ -1072,9 +1072,7 @@ class Database(StatsSections):
                 # one vectorized execution over the whole batch (mirrors
                 # _execute; the step is its savepoint)
                 self._check_executable(stmt, txn)
-                ctx = ExecutionContext(
-                    self.catalog, (), observer=txn.undo, guard=self._guard, obs=self.obs
-                )
+                ctx = ExecutionContext(self.catalog, (), txn.undo, self._guard, self.obs)
                 total = stmt.run_many(ctx, param_rows)
                 self._tally(ctx)
                 return total
@@ -1111,27 +1109,29 @@ class Database(StatsSections):
         raises is rolled back to its own savepoint (statement-level
         atomicity) before the exception propagates, leaving the enclosing
         transaction consistent and usable."""
-        self._check_executable(stmt, txn)
+        if txn is not self._txn or txn.state != txn.ACTIVE or (
+            stmt.epoch != self.schema_epoch and stmt.epoch is not None
+        ):
+            self._check_executable(stmt, txn)  # raises
+        undo = txn.undo
         ctx = ExecutionContext(
-            self.catalog,
-            params,
-            observer=txn.undo,
-            guard=self._guard,
-            obs=self.obs,
-            explain_counts=self._explain_counts,
+            self.catalog, params, undo, self._guard, self.obs, self._explain_counts
         )
-        mark = txn.undo.mark()
+        mark = len(undo._entries)  # the statement's savepoint (no call: runs per statement)
         try:
             result = stmt.execute(ctx)
         except BaseException:
-            self.events.rows_undone += txn.undo.rollback_to(mark)
+            self.events.rows_undone += undo.rollback_to(mark)
             raise
-        self._tally(ctx)
+        self._last = ctx  # _tally's accounting, inline: this runs per statement
+        events = self.events
+        events.sql_stmt += 1
+        ctx.add_to(events)
         return result
 
     def _check_executable(self, stmt: PreparedStatement, txn: Transaction) -> None:
-        """Shared preconditions of every execution path: a live current
-        transaction and a non-stale prepared statement."""
+        """Raise unless both preconditions of every execution path hold: a
+        live current transaction and a non-stale prepared statement."""
         if txn is not self._txn or not txn.is_active:
             # e.g. a ProcedureContext that escaped its db.call() scope:
             # executing on it would write outside any live transaction.

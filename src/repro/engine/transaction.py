@@ -94,10 +94,6 @@ class UndoLog:
 
     # -- replay ----------------------------------------------------------------
 
-    def mark(self) -> int:
-        """Current log position — a statement-level savepoint."""
-        return len(self._entries)
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -341,15 +341,16 @@ class ReproServer:
                 return
             st.bytes_in += nbytes
             op = record.get("op")
-            st.requests[op if isinstance(op, str) else "?"] += 1
+            name = op if isinstance(op, str) else "?"  # "?" is no op: unhashable ops end here
+            st.requests[name] += 1
             if op == "ping":
                 await conn.replies.put(value_reply("pong"))
                 continue
             if op == "bye":
                 await conn.replies.put(value_reply("bye"))
                 return
-            if op not in OPS:
-                hint = "duplicate hello" if op in CONNECTION_OPS else f"unknown op {op!r}"
+            if name not in OPS:
+                hint = "duplicate hello" if name in CONNECTION_OPS else f"unknown op {op!r}"
                 await conn.replies.put(error_reply(ProtocolError(hint)))
                 continue
             if op not in EXEMPT_OPS:

@@ -28,14 +28,15 @@ prune short-circuit branches entirely.  (``TRUE AND x`` is *not* folded to
 Entry points mirror the interpreter: :func:`compile_expr` yields a
 ``(row, params) -> value`` callable; :func:`compile_predicate` yields a
 WHERE-style ``(row, params) -> bool`` (NULL → not satisfied) with the
-coercion generated inline instead of paying a wrapper frame per row.
-Unsupported nodes (there are none today; the hook guards future AST
-growth) fall back to the interpreter.
+coercion generated inline instead of paying a wrapper frame per row;
+:func:`compile_row` yields one ``(row, params) -> tuple`` frame for a
+whole projection, index key or updated row.  Unsupported nodes (there
+are none today; the hook guards future AST growth) fall back to the
+interpreter.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from typing import Any, Callable, Sequence
 
@@ -67,7 +68,7 @@ from .expressions import (
 from .expressions import compile_expr as interpret_expr
 from .expressions import predicate as interpret_predicate
 
-__all__ = ["compile_expr", "compile_predicate", "fold_constants"]
+__all__ = ["compile_expr", "compile_predicate", "compile_row", "fold_constants"]
 
 
 class _Unsupported(Exception):
@@ -504,6 +505,12 @@ def _generate(expr: Expr, scope: Scope, as_predicate: bool) -> Callable:
             g.emit(2, f"return False if {atom} is None else _t({atom})")
     else:
         g.emit(2, f"return {atom}")
+    return _define(g)
+
+
+def _define(g: _Codegen) -> Callable:
+    """Wrap ``g``'s statements in the ``(row, params)`` function frame
+    with the shared error mapping, and compile it."""
     body = "\n".join(g.lines)
     src = (
         "def _compiled(row, params):\n"
@@ -531,6 +538,22 @@ def compile_expr(expr: Expr, scope: Scope) -> Compiled:
         return _generate(expr, scope, as_predicate=False)
     except _Unsupported:  # pragma: no cover - all current nodes supported
         return interpret_expr(expr, scope)
+
+
+def compile_row(
+    exprs: Sequence[Expr], scope: Scope
+) -> Callable[[Sequence[Any], Sequence[Any]], tuple]:
+    """Compile several expressions into one ``(row, params) -> tuple``
+    frame — a projection, an index key or an updated row — evaluated left
+    to right, instead of one call per value."""
+    g = _Codegen(scope)
+    try:
+        atoms = [g.gen(fold_constants(expr), 2)[0] for expr in exprs]
+    except _Unsupported:  # pragma: no cover - all current nodes supported
+        fns = [compile_expr(expr, scope) for expr in exprs]
+        return lambda row, params: tuple([fn(row, params) for fn in fns])
+    g.emit(2, f"return ({''.join(atom + ', ' for atom in atoms)})")
+    return _define(g)
 
 
 def compile_predicate(

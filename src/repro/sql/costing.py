@@ -31,7 +31,7 @@ from ..common.errors import PlanningError
 from ..storage.schema import TableSchema
 from ..storage.table import Table
 from .ast import Between, Binary, ColumnRef, Expr, Literal, walk
-from .compile import compile_expr, compile_predicate
+from .compile import compile_expr, compile_predicate, compile_row
 from .executor import IndexRangeScan, IndexScan, Scan, SeqScan
 from .expressions import Scope, SlotRef
 from .joins import BlockNestedLoopStep, HashJoinStep, IndexNestedLoopStep
@@ -290,12 +290,11 @@ def choose_scan(
         cost = _COST_PROBE + fetch * _COST_ROW
 
         def make_eq_scan(consumed=consumed, index=index):
-            key_fns = [
-                compile_expr(sargs[eq_by_col[col]].exprs[0], _VALUE_SCOPE)
-                for col in index.key_columns
-            ]
+            key_fn = compile_row(
+                [sargs[eq_by_col[col]].exprs[0] for col in index.key_columns], _VALUE_SCOPE
+            )
             residual = _compile_residual(sargs, consumed, scope)
-            return IndexScan(table.name, index.name, key_fns, residual)
+            return IndexScan(table.name, index.name, key_fn, residual)
 
         candidates.append(
             (cost, 0, fetch, consumed, make_eq_scan,

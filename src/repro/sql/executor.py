@@ -168,19 +168,20 @@ class ExecutionContext(ExecutionCounters):
         self,
         catalog: Catalog,
         params: Sequence[Any] = (),
-        *,
         observer: Optional[WriteObserver] = None,
         guard: Optional[AccessGuard] = None,
         obs=DISABLED,
         explain_counts: Optional[dict[int, int]] = None,
     ):
+        # runs once per statement: every slot set inline, a params tuple kept
         self.catalog = catalog
-        self.params = tuple(params)
+        self.params = params if type(params) is tuple else tuple(params)
         self.observer = observer
         self.guard = guard
         self.obs = obs
         self.explain_counts = explain_counts
-        super().__init__()
+        self.rows_scanned = self.index_probes = 0
+        self.rows_inserted = self.rows_updated = self.rows_deleted = 0
 
     # -- guarded table access ------------------------------------------------
 
@@ -274,20 +275,22 @@ class SeqScan:
 
 
 class IndexScan:
-    """Equality probe into a hash index, plus optional residual filter."""
+    """Equality probe into a hash index, plus optional residual filter.
 
-    __slots__ = ("table_name", "index_name", "key_fns", "pred", "op_id")
+    ``key_fn(row, params)`` builds the whole key tuple in one call."""
+
+    __slots__ = ("table_name", "index_name", "key_fn", "pred", "op_id")
 
     def __init__(
         self,
         table_name: str,
         index_name: str,
-        key_fns: Sequence[ValueFn],
+        key_fn: Callable[[Sequence[Any], Sequence[Any]], tuple],
         pred: Optional[Predicate] = None,
     ):
         self.table_name = table_name
         self.index_name = index_name
-        self.key_fns = tuple(key_fns)
+        self.key_fn = key_fn
         self.pred = pred
         self.op_id = -1
 
@@ -295,9 +298,9 @@ class IndexScan:
         table = ctx.read_table(self.table_name)
         index = table.index(self.index_name)
         params = ctx.params
-        key = tuple(fn(_NO_ROW, params) for fn in self.key_fns)
+        key = self.key_fn(_NO_ROW, params)
         ctx.index_probes += 1
-        if any(v is None for v in key):
+        if None in key:
             return  # col = NULL never matches
         pred = self.pred
         visible = table.is_visible

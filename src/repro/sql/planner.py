@@ -10,7 +10,9 @@ precompiled single-frame callables with no AST walking, no string
 handling, and no dictionary lookups per row.
 
 The physical choices are priced in :mod:`repro.sql.costing`; this module
-compiles each statement kind around them.  UPDATE and DELETE run the same
+compiles each statement kind around them.  A point statement — a plan
+whose scan probes a unique index — runs as one probe in one frame
+(:func:`_point_runner`).  Other UPDATEs and DELETEs run the same
 access-path machinery, then **materialise the matching rowids before the
 first mutation** — this is what lets :meth:`Table.scan` iterate without a
 defensive copy.
@@ -50,7 +52,7 @@ from .ast import (
     max_param_index,
     walk,
 )
-from .compile import compile_expr, compile_predicate
+from .compile import compile_expr, compile_predicate, compile_row
 from .costing import (
     _OTHER_SELECTIVITY,
     _VALUE_SCOPE,
@@ -61,7 +63,7 @@ from .costing import (
     combine_conjuncts,
     split_conjuncts,
 )
-from .executor import ExecutionContext, ResultSet, null_safe_key, sort_rows
+from .executor import ExecutionContext, IndexScan, ResultSet, null_safe_key, sort_rows
 from .expressions import Compiled, Scope, SlotRef, transform
 from .functions import make_accumulator
 from .parser import parse
@@ -189,10 +191,8 @@ def plan(
         prepared = _plan_select(stmt, catalog, sql, env)
     elif isinstance(stmt, Insert):
         prepared = _plan_insert(stmt, catalog, sql, env)
-    elif isinstance(stmt, Update):
-        prepared = _plan_update(stmt, catalog, sql, env)
-    elif isinstance(stmt, Delete):
-        prepared = _plan_delete(stmt, catalog, sql, env)
+    elif isinstance(stmt, (Update, Delete)):
+        prepared = _plan_write(stmt, catalog, sql, env)
     else:
         raise PlanningError(f"cannot plan statement of type {type(stmt).__name__}")
     prepared.row_bands = env.row_bands()
@@ -445,7 +445,10 @@ def _plan_select(stmt: Select, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
             )
 
         out_names = tuple(_output_name(item, i) for i, item in enumerate(stmt.items))
-        out_fns = [over_group(item.expr, "select list") for item in stmt.items]
+        project = compile_row(
+            [_rewrite_grouped(item.expr, mapping, scope, "select list") for item in stmt.items],
+            _VALUE_SCOPE,
+        )
         having_pred = (
             over_group_pred(stmt.having, "HAVING") if stmt.having is not None else None
         )
@@ -454,7 +457,7 @@ def _plan_select(stmt: Select, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
         if stmt.having is not None:
             raise PlanningError("HAVING requires GROUP BY or an aggregate")
         out_names_list: list[str] = []
-        out_fns = []
+        out_exprs: list[Expr] = []
         for i, item in enumerate(stmt.items):
             if item.star:
                 if item.star_qualifier:
@@ -471,11 +474,12 @@ def _plan_select(stmt: Select, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
                 columns = [(n, s) for n, s in columns if not is_hidden_column(n)]
                 for name, slot in columns:
                     out_names_list.append(name)
-                    out_fns.append(compile_expr(SlotRef(slot), scope))
+                    out_exprs.append(SlotRef(slot))
             else:
                 out_names_list.append(_output_name(item, i))
-                out_fns.append(compile_expr(item.expr, scope))
+                out_exprs.append(item.expr)
         out_names = tuple(out_names_list)
+        project = compile_row(out_exprs, scope)
         having_pred = None
         key_fns = []
         agg_specs = []
@@ -496,6 +500,16 @@ def _plan_select(stmt: Select, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
         "order_by": bool(stmt.order_by),
         "post_join_filter": len(post_join),
     }
+
+    if (
+        scan_info.get("unique")
+        and not join_steps and not grouped and not distinct and not order_fns
+        and limit_fn is None and offset_fn is None
+    ):
+        point = _point_runner("select", scan, out_names, project)
+        return PreparedStatement(
+            sql, "select", param_count, point, columns=out_names, plan_info=plan_info
+        )
 
     def run(ctx: ExecutionContext) -> ResultSet:
         params = ctx.params
@@ -531,7 +545,7 @@ def _plan_select(stmt: Select, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
         if order_fns:
             pairs: list[tuple[tuple, tuple]] = []
             for row in source_rows:
-                out = tuple(fn(row, params) for fn in out_fns)
+                out = project(row, params)
                 if seen is not None:
                     if out in seen:
                         continue
@@ -551,7 +565,7 @@ def _plan_select(stmt: Select, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
                 bound = limit_fn(params) + (offset_fn(params) if offset_fn is not None else 0)
             out_rows = []
             for row in source_rows:
-                out = tuple(fn(row, params) for fn in out_fns)
+                out = project(row, params)
                 if seen is not None:
                     if out in seen:
                         continue
@@ -735,11 +749,71 @@ def _plan_insert(stmt: Insert, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
 
 
 # ---------------------------------------------------------------------------
+# Point statements — one unique-key probe, in one frame
+# ---------------------------------------------------------------------------
+
+
+def _point_runner(
+    kind: str,
+    scan: IndexScan,
+    columns: tuple[str, ...] = (),
+    build: Optional[Callable[[tuple, Sequence[Any]], tuple]] = None,
+) -> Runner:
+    """The runner of a SELECT, UPDATE or DELETE whose plan probes a unique
+    index (``scan_info["unique"]``), so at most one row matches: guard,
+    key, probe, visibility, residual, then project / update / delete, with
+    no scan generator, and counters bumped exactly as :class:`IndexScan`
+    bumps them.  ``build(row, params)`` is the SELECT's projection or the
+    UPDATE's new row."""
+    table_name, index_name = scan.table_name, scan.index_name
+    key_fn, pred, op_id = scan.key_fn, scan.pred, scan.op_id
+    writes = kind != "select"
+
+    def run_point(ctx: ExecutionContext) -> ResultSet:
+        # the access guard admits writes to plain tables only, and those
+        # it never hides from reads: one guarded lookup serves both
+        table = ctx.write_table(table_name) if writes else ctx.read_table(table_name)
+        params = ctx.params
+        key = key_fn((), params)
+        ctx.index_probes += 1
+        if None in key:
+            return ResultSet(columns, [])  # col = NULL never matches
+        rowid = next(table.index(index_name).lookup(key), None)
+        row = None if rowid is None else table.get(rowid)
+        if row is not None:
+            if not table.is_visible(row):
+                row = None
+            else:
+                ctx.rows_scanned += 1
+                if pred is not None and not pred(row, params):
+                    row = None
+        counts = ctx.explain_counts
+        if counts is not None:
+            counts[op_id] = counts.get(op_id, 0) + (row is not None)
+        if row is None:
+            return ResultSet(columns, [])
+        if kind == "select":
+            return ResultSet(columns, [build(row, params)])
+        if kind == "update":
+            ctx.update(table, rowid, build(row, params))
+        else:
+            ctx.delete(table, rowid)
+        return ResultSet((), [], rowcount=1)
+
+    return run_point
+
+
+# ---------------------------------------------------------------------------
 # UPDATE / DELETE planning — index-aware, materialise-then-mutate
 # ---------------------------------------------------------------------------
 
 
-def _plan_update(stmt: Update, catalog: Catalog, sql: str, env: PlanEnv) -> PreparedStatement:
+def _plan_write(
+    stmt: Update | Delete, catalog: Catalog, sql: str, env: PlanEnv
+) -> PreparedStatement:
+    """UPDATE and DELETE: one access path, then a point runner or the
+    materialise-then-mutate loop."""
+    kind = "update" if isinstance(stmt, Update) else "delete"
     table = catalog.table(stmt.table.name)
     schema = table.schema
     param_count = max_param_index(stmt)
@@ -752,22 +826,28 @@ def _plan_update(stmt: Update, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
     scan.op_id = 0
     scan_info["op_id"] = 0
 
-    assignments: list[tuple[int, Compiled]] = []
-    seen_cols: set[int] = set()
-    for a in stmt.assignments:
+    assigned: dict[int, Expr] = {}
+    for a in stmt.assignments if kind == "update" else ():
         pos = schema.position(a.column)
-        if pos in seen_cols:
+        if pos in assigned:
             raise PlanningError(f"column {a.column!r} assigned twice in UPDATE")
-        seen_cols.add(pos)
-        assignments.append((pos, compile_expr(a.value, scope)))
+        assigned[pos] = a.value
+    # the updated row in one generated frame: SET values, else the old slots
+    new_row = (
+        compile_row([assigned.get(i, SlotRef(i)) for i in range(schema.arity())], scope)
+        if kind == "update" else None
+    )
 
     table_name = table.name
     plan_info = {
-        "kind": "update",
+        "kind": kind,
         "table": table_name,
         "scan": scan_info,
         "estimated_rows": int(round(est)),
     }
+    if scan_info.get("unique"):
+        point = _point_runner(kind, scan, build=new_row)
+        return PreparedStatement(sql, kind, param_count, point, plan_info=plan_info)
 
     def run(ctx: ExecutionContext) -> ResultSet:
         t = ctx.write_table(table_name)
@@ -775,46 +855,11 @@ def _plan_update(stmt: Update, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
         # Materialise matches before the first mutation: Table.scan() hands
         # out a live iterator over its row dict (see table.py).
         targets = list(scan(ctx))
-        n = 0
         for rowid, row in targets:
-            new = list(row)
-            for pos, fn in assignments:
-                new[pos] = fn(row, params)
-            ctx.update(t, rowid, new)
-            n += 1
-        return ResultSet((), [], rowcount=n)
+            if kind == "delete":
+                ctx.delete(t, rowid)
+            else:
+                ctx.update(t, rowid, new_row(row, params))
+        return ResultSet((), [], rowcount=len(targets))
 
-    return PreparedStatement(sql, "update", param_count, run, plan_info=plan_info)
-
-
-def _plan_delete(stmt: Delete, catalog: Catalog, sql: str, env: PlanEnv) -> PreparedStatement:
-    table = catalog.table(stmt.table.name)
-    schema = table.schema
-    param_count = max_param_index(stmt)
-
-    scope = Scope()
-    scope.add_source(stmt.table.binding, schema)
-    scan, est, scan_info = choose_scan(
-        stmt.where, table, scope, schema.arity(), env
-    )
-    scan.op_id = 0
-    scan_info["op_id"] = 0
-    table_name = table.name
-    plan_info = {
-        "kind": "delete",
-        "table": table_name,
-        "scan": scan_info,
-        "estimated_rows": int(round(est)),
-    }
-
-    def run(ctx: ExecutionContext) -> ResultSet:
-        t = ctx.write_table(table_name)
-        # Same materialise-then-mutate contract as UPDATE.
-        targets = list(scan(ctx))
-        n = 0
-        for rowid, _row in targets:
-            ctx.delete(t, rowid)
-            n += 1
-        return ResultSet((), [], rowcount=n)
-
-    return PreparedStatement(sql, "delete", param_count, run, plan_info=plan_info)
+    return PreparedStatement(sql, kind, param_count, run, plan_info=plan_info)

@@ -253,22 +253,28 @@ class Table:
     def update_row(self, rowid: int, new_values: Sequence[Any]) -> tuple:
         """Replace the row at ``rowid``; returns the old row (for undo).
 
-        The new row's index keys are computed exactly once and shared
-        between the unique check and index maintenance.
+        Only indexes whose key the update changes are touched: each
+        index's old and new key are computed once, and the unique check
+        and the delete/insert run for the changed keys alone.  A unique
+        key the update leaves unchanged can only belong to this row, so it
+        needs no check.  Every check runs before the first index write, so
+        a violation leaves the table unchanged.
         """
         old = self._rows.get(rowid)
         if old is None:
             raise NoSuchRowError(f"no row {rowid} in table {self.name!r}")
         new = self.schema.coerce_row(new_values)
-        new_keyed = self._index_keys(new)
-        self._check_unique_keyed(new_keyed, ignore_rowid=rowid)
         key_of = self.schema.key_of
-        for index, new_key in new_keyed:
+        changed = []
+        for index in self.indexes.values():
             old_key = key_of(old, index.key_columns)
-            if None in old_key:
-                old_key = None
+            new_key = key_of(new, index.key_columns)
             if old_key != new_key:
-                if old_key is not None:
+                changed.append((index, old_key, None if None in new_key else new_key))
+        if changed:
+            self._check_unique_keyed([(i, new_key) for i, _, new_key in changed], ignore_rowid=rowid)
+            for index, old_key, new_key in changed:
+                if None not in old_key:  # NULL keys are never indexed
                     index.delete(old_key, rowid)
                 if new_key is not None:
                     index.insert(new_key, rowid)

@@ -216,6 +216,39 @@ class TestWireFaults:
         assert wait_until(lambda: db.stats()["server"]["protocol_errors"] == 1)
         assert db.stats("transactions") == txns_before  # engine never touched
 
+    @pytest.mark.parametrize("after_hello", [False, True], ids=["handshake", "session"])
+    def test_non_object_record_gets_error_frame_then_close(self, db, server, after_hello):
+        sock = raw_connection(server)
+        try:
+            if after_hello:
+                send_frame(sock, {"op": "hello", "protocol": PROTOCOL_VERSION})
+                recv_frame(sock)
+            send_frame(sock, ["execute", "SELECT 1"])  # well framed, but a list
+            reply, _ = recv_frame(sock)
+            assert reply["ok"] is False and reply["error"] == "ProtocolError"
+            assert "not an object" in reply["message"]
+            with pytest.raises(ConnectionClosedError):
+                recv_frame(sock)
+        finally:
+            sock.close()
+        assert wait_until(lambda: db.stats()["server"]["protocol_errors"] == 1)
+
+    def test_non_string_op_errors_but_keeps_connection(self, db, server):
+        sock = raw_connection(server)
+        try:
+            send_frame(sock, {"op": "hello", "protocol": PROTOCOL_VERSION})
+            recv_frame(sock)
+            for op in (["execute"], {"a": 1}, 7, None):
+                send_frame(sock, {"op": op})
+                reply, _ = recv_frame(sock)
+                assert reply["ok"] is False and reply["error"] == "ProtocolError"
+                assert "unknown op" in reply["message"]
+            send_frame(sock, {"op": "ping"})
+            assert recv_frame(sock)[0]["value"] == "pong"
+        finally:
+            sock.close()
+        assert db.stats()["server"]["requests"]["?"] == 4
+
     def test_oversized_request_rejected_by_server(self, db):
         with ReproServer(db, max_frame_bytes=2048) as srv:
             with client(srv, max_frame_bytes=1 << 20) as c:

@@ -179,6 +179,24 @@ def test_linear_road_statements_probe_instead_of_scanning(refs):
     assert scanned[0] / input_rows <= 10
 
 
+LINEAR_ROAD_EVENTS = {
+    "client_submit": 6, "index_probes": 249, "pe_trigger": 12,
+    "procedure_call": 12, "rows_inserted": 101, "rows_scanned": 175,
+    "rows_updated": 86, "sql_plan": 12, "sql_stmt": 295, "txn_begin": 18,
+    "txn_commit": 18, "txn_implicit": 6,
+}
+
+
+def test_linear_road_event_counts_are_pinned(refs):
+    # the work one Database does for the smoke script, event by event: a
+    # faster statement path that skips or repeats a probe, a scan or a
+    # write changes a count here
+    s, ops, _ref = refs["linear_road"]
+    with closing(_single_db(s)) as db:
+        run_ops(db, ops)
+        assert db.stats("events") == LINEAR_ROAD_EVENTS
+
+
 def test_fraud_alerts_match_pure_python_oracle(refs):
     s, ops, ref = refs["fraud"]
     assert ref.tables["alerts"] == s.expected_alerts(ops)
