@@ -113,7 +113,6 @@ class Database(StatsSections):
         recovery: str = "strong",
         bootstrap=None,
         group_commit: int = 8,
-        group_commit_bytes: int = 64 * 1024,
         verify_recovery: bool = False,
         readonly: bool = False,
         obs=None,
@@ -139,8 +138,8 @@ class Database(StatsSections):
                 before recovery; also runs when given without
                 ``recovery_dir`` (pure convenience).
             group_commit: command-log records buffered per fsync (1 =
-                synchronous logging; the default batches 8).
-            group_commit_bytes: byte threshold that also forces a flush.
+                synchronous logging; the default batches 8); 64 KiB of
+                buffered records also force one.
             verify_recovery: with ``recovery="weak"``, additionally run
                 strong recovery on a read-only shadow and raise
                 :class:`RecoveryError` unless both reach the identical
@@ -222,7 +221,6 @@ class Database(StatsSections):
                 mode=recovery,
                 bootstrap=bootstrap,
                 group_size=group_commit,
-                group_bytes=group_commit_bytes,
                 verify=verify_recovery,
                 readonly=readonly,
             )

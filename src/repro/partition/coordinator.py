@@ -14,7 +14,7 @@ Routing rules
 * ``ingest(stream, rows)`` — the batch splits by the stream's registered
   partition column; each partition applies its sub-batch as one local
   transaction on its **own** batch-id sequence.  Sub-batches are posted
-  pipelined (bounded by ``max_inflight`` per worker), so ingest throughput
+  pipelined (bounded by ``MAX_INFLIGHT`` per worker), so ingest throughput
   scales with workers instead of serialising on round trips.
 * ``call(name, *args, key=...)`` / ``execute(sql, params, key=...)`` —
   an explicit ``key`` routes the whole request to ``partition_of(key)``
@@ -85,6 +85,10 @@ from ..sql.lexer import TokenType, tokenize
 from .partitioning import PartitionMap
 from .rpc import Channel, open_span, settle
 from .worker import InlineWorker, PartitionInfo, worker_main
+
+#: pipelining bound: unanswered requests allowed per worker before ingest
+#: blocks collecting replies
+MAX_INFLIGHT = 32
 
 
 class _ProcessHandle:
@@ -175,8 +179,6 @@ class PartitionedDatabase(StatsSections):
             ``<recovery_dir>/p00i``.
         recovery: ``"strong"`` or ``"weak"`` (forwarded to every worker).
         group_commit: per-worker command-log group-commit size.
-        max_inflight: pipelining bound — unanswered requests allowed per
-            worker before ingest blocks collecting replies.
         obs: observability spec (``None``/``"off"``/``"metrics"``/
             ``"full"`` or an :class:`~repro.obs.Observability` for the
             coordinator side).  Workers get their own registry/tracer
@@ -198,7 +200,6 @@ class PartitionedDatabase(StatsSections):
         recovery_dir: Optional[str | Path] = None,
         recovery: str = "strong",
         group_commit: int = 8,
-        max_inflight: int = 32,
         obs=None,
     ):
         if workers not in ("process", "inline"):
@@ -209,7 +210,6 @@ class PartitionedDatabase(StatsSections):
             self.partition_map.set_partition_key(table, column)
         self.num_partitions = num_partitions
         self.workers = workers
-        self._max_inflight = max_inflight
         #: routing / protocol tallies, reported by :meth:`stats`
         self.routing: Counter[str] = Counter()
         super().__init__()  # the registered stats sections
@@ -354,7 +354,7 @@ class PartitionedDatabase(StatsSections):
             self.routing["ingest_rows"] += len(rows)
             for pid, sub in buckets:
                 self.routing["ingest_sub_batches"] += 1
-                while len(self._pending[pid]) >= self._max_inflight:
+                while len(self._pending[pid]) >= MAX_INFLIGHT:
                     self._pump(pid)
                 self._post(pid, {"op": "ingest", "stream": stream,
                                  "rows": sub, "batch_id": batch_id})

@@ -16,7 +16,7 @@ builds on them):
   merely truncated.
 * **Group commit bounds the loss window, not correctness.**  Appends are
   buffered and fsynced in groups (flush when ``group_size`` records or
-  ``group_bytes`` bytes are pending).  A crash loses at most the
+  ``DEFAULT_GROUP_BYTES`` (64 KiB) are pending).  A crash loses at most the
   unflushed group — a bounded suffix of *acknowledged-but-undurable*
   commands, exactly H-Store's group-commit window.  Everything before
   the last flush is durable.
@@ -45,7 +45,8 @@ from ..obs.tracing import NOOP_SPAN
 #: Sentinel op of the one header record that starts every log file.
 HEADER_OP = "_header"
 
-#: Default group-commit thresholds (records / bytes pending before fsync).
+#: Group-commit thresholds: records pending before an fsync (the default
+#: ``group_size``) and bytes pending before one (fixed).
 DEFAULT_GROUP_SIZE = 8
 DEFAULT_GROUP_BYTES = 64 * 1024
 
@@ -137,14 +138,12 @@ class CommandLog:
         base_lsn: int = 0,
         existing_records: int = 0,
         group_size: int = DEFAULT_GROUP_SIZE,
-        group_bytes: int = DEFAULT_GROUP_BYTES,
     ):
         if group_size < 1:
             raise ValueError("group_size must be >= 1")
         self.path = Path(path)
         self._events = events
         self.group_size = group_size
-        self.group_bytes = group_bytes
         self.base_lsn = base_lsn
         #: data records durably in the file (header excluded)
         self._flushed_records = existing_records
@@ -202,7 +201,10 @@ class CommandLog:
         if self.obs.enabled:
             self._append_ns.append(time.perf_counter_ns())
         self._events.log_group_commit += 1
-        if len(self._buffer) >= self.group_size or self._pending_bytes >= self.group_bytes:
+        if (
+            len(self._buffer) >= self.group_size
+            or self._pending_bytes >= DEFAULT_GROUP_BYTES
+        ):
             self.flush()
         return self.lsn
 
@@ -294,7 +296,7 @@ class CommandLog:
             "pending": len(self._buffer),
             "flushes": self._events.log_write,
             "group_size": self.group_size,
-            "group_bytes": self.group_bytes,
+            "group_bytes": DEFAULT_GROUP_BYTES,
             "failed": None if self.failure is None else str(self.failure),
         }
 

@@ -45,7 +45,7 @@ from .checkpoint import (
     prune_checkpoints,
     write_checkpoint,
 )
-from .log import DEFAULT_GROUP_BYTES, DEFAULT_GROUP_SIZE, CommandLog, scan_log
+from .log import DEFAULT_GROUP_SIZE, CommandLog, scan_log
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..engine.database import Database
@@ -70,7 +70,6 @@ class RecoveryManager:
         mode: str = "strong",
         bootstrap=None,
         group_size: int = DEFAULT_GROUP_SIZE,
-        group_bytes: int = DEFAULT_GROUP_BYTES,
         verify: bool = False,
         readonly: bool = False,
     ):
@@ -81,7 +80,6 @@ class RecoveryManager:
         self.mode = mode
         self.bootstrap = bootstrap
         self.group_size = group_size
-        self.group_bytes = group_bytes
         self.verify = verify
         self.readonly = readonly
         self._log: Optional[CommandLog] = None
@@ -231,7 +229,6 @@ class RecoveryManager:
                 base_lsn=base,
                 existing_records=len(records),
                 group_size=self.group_size,
-                group_bytes=self.group_bytes,
             )
         else:
             # No usable log (missing, empty, or wholly predating the
@@ -243,7 +240,6 @@ class RecoveryManager:
                 self._db.events,
                 base_lsn=ckpt_lsn,
                 group_size=self.group_size,
-                group_bytes=self.group_bytes,
             )
         # group-commit spans ("log.fsync") and buffer-wait timings land in
         # the owning database's observability registry

@@ -10,13 +10,16 @@ The subset covers everything the paper's stored procedures need:
 * positional ``?`` parameters everywhere an expression may appear.
 
 All nodes are frozen dataclasses so prepared statements are immutable and
-safely shareable between transaction executions.
+safely shareable between transaction executions.  Each expression node
+names its child fields once, in ``_children``; :func:`children`,
+:func:`map_children` and :func:`walk` read them from there, so a
+traversal needs no branch per node type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Any, ClassVar, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Expressions
@@ -24,9 +27,15 @@ from typing import Any, Optional, Union
 
 
 class Expr:
-    """Marker base class for expression nodes."""
+    """Base class for expression nodes.
+
+    ``_children`` names the fields that hold sub-expressions, in
+    evaluation order; a field holds an expression, ``None``, or a tuple
+    of them (nested, for CASE's ``(condition, value)`` pairs).
+    """
 
     __slots__ = ()
+    _children: ClassVar[tuple[str, ...]] = ()
 
 
 @dataclass(frozen=True)
@@ -54,12 +63,16 @@ class Param(Expr):
 
 @dataclass(frozen=True)
 class Unary(Expr):
+    _children = ("operand",)
+
     op: str  # '-', '+', 'not'
     operand: Expr
 
 
 @dataclass(frozen=True)
 class Binary(Expr):
+    _children = ("left", "right")
+
     op: str  # '+','-','*','/','%','=','<>','<','<=','>','>=','and','or'
     left: Expr
     right: Expr
@@ -69,6 +82,8 @@ class Binary(Expr):
 class FuncCall(Expr):
     """Scalar or aggregate function call; ``star`` marks ``COUNT(*)``."""
 
+    _children = ("args",)
+
     name: str
     args: tuple[Expr, ...]
     distinct: bool = False
@@ -77,6 +92,8 @@ class FuncCall(Expr):
 
 @dataclass(frozen=True)
 class InList(Expr):
+    _children = ("expr", "items")
+
     expr: Expr
     items: tuple[Expr, ...]
     negated: bool = False
@@ -84,6 +101,8 @@ class InList(Expr):
 
 @dataclass(frozen=True)
 class Between(Expr):
+    _children = ("expr", "low", "high")
+
     expr: Expr
     low: Expr
     high: Expr
@@ -92,12 +111,16 @@ class Between(Expr):
 
 @dataclass(frozen=True)
 class IsNull(Expr):
+    _children = ("expr",)
+
     expr: Expr
     negated: bool = False
 
 
 @dataclass(frozen=True)
 class Like(Expr):
+    _children = ("expr", "pattern")
+
     expr: Expr
     pattern: Expr
     negated: bool = False
@@ -106,6 +129,8 @@ class Like(Expr):
 @dataclass(frozen=True)
 class Case(Expr):
     """``CASE WHEN cond THEN val ... [ELSE val] END`` (searched form)."""
+
+    _children = ("whens", "else_")
 
     whens: tuple[tuple[Expr, Expr], ...]
     else_: Optional[Expr] = None
@@ -197,36 +222,41 @@ Statement = Union[Select, Insert, Update, Delete]
 AGGREGATE_FUNCTIONS = frozenset({"count", "sum", "avg", "min", "max"})
 
 
+def _flatten(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _flatten(item)
+    elif value is not None:
+        yield value
+
+
+def children(expr: Expr):
+    """The direct sub-expressions of ``expr``, in evaluation order."""
+    for name in expr._children:
+        yield from _flatten(getattr(expr, name))
+
+
+def _map_field(value, fn):
+    if isinstance(value, tuple):
+        return tuple(_map_field(item, fn) for item in value)
+    return None if value is None else fn(value)
+
+
+def map_children(expr: Expr, fn) -> Expr:
+    """A copy of ``expr`` with ``fn`` applied to each direct child
+    (``expr`` itself when it has no child fields)."""
+    if not expr._children:
+        return expr
+    return replace(
+        expr, **{name: _map_field(getattr(expr, name), fn) for name in expr._children}
+    )
+
+
 def walk(expr: Expr):
     """Depth-first pre-order traversal of an expression tree."""
     yield expr
-    if isinstance(expr, Unary):
-        yield from walk(expr.operand)
-    elif isinstance(expr, Binary):
-        yield from walk(expr.left)
-        yield from walk(expr.right)
-    elif isinstance(expr, FuncCall):
-        for a in expr.args:
-            yield from walk(a)
-    elif isinstance(expr, InList):
-        yield from walk(expr.expr)
-        for item in expr.items:
-            yield from walk(item)
-    elif isinstance(expr, Between):
-        yield from walk(expr.expr)
-        yield from walk(expr.low)
-        yield from walk(expr.high)
-    elif isinstance(expr, IsNull):
-        yield from walk(expr.expr)
-    elif isinstance(expr, Like):
-        yield from walk(expr.expr)
-        yield from walk(expr.pattern)
-    elif isinstance(expr, Case):
-        for cond, val in expr.whens:
-            yield from walk(cond)
-            yield from walk(val)
-        if expr.else_ is not None:
-            yield from walk(expr.else_)
+    for child in children(expr):
+        yield from walk(child)
 
 
 def contains_aggregate(expr: Expr) -> bool:

@@ -1,38 +1,42 @@
-"""Expression trees → generated Python code (the compiled executor).
+"""Expression trees → generated Python code: the SQL expression evaluator.
 
-:mod:`repro.sql.expressions` compiles an expression into a *closure tree*:
-one Python frame per AST node per row.  That is fine for planning-time
-values but is the dominant per-row cost of hot filters.  This module
-instead **generates Python source** for the whole expression — straight-
-line statements over ``row``/``params`` with explicit temporaries — and
-``compile()``s it once at plan time, so evaluating a predicate is a single
-stack frame with inlined column loads, comparisons, and arithmetic.
-
-Semantics are identical to the interpreter (the property tests in
-``tests/test_compile.py`` hold the two implementations together):
+Every expression the engine evaluates — a WHERE predicate, a projection,
+an index key, an UPDATE's SET list, a constant folded at plan time — runs
+as Python source this module **generates** and ``compile()``s once at plan
+time: straight-line statements over ``row``/``params`` with explicit
+temporaries, so evaluating a predicate is a single stack frame with
+inlined column loads, comparisons, and arithmetic.  The semantics:
 
 * NULL (``None``) propagates through arithmetic and comparisons;
 * ``AND``/``OR`` follow Kleene three-valued logic **with short-circuit
   evaluation** (the right side is not evaluated when the left decides);
-* CASE evaluates WHEN conditions lazily, in order;
+* CASE evaluates WHEN conditions lazily, in order, and ``IN`` evaluates
+  its items left to right, stopping at the first match;
 * division/modulo keep SQL integer semantics (truncation toward zero,
-  errors on zero) by delegating to the interpreter's ``_arith``;
-* stray ``TypeError``s surface as :class:`ExpressionError`.
+  errors on zero) through :mod:`repro.sql.expressions`' ``sql_div`` and
+  ``sql_mod``;
+* a stray ``TypeError``, ``ValueError`` or ``ArithmeticError`` (an
+  operand of the wrong type, ``power`` of a negative base, an overflow)
+  surfaces as :class:`ExpressionError`.
+
+``tests/sql_oracle.py`` keeps an independent closure-tree interpreter of
+the same semantics, and ``tests/test_compile.py`` holds the generated
+code to it row by row.
 
 A **constant-folding** pass runs first: any pure all-literal subtree is
-evaluated at plan time (errors like ``1/0`` are deferred, not raised), and
-the three-valued identities ``FALSE AND x → FALSE`` / ``TRUE OR x → TRUE``
-prune short-circuit branches entirely.  (``TRUE AND x`` is *not* folded to
-``x`` — AND coerces its result to a boolean, ``x`` may be numeric.)
+replaced by the literal its generated code returns (errors like ``1/0``
+are deferred to execution, not raised), and the three-valued identities
+``FALSE AND x → FALSE`` / ``TRUE OR x → TRUE`` prune short-circuit
+branches entirely.  (``TRUE AND x`` is *not* folded to ``x`` — AND
+coerces its result to a boolean, ``x`` may be numeric.)
 
-Entry points mirror the interpreter: :func:`compile_expr` yields a
-``(row, params) -> value`` callable; :func:`compile_predicate` yields a
-WHERE-style ``(row, params) -> bool`` (NULL → not satisfied) with the
-coercion generated inline instead of paying a wrapper frame per row;
+Entry points: :func:`compile_expr` yields a ``(row, params) -> value``
+callable; :func:`compile_predicate` yields a WHERE-style
+``(row, params) -> bool`` (NULL → not satisfied) with the coercion
+generated inline instead of paying a wrapper frame per row;
 :func:`compile_row` yields one ``(row, params) -> tuple`` frame for a
-whole projection, index key or updated row.  Unsupported nodes (there
-are none today; the hook guards future AST growth) fall back to the
-interpreter.
+whole projection, index key or updated row.  A node the generator does
+not know raises :class:`PlanningError`.
 """
 
 from __future__ import annotations
@@ -55,25 +59,21 @@ from .ast import (
     Literal,
     Param,
     Unary,
+    map_children,
+    walk,
 )
 from .expressions import (
     SCALAR_FUNCTIONS,
     Compiled,
     Scope,
     SlotRef,
-    _arith,
     _truthy,
     like_match,
+    sql_div,
+    sql_mod,
 )
-from .expressions import compile_expr as interpret_expr
-from .expressions import predicate as interpret_predicate
 
 __all__ = ["compile_expr", "compile_predicate", "compile_row", "fold_constants"]
-
-
-class _Unsupported(Exception):
-    """Internal: node the code generator cannot handle (fall back)."""
-
 
 # ---------------------------------------------------------------------------
 # Constant folding
@@ -82,35 +82,18 @@ class _Unsupported(Exception):
 _EMPTY_SCOPE = Scope()
 
 
+def _pure(node: Expr) -> bool:
+    """True when ``node`` itself reads nothing but its children."""
+    if not node._children:
+        return isinstance(node, Literal)  # a column, slot or parameter varies
+    if isinstance(node, FuncCall):  # aggregates and unknown names never fold
+        return not node.star and node.name in SCALAR_FUNCTIONS
+    return True
+
+
 def _is_const(expr: Expr) -> bool:
     """True when ``expr`` is a pure function of literals only."""
-    if isinstance(expr, Literal):
-        return True
-    if isinstance(expr, (Param, ColumnRef, SlotRef)):
-        return False
-    if isinstance(expr, Unary):
-        return _is_const(expr.operand)
-    if isinstance(expr, Binary):
-        return _is_const(expr.left) and _is_const(expr.right)
-    if isinstance(expr, FuncCall):
-        if expr.star or expr.name in AGGREGATE_FUNCTIONS:
-            return False
-        if expr.name not in SCALAR_FUNCTIONS:
-            return False  # unknown function: let compilation raise PlanningError
-        return all(_is_const(a) for a in expr.args)
-    if isinstance(expr, InList):
-        return _is_const(expr.expr) and all(_is_const(i) for i in expr.items)
-    if isinstance(expr, Between):
-        return _is_const(expr.expr) and _is_const(expr.low) and _is_const(expr.high)
-    if isinstance(expr, IsNull):
-        return _is_const(expr.expr)
-    if isinstance(expr, Like):
-        return _is_const(expr.expr) and _is_const(expr.pattern)
-    if isinstance(expr, Case):
-        return all(
-            _is_const(c) and _is_const(v) for c, v in expr.whens
-        ) and (expr.else_ is None or _is_const(expr.else_))
-    return False
+    return all(_pure(node) for node in walk(expr))
 
 
 def _literal_bool(expr: Expr) -> Any:
@@ -127,59 +110,22 @@ def _literal_bool(expr: Expr) -> Any:
 def fold_constants(expr: Expr) -> Expr:
     """Bottom-up constant folding with runtime errors deferred.
 
-    A pure all-literal subtree becomes the literal of its value;
-    a subtree whose evaluation *raises* (``1/0``) is left intact so the
-    error still surfaces at execution, exactly as interpreted.
+    A pure all-literal subtree becomes the literal its generated code
+    returns; a subtree whose evaluation *raises* (``1/0``) is left intact
+    so the error still surfaces at execution.
     """
-    if isinstance(expr, Unary):
-        expr = Unary(expr.op, fold_constants(expr.operand))
-    elif isinstance(expr, Binary):
-        left = fold_constants(expr.left)
-        right = fold_constants(expr.right)
-        expr = Binary(expr.op, left, right)
+    expr = map_children(expr, fold_constants)
+    if isinstance(expr, Binary):
         # three-valued short-circuit identities (left side only: AND/OR
         # evaluate left first, so dropping the right never skips an error)
-        if expr.op == "and" and _literal_bool(left) is False:
+        left = _literal_bool(expr.left)
+        if expr.op == "and" and left is False:
             return Literal(False)
-        if expr.op == "or" and _literal_bool(left) is True:
+        if expr.op == "or" and left is True:
             return Literal(True)
-    elif isinstance(expr, FuncCall):
-        expr = FuncCall(
-            expr.name,
-            tuple(fold_constants(a) for a in expr.args),
-            distinct=expr.distinct,
-            star=expr.star,
-        )
-    elif isinstance(expr, InList):
-        expr = InList(
-            fold_constants(expr.expr),
-            tuple(fold_constants(i) for i in expr.items),
-            negated=expr.negated,
-        )
-    elif isinstance(expr, Between):
-        expr = Between(
-            fold_constants(expr.expr),
-            fold_constants(expr.low),
-            fold_constants(expr.high),
-            negated=expr.negated,
-        )
-    elif isinstance(expr, IsNull):
-        expr = IsNull(fold_constants(expr.expr), negated=expr.negated)
-    elif isinstance(expr, Like):
-        expr = Like(
-            fold_constants(expr.expr),
-            fold_constants(expr.pattern),
-            negated=expr.negated,
-        )
-    elif isinstance(expr, Case):
-        expr = Case(
-            tuple((fold_constants(c), fold_constants(v)) for c, v in expr.whens),
-            fold_constants(expr.else_) if expr.else_ is not None else None,
-        )
-
     if not isinstance(expr, Literal) and _is_const(expr):
         try:
-            value = interpret_expr(expr, _EMPTY_SCOPE)((), ())
+            value = _generate(expr, _EMPTY_SCOPE, as_predicate=False)((), ())
         except ExpressionError:
             return expr  # deferred runtime error (division by zero, ...)
         return Literal(value)
@@ -190,12 +136,12 @@ def fold_constants(expr: Expr) -> Expr:
 # Code generation
 # ---------------------------------------------------------------------------
 
-def _div(a: Any, b: Any) -> Any:
-    return _arith("/", a, b)
-
-
-def _mod(a: Any, b: Any) -> Any:
-    return _arith("%", a, b)
+def _expression_error(exc: Exception) -> ExpressionError:
+    """What a generated frame raises for a Python error inside it."""
+    if isinstance(exc, IndexError):
+        return ExpressionError(f"parameter binding error: {exc}")
+    kind = "type" if isinstance(exc, TypeError) else "value"
+    return ExpressionError(f"{kind} error in expression: {exc}")
 
 
 _CMP_OPS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
@@ -218,10 +164,10 @@ class _Codegen:
         self.lines: list[str] = []
         self.env: dict[str, Any] = {
             "_t": _truthy,
-            "_EE": ExpressionError,
+            "_error": _expression_error,
             "_like": like_match,
-            "_div": _div,
-            "_mod": _mod,
+            "_div": sql_div,
+            "_mod": sql_mod,
         }
         self._n = 0
 
@@ -303,7 +249,7 @@ class _Codegen:
             self._gen_case(list(expr.whens), expr.else_, depth, t)
             return t, False
 
-        raise _Unsupported(type(expr).__name__)
+        raise PlanningError(f"cannot compile expression node {type(expr).__name__}")
 
     def _gen_unary(self, expr: Unary, depth: int) -> tuple[str, bool]:
         a, a_bool = self.gen(expr.operand, depth)
@@ -413,25 +359,26 @@ class _Codegen:
             self.emit(depth, "else:")
             self.emit(depth + 1, f"{t} = {'None' if has_null else repr(negated)}")
             return t, True
-        saw = self.tmp()
-        loop_var = self.tmp()
-        self.emit(depth, f"if {tgt} is None:")
-        self.emit(depth + 1, f"{t} = None")
-        self.emit(depth, "else:")
-        # items are evaluated lazily, inside the else-branch, matching the
-        # interpreter (a NULL target never evaluates the list)
-        items = [self.gen(i, depth + 1)[0] for i in expr.items]
-        self.emit(depth + 1, f"{saw} = False")
+        # items are evaluated left to right and only until one matches;
+        # a NULL target evaluates none of them
+        hit, saw = self.tmp(), self.tmp()
+        self.emit(depth, f"{t} = None")
+        self.emit(depth, f"if {tgt} is not None:")
+        depth += 1
+        self.emit(depth, f"{hit} = {saw} = False")
+        for k, item in enumerate(expr.items):
+            inner = depth + 1 if k else depth
+            if k:
+                self.emit(depth, f"if not {hit}:")
+            v, _ = self.gen(item, inner)
+            self.emit(inner, f"if {v} is None:")
+            self.emit(inner + 1, f"{saw} = True")
+            self.emit(inner, f"elif {v} == {tgt}:")
+            self.emit(inner + 1, f"{hit} = True")
+        self.emit(depth, f"if {hit}:")
+        self.emit(depth + 1, f"{t} = {(not negated)!r}")
+        self.emit(depth, f"elif not {saw}:")
         self.emit(depth + 1, f"{t} = {negated!r}")
-        self.emit(depth + 1, f"for {loop_var} in ({', '.join(items)},):")
-        self.emit(depth + 2, f"if {loop_var} is None:")
-        self.emit(depth + 3, f"{saw} = True")
-        self.emit(depth + 2, f"elif {loop_var} == {tgt}:")
-        self.emit(depth + 3, f"{t} = {(not negated)!r}")
-        self.emit(depth + 3, "break")
-        self.emit(depth + 1, "else:")
-        self.emit(depth + 2, f"if {saw}:")
-        self.emit(depth + 3, f"{t} = None")
         return t, True
 
     def _gen_between(self, expr: Between, depth: int) -> tuple[str, bool]:
@@ -516,12 +463,8 @@ def _define(g: _Codegen) -> Callable:
         "def _compiled(row, params):\n"
         "    try:\n"
         f"{body}\n"
-        "    except _EE:\n"
-        "        raise\n"
-        "    except TypeError as exc:\n"
-        "        raise _EE(f\"type error in expression: {exc}\") from None\n"
-        "    except IndexError as exc:\n"
-        "        raise _EE(f\"parameter binding error: {exc}\") from None\n"
+        "    except (TypeError, ValueError, ArithmeticError, IndexError) as exc:\n"
+        "        raise _error(exc) from None\n"
     )
     namespace = g.env
     exec(compile(src, "<sql-expr>", "exec"), namespace)  # noqa: S102 - plan-time codegen
@@ -531,13 +474,8 @@ def _define(g: _Codegen) -> Callable:
 
 
 def compile_expr(expr: Expr, scope: Scope) -> Compiled:
-    """Codegen counterpart of :func:`repro.sql.expressions.compile_expr`:
-    same ``(row, params) -> value`` contract, single-frame execution."""
-    expr = fold_constants(expr)
-    try:
-        return _generate(expr, scope, as_predicate=False)
-    except _Unsupported:  # pragma: no cover - all current nodes supported
-        return interpret_expr(expr, scope)
+    """Compile ``expr`` into one ``(row, params) -> value`` frame."""
+    return _generate(fold_constants(expr), scope, as_predicate=False)
 
 
 def compile_row(
@@ -547,11 +485,7 @@ def compile_row(
     frame — a projection, an index key or an updated row — evaluated left
     to right, instead of one call per value."""
     g = _Codegen(scope)
-    try:
-        atoms = [g.gen(fold_constants(expr), 2)[0] for expr in exprs]
-    except _Unsupported:  # pragma: no cover - all current nodes supported
-        fns = [compile_expr(expr, scope) for expr in exprs]
-        return lambda row, params: tuple([fn(row, params) for fn in fns])
+    atoms = [g.gen(fold_constants(expr), 2)[0] for expr in exprs]
     g.emit(2, f"return ({''.join(atom + ', ' for atom in atoms)})")
     return _define(g)
 
@@ -561,8 +495,4 @@ def compile_predicate(
 ) -> Callable[[Sequence[Any], Sequence[Any]], bool]:
     """Compile a WHERE-style predicate (NULL → not satisfied) with the
     boolean coercion generated inline — no wrapper frame per row."""
-    expr = fold_constants(expr)
-    try:
-        return _generate(expr, scope, as_predicate=True)
-    except _Unsupported:  # pragma: no cover - all current nodes supported
-        return interpret_predicate(interpret_expr(expr, scope))
+    return _generate(fold_constants(expr), scope, as_predicate=True)

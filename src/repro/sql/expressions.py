@@ -1,11 +1,17 @@
-"""Expression compilation and evaluation with SQL three-valued logic.
+"""What compiled expressions are evaluated against, and with.
 
-Expressions are compiled once (at statement-preparation time) into Python
-closures of signature ``(row, params) -> value`` where ``row`` is the flat
-tuple produced by the current plan node and ``params`` is the positional
-bind list.  NULL (``None``) propagates through arithmetic and comparisons;
-``AND``/``OR``/``NOT`` follow Kleene three-valued logic; a WHERE clause
-treats ``NULL`` as not-satisfied.
+:mod:`repro.sql.compile` turns an expression into one generated
+``(row, params) -> value`` function (:data:`Compiled`), where ``row`` is
+the flat tuple produced by the current plan node and ``params`` is the
+positional bind list.  This module holds what that code resolves names
+against and calls at run time:
+
+* :class:`Scope` maps column references to row slots, and
+  :class:`SlotRef` is the planner's direct slot reference;
+* the scalar function registry (``SCALAR_FUNCTIONS``);
+* the NULL-propagating helpers: SQL division and modulo (``sql_div``,
+  ``sql_mod``), ``LIKE`` matching, and the truth test of a condition;
+* :func:`transform`, the planner's structure-preserving rewrite.
 """
 
 from __future__ import annotations
@@ -15,21 +21,8 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from ..common.errors import ExpressionError, NoSuchColumnError, PlanningError
-from .ast import (
-    Between,
-    Binary,
-    Case,
-    ColumnRef,
-    Expr,
-    FuncCall,
-    InList,
-    IsNull,
-    Like,
-    Literal,
-    Param,
-    Unary,
-)
+from ..common.errors import ExpressionError, PlanningError
+from .ast import Expr, map_children
 
 Compiled = Callable[[Sequence[Any], Sequence[Any]], Any]
 
@@ -194,62 +187,31 @@ SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic / comparison with NULL propagation
+# Division with NULL propagation and SQL integer semantics
 # ---------------------------------------------------------------------------
 
-def _arith(op: str, a: Any, b: Any) -> Any:
+def sql_div(a: Any, b: Any) -> Any:
+    """SQL ``/``: NULL if either side is; integers truncate toward zero."""
     if a is None or b is None:
         return None
-    try:
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0:
-                raise ExpressionError("division by zero")
-            if isinstance(a, int) and isinstance(b, int):
-                # SQL integer division truncates toward zero
-                q = abs(a) // abs(b)
-                return q if (a >= 0) == (b >= 0) else -q
-            return a / b
-        if op == "%":
-            if b == 0:
-                raise ExpressionError("modulo by zero")
-            if isinstance(a, int) and isinstance(b, int):
-                r = abs(a) % abs(b)
-                return r if a >= 0 else -r
-            return math.fmod(a, b)
-    except TypeError:
-        raise ExpressionError(
-            f"invalid operands for {op!r}: {type(a).__name__}, {type(b).__name__}"
-        ) from None
-    raise ExpressionError(f"unknown arithmetic operator {op!r}")  # pragma: no cover
+    if b == 0:
+        raise ExpressionError("division by zero")
+    if isinstance(a, int) and isinstance(b, int):
+        q = abs(a) // abs(b)
+        return q if (a >= 0) == (b >= 0) else -q
+    return a / b
 
 
-def _compare(op: str, a: Any, b: Any) -> Optional[bool]:
+def sql_mod(a: Any, b: Any) -> Any:
+    """SQL ``%``: NULL if either side is; the result has the dividend's sign."""
     if a is None or b is None:
         return None
-    try:
-        if op == "=":
-            return a == b
-        if op == "<>":
-            return a != b
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        if op == ">=":
-            return a >= b
-    except TypeError:
-        raise ExpressionError(
-            f"cannot compare {type(a).__name__} with {type(b).__name__}"
-        ) from None
-    raise ExpressionError(f"unknown comparison operator {op!r}")  # pragma: no cover
+    if b == 0:
+        raise ExpressionError("modulo by zero")
+    if isinstance(a, int) and isinstance(b, int):
+        r = abs(a) % abs(b)
+        return r if a >= 0 else -r
+    return math.fmod(a, b)
 
 
 _LIKE_CACHE: dict[str, re.Pattern] = {}
@@ -270,177 +232,6 @@ def like_match(value: Any, pattern: Any) -> Optional[bool]:
     return compiled.match(str(value)) is not None
 
 
-# ---------------------------------------------------------------------------
-# Compiler
-# ---------------------------------------------------------------------------
-
-def compile_expr(expr: Expr, scope: Scope) -> Compiled:
-    """Compile ``expr`` into a ``(row, params) -> value`` closure.
-
-    Aggregate function calls must have been substituted away (into
-    :class:`SlotRef`) by the planner before compilation; encountering one
-    here is a planning bug surfaced as :class:`PlanningError`.
-    """
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda row, params: value
-
-    if isinstance(expr, SlotRef):
-        slot = expr.slot
-        return lambda row, params: row[slot]
-
-    if isinstance(expr, ColumnRef):
-        try:
-            slot = scope.resolve(expr.name, expr.qualifier)
-        except NoSuchColumnError as exc:
-            raise PlanningError(str(exc)) from None
-        return lambda row, params: row[slot]
-
-    if isinstance(expr, Param):
-        index = expr.index
-        def eval_param(row, params, index=index):
-            try:
-                return params[index]
-            except IndexError:
-                raise ExpressionError(
-                    f"statement requires at least {index + 1} parameters, got {len(params)}"
-                ) from None
-        return eval_param
-
-    if isinstance(expr, Unary):
-        inner = compile_expr(expr.operand, scope)
-        if expr.op == "not":
-            def eval_not(row, params):
-                v = inner(row, params)
-                if v is None:
-                    return None
-                return not _truthy(v)
-            return eval_not
-        if expr.op == "-":
-            def eval_neg(row, params):
-                v = inner(row, params)
-                return None if v is None else -v
-            return eval_neg
-        if expr.op == "+":
-            return inner
-        raise PlanningError(f"unknown unary operator {expr.op!r}")  # pragma: no cover
-
-    if isinstance(expr, Binary):
-        op = expr.op
-        left = compile_expr(expr.left, scope)
-        right = compile_expr(expr.right, scope)
-        if op == "and":
-            def eval_and(row, params):
-                a = left(row, params)
-                if a is not None and not _truthy(a):
-                    return False
-                b = right(row, params)
-                if b is not None and not _truthy(b):
-                    return False
-                if a is None or b is None:
-                    return None
-                return True
-            return eval_and
-        if op == "or":
-            def eval_or(row, params):
-                a = left(row, params)
-                if a is not None and _truthy(a):
-                    return True
-                b = right(row, params)
-                if b is not None and _truthy(b):
-                    return True
-                if a is None or b is None:
-                    return None
-                return False
-            return eval_or
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            return lambda row, params: _compare(op, left(row, params), right(row, params))
-        return lambda row, params: _arith(op, left(row, params), right(row, params))
-
-    if isinstance(expr, FuncCall):
-        from .ast import AGGREGATE_FUNCTIONS
-
-        if expr.name in AGGREGATE_FUNCTIONS:
-            raise PlanningError(
-                f"aggregate {expr.name.upper()}() not allowed in this context"
-            )
-        fn = SCALAR_FUNCTIONS.get(expr.name)
-        if fn is None:
-            raise PlanningError(f"unknown function {expr.name!r}")
-        arg_fns = [compile_expr(a, scope) for a in expr.args]
-        return lambda row, params: fn(*[f(row, params) for f in arg_fns])
-
-    if isinstance(expr, InList):
-        target = compile_expr(expr.expr, scope)
-        item_fns = [compile_expr(e, scope) for e in expr.items]
-        negated = expr.negated
-        def eval_in(row, params):
-            v = target(row, params)
-            if v is None:
-                return None
-            saw_null = False
-            for f in item_fns:
-                item = f(row, params)
-                if item is None:
-                    saw_null = True
-                elif item == v:
-                    return not negated
-            if saw_null:
-                return None
-            return negated
-        return eval_in
-
-    if isinstance(expr, Between):
-        target = compile_expr(expr.expr, scope)
-        low = compile_expr(expr.low, scope)
-        high = compile_expr(expr.high, scope)
-        negated = expr.negated
-        def eval_between(row, params):
-            v = target(row, params)
-            lo = low(row, params)
-            hi = high(row, params)
-            a = _compare(">=", v, lo)
-            b = _compare("<=", v, hi)
-            if a is None or b is None:
-                if a is False or b is False:
-                    return negated
-                return None
-            result = a and b
-            return (not result) if negated else result
-        return eval_between
-
-    if isinstance(expr, IsNull):
-        inner = compile_expr(expr.expr, scope)
-        negated = expr.negated
-        return lambda row, params: (inner(row, params) is not None) == negated
-
-    if isinstance(expr, Like):
-        target = compile_expr(expr.expr, scope)
-        pattern = compile_expr(expr.pattern, scope)
-        negated = expr.negated
-        def eval_like(row, params):
-            result = like_match(target(row, params), pattern(row, params))
-            if result is None:
-                return None
-            return (not result) if negated else result
-        return eval_like
-
-    if isinstance(expr, Case):
-        compiled_whens = [
-            (compile_expr(cond, scope), compile_expr(val, scope)) for cond, val in expr.whens
-        ]
-        else_fn = compile_expr(expr.else_, scope) if expr.else_ is not None else None
-        def eval_case(row, params):
-            for cond_fn, val_fn in compiled_whens:
-                cond = cond_fn(row, params)
-                if cond is not None and _truthy(cond):
-                    return val_fn(row, params)
-            return else_fn(row, params) if else_fn is not None else None
-        return eval_case
-
-    raise PlanningError(f"cannot compile expression node {type(expr).__name__}")
-
-
 def _truthy(value: Any) -> bool:
     if isinstance(value, bool):
         return value
@@ -449,65 +240,15 @@ def _truthy(value: Any) -> bool:
     raise ExpressionError(f"value {value!r} is not a boolean condition")
 
 
-def predicate(compiled: Compiled) -> Callable[[Sequence[Any], Sequence[Any]], bool]:
-    """Wrap a compiled expression as a WHERE predicate: NULL → not satisfied."""
-    def check(row, params):
-        v = compiled(row, params)
-        if v is None:
-            return False
-        return _truthy(v)
-    return check
-
-
 def transform(expr: Expr, fn: Callable[[Expr], Optional[Expr]]) -> Expr:
     """Structure-preserving top-down rewrite of an expression tree.
 
     ``fn`` is offered every node: returning a replacement node substitutes
     that whole subtree (no further descent); returning ``None`` descends
     into the children.  The planner builds its column-resolution and
-    grouped-row rewrites on this single walker so the per-node-type
-    recursion lives in exactly one place.
+    grouped-row rewrites on this single walker.
     """
     replaced = fn(expr)
     if replaced is not None:
         return replaced
-    if isinstance(expr, Unary):
-        return Unary(expr.op, transform(expr.operand, fn))
-    if isinstance(expr, Binary):
-        return Binary(expr.op, transform(expr.left, fn), transform(expr.right, fn))
-    if isinstance(expr, FuncCall):
-        return FuncCall(
-            expr.name,
-            tuple(transform(a, fn) for a in expr.args),
-            distinct=expr.distinct,
-            star=expr.star,
-        )
-    if isinstance(expr, InList):
-        return InList(
-            transform(expr.expr, fn),
-            tuple(transform(i, fn) for i in expr.items),
-            negated=expr.negated,
-        )
-    if isinstance(expr, Between):
-        return Between(
-            transform(expr.expr, fn),
-            transform(expr.low, fn),
-            transform(expr.high, fn),
-            negated=expr.negated,
-        )
-    if isinstance(expr, IsNull):
-        return IsNull(transform(expr.expr, fn), negated=expr.negated)
-    if isinstance(expr, Like):
-        return Like(
-            transform(expr.expr, fn),
-            transform(expr.pattern, fn),
-            negated=expr.negated,
-        )
-    if isinstance(expr, Case):
-        return Case(
-            tuple((transform(c, fn), transform(v, fn)) for c, v in expr.whens),
-            transform(expr.else_, fn) if expr.else_ is not None else None,
-        )
-    return expr
-
-
+    return map_children(expr, lambda child: transform(child, fn))

@@ -4,20 +4,27 @@ The planner instantiates one accumulator per aggregate call per group; the
 executor feeds every group row through :meth:`Accumulator.add` and reads
 :meth:`Accumulator.result` at the end.  SQL NULL handling: all aggregates
 ignore NULL inputs; ``COUNT(*)`` counts rows regardless; SUM/AVG/MIN/MAX of
-an all-NULL (or empty) input are NULL, while COUNT is 0.
+an all-NULL (or empty) input are NULL, while COUNT is 0.  An input the
+aggregate cannot combine (``SUM`` of a VARCHAR, ``MAX`` over mixed types)
+raises :class:`ExpressionError`, as it would in a scalar expression.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from ..common.errors import PlanningError
+from ..common.errors import ExpressionError, PlanningError
 
 
 class Accumulator:
     """Base class for one aggregate computation over one group."""
 
     __slots__ = ()
+
+    def _reject(self, value: Any) -> ExpressionError:
+        return ExpressionError(
+            f"{type(self).__name__.upper()} cannot combine a {type(value).__name__} value"
+        )
 
     def add(self, value: Any) -> None:
         raise NotImplementedError
@@ -62,7 +69,10 @@ class Sum(Accumulator):
 
     def add(self, value: Any) -> None:
         if value is not None:
-            self.total += value
+            try:
+                self.total += value
+            except TypeError:
+                raise self._reject(value) from None
             self.seen = True
 
     def result(self) -> Any:
@@ -78,7 +88,10 @@ class Avg(Accumulator):
 
     def add(self, value: Any) -> None:
         if value is not None:
-            self.total += value
+            try:
+                self.total += value
+            except TypeError:
+                raise self._reject(value) from None
             self.n += 1
 
     def result(self) -> Any:
@@ -92,8 +105,11 @@ class Min(Accumulator):
         self.best: Any = None
 
     def add(self, value: Any) -> None:
-        if value is not None and (self.best is None or value < self.best):
-            self.best = value
+        try:
+            if value is not None and (self.best is None or value < self.best):
+                self.best = value
+        except TypeError:
+            raise self._reject(value) from None
 
     def result(self) -> Any:
         return self.best
@@ -106,8 +122,11 @@ class Max(Accumulator):
         self.best: Any = None
 
     def add(self, value: Any) -> None:
-        if value is not None and (self.best is None or value > self.best):
-            self.best = value
+        try:
+            if value is not None and (self.best is None or value > self.best):
+                self.best = value
+        except TypeError:
+            raise self._reject(value) from None
 
     def result(self) -> Any:
         return self.best

@@ -1,8 +1,8 @@
 """Compiled expressions vs the closure-tree interpreter.
 
 The compiler (:mod:`repro.sql.compile`) generates Python source for each
-expression tree; the interpreter (:mod:`repro.sql.expressions`) is the
-reference semantics.  The contract is *exact agreement* — same values,
+expression tree; the interpreter (``sql_oracle``, beside this file) is
+the reference semantics.  The contract is *exact agreement* — same values,
 same NULL propagation, same errors — so the core here is a property
 test: every expression shape evaluated over deterministic pseudo-random
 rows (with NULLs) by both evaluators, in both value and predicate form.
@@ -17,13 +17,11 @@ from repro.common.errors import ExpressionError
 from repro.common.types import ColumnType as T
 from repro.sql.ast import Binary, Literal
 from repro.sql.compile import compile_expr, compile_predicate, fold_constants
-from repro.sql.expressions import (
-    Scope,
-    compile_expr as interpret_expr,
-    predicate as interpret_predicate,
-)
+from repro.sql.expressions import Scope
 from repro.sql.parser import parse_expression
 from repro.storage.schema import schema
+from sql_oracle import compile_expr as interpret_expr
+from sql_oracle import predicate as interpret_predicate
 
 
 def make_scope() -> Scope:
@@ -112,6 +110,8 @@ EXPRESSIONS = [
     "1 + 2 * 3 = 7",
     "NULL IS NULL",
     "NOT flag OR flag",
+    "a IN (1, b / 0)",
+    "a NOT IN (2, a / b)",
 ]
 
 PARAMS = (3, "a%", 42.5)

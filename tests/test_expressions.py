@@ -4,7 +4,8 @@ import pytest
 
 from repro.common.errors import ExpressionError, PlanningError
 from repro.sql.executor import null_safe_key, sort_rows
-from repro.sql.expressions import Scope, compile_expr, predicate
+from repro.sql.compile import compile_expr, compile_predicate
+from repro.sql.expressions import Scope
 from repro.sql.parser import parse_expression
 from repro.storage.schema import schema
 from repro.common.types import ColumnType as T
@@ -45,7 +46,7 @@ def test_three_valued_and_or():
 
 
 def test_predicate_treats_null_as_not_satisfied():
-    pred = predicate(compile_expr(parse_expression("a = 1"), scope()))
+    pred = compile_predicate(parse_expression("a = 1"), scope())
     assert pred((None, None, None), ()) is False
     assert pred((1, None, None), ()) is True
 

@@ -15,11 +15,11 @@ import shutil
 
 import pytest
 
-from repro.common.clock import EVENTS, CostModel, sim_time_us
+from repro.common.clock import EVENTS, CostModel, EventLedger, sim_time_us
 from repro.common.errors import RecoveryError, TransactionError, UserAbort
 from repro.common.types import ColumnType as T
 from repro.engine import Database
-from repro.recovery.log import scan_log
+from repro.recovery.log import DEFAULT_GROUP_BYTES, CommandLog, scan_log
 from repro.storage.schema import schema
 
 CONTESTANTS = 8
@@ -512,6 +512,19 @@ class TestLogMechanics:
         assert log["appended"] == 32
         # 32 records / group of 8 = 4 data flushes (+1 header flush at open)
         assert log["appended"] / log["flushes"] >= 4.0
+
+    def test_record_over_the_byte_bound_is_durable_at_once(self, tmp_path):
+        # a group of 8 is far from full; 64 KiB pending forces the fsync
+        path = tmp_path / "cmd.log"
+        log = CommandLog(path, EventLedger(), group_size=8)
+        log.append({"op": "small"})
+        assert log.durable_lsn == 0
+        lsn = log.append({"op": "big", "blob": "x" * DEFAULT_GROUP_BYTES})
+        assert log.durable_lsn == lsn == 2
+        assert log.stats()["pending"] == 0
+        assert log.stats()["group_bytes"] == 64 * 1024
+        assert [r["op"] for r in scan_log(path)[1]] == ["small", "big"]
+        log.close()
 
     def test_synchronous_mode_flushes_every_record(self, tmp_path):
         d = tmp_path / "db"
