@@ -59,6 +59,7 @@ from ..common.errors import (
 )
 from ..common.ops import StatsSections
 from ..obs import observability
+from ..recovery.checkpoint import write_checkpoint
 from ..recovery.manager import RecoveryManager
 from ..sql.executor import ExecutionContext, ExecutionCounters, ResultSet
 from ..sql.costing import JOIN_STRATEGIES
@@ -403,9 +404,9 @@ class Database(StatsSections):
         A delivery whose transaction aborts stays queued and the error
         propagates — call ``drain()`` again to retry it (exactly-once:
         the aborted attempt rolled back, so the retry's effects happen
-        once).  After a **strong** recovery, regenerated
-        committed-but-undelivered hops wait in the queue; the first
-        ``drain()`` resumes the dataflow where the crash cut it.
+        once).  After a **strong** recovery, the committed-but-undelivered
+        hops the crash lost wait in the queue; the first ``drain()``
+        resumes the dataflow where the crash cut it.
 
         After the queue empties, stream garbage collection drops rows of
         batches that every workflow subscriber has fully consumed (keeping
@@ -467,17 +468,7 @@ class Database(StatsSections):
                 "this database has no recovery_dir; pass an explicit path "
                 "to export a standalone checkpoint"
             )
-        from ..recovery.checkpoint import write_checkpoint
-
-        return write_checkpoint(
-            path,
-            {
-                "lsn": 0,
-                "catalog": self.catalog.snapshot(),
-                "streaming": self.streaming.persistent_state(),
-            },
-            self.events,
-        )
+        return write_checkpoint(path, self, 0)
 
     def flush_log(self) -> None:
         """Force the command log's group-commit buffer to disk (one

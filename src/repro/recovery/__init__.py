@@ -20,9 +20,10 @@ logging:
 Two replay modes (paper §4.4):
 
 * **strong** recovery replays *every* logged transaction exactly —
-  ingests, ad-hoc transactions, procedure calls, and each individual
-  workflow delivery — reproducing the pre-crash committed state
-  byte-for-byte (``Catalog.snapshot()`` equality).
+  ingests, ad-hoc transactions, procedure calls, and each workflow
+  delivery (popped from the delivery queue replay rebuilds) —
+  reproducing the pre-crash committed state byte-for-byte
+  (``Catalog.snapshot()`` equality).
 * **weak** recovery replays only the dataflow's *inputs* (ingested
   batches, ad-hoc transactions, user procedure calls) and lets the
   workflow scheduler regenerate every downstream delivery by re-driving

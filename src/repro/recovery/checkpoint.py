@@ -12,17 +12,20 @@ line holding:
   window;
 * ``streaming`` — the runtime's watermarks and scheduler positions
   (per-stream ``last_committed``/``next_seq``/GC horizon, the
-  ``delivered`` map of per-subscription progress) — everything needed to
-  resume the dataflow exactly where the snapshot cut it.
+  ``delivered`` map of per-subscription progress, and the ``undelivered``
+  workflow hops still queued) — everything needed to resume the dataflow
+  exactly where the snapshot cut it.  :func:`write_checkpoint` alone
+  builds this payload.
 
 Invariants:
 
 * **Atomic visibility.**  Checkpoints are written to a temp file and
   renamed into place; a crash mid-write leaves either no file or a file
   whose checksum fails.  Recovery selects the newest checkpoint that
-  *decodes cleanly* — a torn checkpoint is ignored and the previous one
-  (plus a longer log suffix) is used instead.  The previous checkpoint
-  is retained for exactly this reason.
+  *decodes cleanly*.  An older one stands in for a corrupt newest one
+  only while the log still holds every record after its LSN; once the
+  newest truncated the log, recovery refuses (:class:`RecoveryError`
+  naming the missing LSN range) rather than skip committed transactions.
 * **Checkpoints never invent state.**  Everything in a checkpoint is
   recomputable by replaying the whole log from LSN 0; a checkpoint only
   shortens replay (and permits log truncation up to its LSN).
@@ -32,11 +35,14 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..common.clock import EventLedger
 from ..common.errors import RecoveryError
 from ..common.serde import decode_record, encode_record
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..engine.database import Database
 
 #: ``checkpoint-<lsn>.ckpt`` — the LSN rides in the name so selection can
 #: order candidates without opening them.
@@ -52,15 +58,15 @@ def _snapshot_rows(catalog_snapshot: dict[str, Any]) -> int:
     return sum(len(state["rows"]) for state in catalog_snapshot.values())
 
 
-def write_checkpoint(path: str | Path, payload: dict[str, Any], events: EventLedger) -> Path:
-    """Write one checkpoint atomically (temp file + rename + fsync).
-
-    ``payload`` must carry ``lsn``, ``catalog``, and ``streaming`` keys.
-    Counts one ``snapshot_row`` event per serialised row.  Returns the
-    final path.
+def write_checkpoint(path: str | Path, db: "Database", lsn: int) -> Path:
+    """Write one checkpoint of ``db`` covering ``lsn`` atomically (temp
+    file + rename + fsync).  Counts one ``snapshot_row`` event per
+    serialised row.  Returns the final path.
     """
     path = Path(path)
-    events.snapshot_row += _snapshot_rows(payload["catalog"])
+    catalog = db.catalog.snapshot()
+    db.events.snapshot_row += _snapshot_rows(catalog)
+    payload = {"lsn": lsn, "catalog": catalog, "streaming": db.streaming.persistent_state()}
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w", encoding="utf-8") as f:
         f.write(encode_record(payload) + "\n")
@@ -108,8 +114,8 @@ def newest_valid_checkpoint(
 ) -> Optional[tuple[Path, dict[str, Any]]]:
     """The newest checkpoint that decodes cleanly, or None.
 
-    Corrupt/torn candidates (a crash mid-checkpoint) are skipped — the
-    previous checkpoint plus a longer log replay recovers the same state.
+    Corrupt/torn candidates are skipped; the caller refuses an older
+    one whose LSN the log was already truncated past.
     """
     for path in list_checkpoints(directory):
         try:
@@ -121,8 +127,8 @@ def newest_valid_checkpoint(
 
 def prune_checkpoints(directory: str | Path, keep: int = 2) -> list[Path]:
     """Remove all but the ``keep`` newest checkpoints; returns removed
-    paths.  Two are kept by default: the newest, plus its predecessor as
-    the fallback should the newest turn out torn."""
+    paths.  Two are kept by default; the predecessor is no stand-in for a
+    corrupt newest once the log was truncated to the newest's LSN."""
     removed = []
     for path in list_checkpoints(directory)[keep:]:
         path.unlink(missing_ok=True)

@@ -23,12 +23,15 @@ with ``recovery_dir=``.  Invariants the manager maintains:
   constraint check, EE trigger, window slide, and counted event happens
   again exactly; procedure bodies must be deterministic functions of
   their arguments and database state.
-* **Recovery ends with a fresh checkpoint.**  After replay the manager
-  checkpoints and truncates the log.  This is what keeps *repeated*
-  crashes sound: deliveries that were regenerated (their original
-  records were lost with the torn tail, or skipped by weak replay) are
-  re-run and logged *after* the new checkpoint, so a later recovery
-  never sees a delivery hole or a duplicate.
+* **One delivery queue.**  Replay rebuilds the scheduler's queue as live
+  execution built it; each logged delivery consumes its head under strong
+  replay, so the workflow deliveries still queued afterwards are exactly
+  those the crash lost (``regenerated_deliveries``): strong recovery
+  leaves them for the next ``drain()``, weak recovery drains them.
+* **Recovery ends with a fresh checkpoint**, which carries that queue,
+  and truncates the log, so repeated crashes never see a delivery hole
+  or a duplicate.  A checkpoint older than the log's first record is
+  refused: the records in between are gone.
 """
 
 from __future__ import annotations
@@ -117,25 +120,27 @@ class RecoveryManager:
             return
         self._open_writer(ckpt_lsn, base, records, valid_end)
         if records or ckpt_lsn:
-            # Re-anchor the durable state: everything recovery regenerated
-            # (lost-tail deliveries, weak-mode re-drives) is now reflected
-            # in a fresh checkpoint, and the replayed log is truncated, so
-            # the next crash replays only post-recovery commands.
+            # Re-anchor the durable state: the recovered state, queue of
+            # lost deliveries included, becomes a fresh checkpoint and the
+            # replayed log is truncated.
             self.checkpoint()
         self._db._log_capture = self
 
     def _recover(self) -> tuple[int, int, list[dict[str, Any]], int]:
         db = self._db
-        ckpt_lsn = 0
-        ckpt_name = None
         found = newest_valid_checkpoint(self.directory, db.events)
-        if found is not None:
-            path, payload = found
-            ckpt_lsn = int(payload["lsn"])
-            ckpt_name = path.name
-            db.catalog.restore(payload["catalog"], strict=True)
-            db.streaming.restore_persistent_state(payload["streaming"])
+        ckpt_lsn = 0 if found is None else int(found[1]["lsn"])
         base, records, valid_end = scan_log(self.log_path)
+        if ckpt_lsn < base:
+            raise RecoveryError(
+                f"LSN {ckpt_lsn + 1}..{base} is in no readable file: the "
+                f"command log starts after LSN {base}, and the newest valid "
+                f"checkpoint covers LSN {ckpt_lsn} — refusing to recover "
+                f"without those committed commands"
+            )
+        if found is not None:
+            db.catalog.restore(found[1]["catalog"])
+            db.streaming.restore_persistent_state(found[1]["streaming"])
         runtime = db.streaming
         replayed = skipped = 0
         runtime.replay_mode = self.mode
@@ -160,13 +165,14 @@ class RecoveryManager:
                 replayed += 1
         finally:
             runtime.replay_mode = None
-        regenerated = runtime.regenerate_deliveries()
+        # the workflow deliveries still queued are the tail the log lost
+        regenerated = runtime.stats()["scheduler"]["pending_deliveries"]
         if self.mode == "weak" and regenerated:
             # weak recovery's contract: the DAG is re-driven to completion
             runtime.drain()
         self.recovered = {
             "mode": self.mode,
-            "checkpoint": ckpt_name,
+            "checkpoint": None if found is None else found[0].name,
             "checkpoint_lsn": ckpt_lsn,
             "log_records": len(records),
             "replayed": replayed,
@@ -218,29 +224,21 @@ class RecoveryManager:
         self, ckpt_lsn: int, base: int, records: list, valid_end: int
     ) -> None:
         path = self.log_path
-        if path.exists() and base + len(records) >= ckpt_lsn and valid_end > 0:
-            # Continue the existing LSN sequence; first drop the torn tail
-            # so the next append starts on a clean line boundary.
-            if valid_end < path.stat().st_size:
-                os.truncate(path, valid_end)
-            self._log = CommandLog(
-                path,
-                self._db.events,
-                base_lsn=base,
-                existing_records=len(records),
-                group_size=self.group_size,
-            )
-        else:
-            # No usable log (missing, empty, or wholly predating the
-            # checkpoint): start a fresh one anchored at the checkpoint's LSN.
-            if path.exists():
-                os.truncate(path, 0)
-            self._log = CommandLog(
-                path,
-                self._db.events,
-                base_lsn=ckpt_lsn,
-                group_size=self.group_size,
-            )
+        # Continue the existing LSN sequence after dropping the torn tail,
+        # so the next append starts on a clean line boundary; with no
+        # usable log (missing, empty, or wholly predating the checkpoint)
+        # start a fresh one anchored at the checkpoint's LSN.
+        keep = valid_end > 0 and base + len(records) >= ckpt_lsn
+        end = valid_end if keep else 0
+        if path.exists() and path.stat().st_size > end:
+            os.truncate(path, end)
+        self._log = CommandLog(
+            path,
+            self._db.events,
+            base_lsn=base if keep else ckpt_lsn,
+            existing_records=len(records) if keep else 0,
+            group_size=self.group_size,
+        )
         # group-commit spans ("log.fsync") and buffer-wait timings land in
         # the owning database's observability registry
         self._log.obs = self._db.obs
@@ -258,7 +256,7 @@ class RecoveryManager:
             bootstrap=self.bootstrap,
             readonly=True,
         )
-        shadow.drain()  # run regenerated lost-tail deliveries to quiescence
+        shadow.drain()  # run the still-queued lost-tail deliveries
         mine = self._db.catalog.snapshot()
         theirs = shadow.catalog.snapshot()
         if mine != theirs:
@@ -311,6 +309,19 @@ class RecoveryManager:
         self._ensure_jsonable(record["args"], f"arguments of procedure {proc_name!r}")
         return record
 
+    @staticmethod
+    def ingest_record(stream: str, batch_id: int, rows) -> dict[str, Any]:
+        """Build one ``ingest`` record; the batch is the dataflow's external
+        input, so its (coerced, declared-width) rows ride in the record."""
+        rows = [list(r) for r in rows]
+        return {"op": "ingest", "stream": stream, "batch_id": batch_id, "rows": rows}
+
+    @staticmethod
+    def delivery_record(stream: str, batch_id: int, proc_name: str) -> dict[str, Any]:
+        """Build one workflow ``delivery`` record: the hop, not its rows —
+        replay finds the batch at the head of the rebuilt queue."""
+        return {"op": "delivery", "stream": stream, "batch_id": batch_id, "proc": proc_name}
+
     def record_gc(self, horizons: dict[str, int]) -> None:
         """Capture one stream-GC horizon advance (runs outside any
         transaction; appended directly)."""
@@ -343,8 +354,7 @@ class RecoveryManager:
 
         Managed checkpoints (``path=None``) land in the recovery directory
         as ``checkpoint-<lsn>.ckpt``, truncate the command log up to their
-        LSN, and prune all but the two newest checkpoint files (the
-        predecessor stays as the fallback for a torn newest).  An explicit
+        LSN, and prune all but the two newest checkpoint files.  An explicit
         ``path`` exports a checkpoint without touching the log — recovery
         only consults the managed directory.
         """
@@ -352,14 +362,9 @@ class RecoveryManager:
             raise RecoveryError("cannot checkpoint a read-only recovery session")
         self._log.flush()
         lsn = self._log.durable_lsn
-        payload = {
-            "lsn": lsn,
-            "catalog": self._db.catalog.snapshot(),
-            "streaming": self._db.streaming.persistent_state(),
-        }
         if path is not None:
-            return write_checkpoint(path, payload, self._db.events)
-        dest = write_checkpoint(checkpoint_path(self.directory, lsn), payload, self._db.events)
+            return write_checkpoint(path, self._db, lsn)
+        dest = write_checkpoint(checkpoint_path(self.directory, lsn), self._db, lsn)
         self._log.truncate_to(lsn)
         self.last_checkpoint_lsn = lsn
         prune_checkpoints(self.directory, keep=2)

@@ -73,25 +73,23 @@ class Catalog:
         """Capture the physical state of every table."""
         return {name: table.snapshot_state() for name, table in self._tables.items()}
 
-    def restore(self, snapshot: dict[str, Any], *, strict: bool = False) -> None:
+    def restore(self, snapshot: dict[str, Any]) -> None:
         """Restore table contents from :meth:`snapshot`.
 
         Tables present in the catalog but absent from the snapshot are
         truncated (they did not exist / were empty at checkpoint time).
-        With ``strict=True`` — the recovery path — a snapshot that names
-        a table the catalog does not hold raises
+        A snapshot that names a table the catalog does not hold raises
         :class:`~repro.common.errors.RecoveryError`: the checkpoint was
         taken against a schema the bootstrap did not re-create, and
         silently dropping its rows would lose committed state.
         """
-        if strict:
-            unknown = sorted(set(snapshot) - set(self._tables))
-            if unknown:
-                raise RecoveryError(
-                    f"checkpoint references table(s) not present in the "
-                    f"catalog: {', '.join(unknown)} — re-create the schema "
-                    f"(bootstrap) before recovering"
-                )
+        unknown = sorted(set(snapshot) - set(self._tables))
+        if unknown:
+            raise RecoveryError(
+                f"checkpoint references table(s) not present in the "
+                f"catalog: {', '.join(unknown)} — re-create the schema "
+                f"(bootstrap) before recovering"
+            )
         for name, table in self._tables.items():
             state = snapshot.get(name)
             if state is None:

@@ -139,10 +139,9 @@ class StreamingRuntime:
         self.delivery_retries = 0
         #: lifetime rows dropped by stream garbage collection (all streams)
         self.rows_reclaimed = 0
-        #: recovery-replay mode: None (normal), "strong" (watermarks only,
-        #: deliveries come from the log), or "weak" (deliveries regenerate
-        #: through the scheduler, user PE triggers stay suppressed — their
-        #: transactional effects replay from their own log records)
+        #: recovery-replay mode: None (live), "strong" (logged deliveries
+        #: consume the queue) or "weak" (the scheduler drains it); replay
+        #: fires no user PE trigger — its effects replay from its own records
         self.replay_mode: Optional[str] = None
 
     # -- registry lookups -----------------------------------------------------
@@ -402,12 +401,7 @@ class StreamingRuntime:
             rows = [self._coerce_declared(stream, raw) for raw in rows]
         with db._scope(implicit=True) as txn:
             if capture is not None:
-                txn.log_record = {
-                    "op": "ingest",
-                    "stream": stream.name,
-                    "batch_id": batch_id,
-                    "rows": [list(r) for r in rows],
-                }
+                txn.log_record = capture.ingest_record(stream.name, batch_id, rows)
             self._emit_into(txn, stream, batch_id, rows, coerced=capture is not None)
 
     def emit(self, txn: "Transaction", stream_name: str, rows, batch_id=None) -> int:
@@ -553,23 +547,17 @@ class StreamingRuntime:
         """Commit hook: advance stream watermarks, fire (count + enqueue)
         PE triggers and workflow subscriptions for every committed batch.
 
-        During recovery replay the enqueue side is filtered: under
-        **strong** replay nothing is enqueued (every delivery replays from
-        its own log record; the tail the log never saw is regenerated from
-        watermarks afterwards); under **weak** replay workflow deliveries
-        enqueue normally — regenerating them *is* weak recovery — but user
-        PE triggers stay suppressed, because their transactional effects
-        were logged as their own records and replaying both would double
-        them.
+        Workflow deliveries enqueue in every mode, so replay rebuilds the
+        queue exactly as live execution built it (strong replay consumes
+        it through :meth:`replay_delivery`, weak replay drains it).  User
+        PE triggers enqueue only live: their effects were logged as their
+        own records, and replaying both would double them.
         """
         db = self._db
-        replay = self.replay_mode
         for stream, batch_id, ext_rows in self._txn_staged.pop(txn_id, ()):
             stream.last_committed = max(stream.last_committed, batch_id)
-            if replay == "strong":
-                continue
             batch = Batch(stream.name, batch_id, _strip(ext_rows, stream.declared.arity()))
-            if replay is None:
+            if self.replay_mode is None:
                 for trigger in self._pe_triggers.get(stream.name, ()):
                     db.events.pe_trigger += 1
                     self._enqueue(_Delivery(batch, ext_rows, "pe_fn", trigger.name, trigger.fn))
@@ -598,8 +586,7 @@ class StreamingRuntime:
         """
         db = self._db
         if self._draining or db._txn is not None or self.replay_mode == "strong":
-            # Under strong replay the scheduler is inert: deliveries (and
-            # GC) re-execute from their own log records, in log order.
+            # strong replay: logged deliveries (and GC) run in log order
             return 0
         self._draining = True
         processed = 0
@@ -679,6 +666,7 @@ class StreamingRuntime:
         procedure = db._procedures.get(delivery.target)
         if procedure is None:  # pragma: no cover - registration is validated
             raise WorkflowError(f"procedure {delivery.target!r} disappeared")
+        capture = db._log_capture
         previous = self._delivering
         self._delivering = delivery
         try:
@@ -696,12 +684,9 @@ class StreamingRuntime:
                     procedure,
                     (delivery.batch,),
                     before=lambda ctx: self._advance_owned_windows(ctx.txn, delivery),
-                    log_record={
-                        "op": "delivery",
-                        "stream": delivery.batch.stream,
-                        "batch_id": delivery.batch.batch_id,
-                        "proc": delivery.target,
-                    },
+                    log_record=None if capture is None else capture.delivery_record(
+                        delivery.batch.stream, delivery.batch.batch_id, delivery.target
+                    ),
                     span=False,  # the delivery span above times this call
                 )
         finally:
@@ -722,19 +707,17 @@ class StreamingRuntime:
     # The recovery manager drives these.  The split of responsibilities:
     # the *manager* owns files, record framing, and replay-mode sequencing;
     # the *runtime* owns the dataflow state being persisted/replayed —
-    # watermarks, scheduler positions, and the delivery machinery itself.
+    # watermarks, scheduler positions, and the delivery queue: the one
+    # record of pending deliveries, live and in replay alike.
 
     def persistent_state(self) -> dict[str, Any]:
-        """The dataflow state a checkpoint must carry beyond table contents.
-
-        Stream *rows* live in the catalog snapshot; this captures the
-        runtime bookkeeping that is not recomputable from rows alone:
+        """The dataflow state a checkpoint carries beyond table contents:
         per-stream watermarks (``last_committed``), arrival-sequence
-        counters (``next_seq``), GC horizons, and the per-subscription
-        ``delivered`` progress map the scheduler resumes from.  Queued
-        out-of-order batches (``Stream.pending``) are deliberately
-        excluded — they were never committed, so they are not durable;
-        clients must resubmit them after a crash.
+        counters (``next_seq``), GC horizons, the per-subscription
+        ``delivered`` progress map, and the workflow hops still queued
+        (``undelivered``: ``[stream, batch_id, proc]`` in queue order).
+        Queued out-of-order batches (``Stream.pending``) were never
+        committed, so they are not durable; clients resubmit them.
         """
         return {
             "streams": {
@@ -750,14 +733,22 @@ class StreamingRuntime:
                 [stream, proc, batch_id]
                 for (stream, proc), batch_id in sorted(self.delivered.items())
             ],
+            "undelivered": [
+                [d.batch.stream, d.batch.batch_id, d.target]
+                for _batch_id, _seq, d in sorted(self._queue)
+                if d.kind == "proc"
+            ],
             "deliveries_done": self.deliveries_done,
             "rows_reclaimed": self.rows_reclaimed,
         }
 
     def restore_persistent_state(self, state: dict[str, Any]) -> None:
-        """Inverse of :meth:`persistent_state`; raises
-        :class:`RecoveryError` when the checkpoint names a stream the
-        bootstrapped schema does not declare (deployment mismatch)."""
+        """Inverse of :meth:`persistent_state`; the ``undelivered`` hops are
+        queued again with their rows read back from the stream tables.
+        Raises :class:`RecoveryError` when the checkpoint names a stream
+        the bootstrap did not create, or has no ``undelivered`` key while
+        some subscription lags its stream (its pending hops are unknown).
+        """
         for name, st in state.get("streams", {}).items():
             stream = self.streams.get(name)
             if stream is None:
@@ -776,24 +767,41 @@ class StreamingRuntime:
         }
         self.deliveries_done = int(state.get("deliveries_done", 0))
         self.rows_reclaimed = int(state.get("rows_reclaimed", 0))
+        undelivered = state.get("undelivered")
+        if undelivered is None:  # written before checkpoints carried the queue
+            undelivered = ()
+            if any(self.delivered.get((name, proc), 0) < self.streams[name].last_committed
+                   for name, subs in self._subscriptions.items() for _wf, proc in subs):
+                raise RecoveryError(
+                    "checkpoint has no 'undelivered' queue, yet a workflow "
+                    "subscription lags its stream: its pending deliveries are unknown"
+                )
+        for name, batch_id, proc in undelivered:
+            stream = self._stream(name)
+            ext_rows = self._batch_ext_rows(stream, batch_id)
+            batch = Batch(stream.name, batch_id, _strip(ext_rows, stream.declared.arity()))
+            self._enqueue(_Delivery(batch, ext_rows, "proc", proc))
 
     def _batch_ext_rows(self, stream: Stream, batch_id: int) -> tuple:
-        """Stream-extended rows of one committed batch, in arrival order,
-        reconstructed from the stream table (GC keeps every batch at least
-        until all subscribers consumed it, so undelivered batches are
-        always reconstructable)."""
+        """Stream-extended rows of one committed batch, in arrival order (GC
+        keeps every batch until all its subscribers consumed it)."""
         pos = stream.table.schema.position(BATCH_COLUMN)
         return tuple(row for row in stream.table.scan_rows() if row[pos] == batch_id)
 
     def replay_delivery(self, stream_name: str, batch_id: int, proc_name: str) -> None:
-        """Strong-recovery replay of one logged workflow delivery: rebuild
-        the batch from the stream table and run the procedure exactly as
-        the original delivery did (owned windows advanced inside the
-        delivery transaction, batch id propagated through emits)."""
-        stream = self._stream(stream_name)
-        ext_rows = self._batch_ext_rows(stream, batch_id)
-        batch = Batch(stream_name, batch_id, _strip(ext_rows, stream.declared.arity()))
-        self._deliver(_Delivery(batch, ext_rows, "proc", proc_name))
+        """Strong-recovery replay of one logged workflow delivery: replay
+        rebuilt the queue as live execution built it, so the logged hop
+        must be its head, which is popped and delivered as the original
+        ran; any other head raises :class:`RecoveryError`."""
+        head = self._queue[0][2] if self._queue else None
+        queued = head and (head.batch.stream, head.batch.batch_id, head.target)
+        if queued != (stream_name, batch_id, proc_name):
+            raise RecoveryError(
+                f"log out of order: delivery of batch {batch_id} of {stream_name!r} "
+                f"to {proc_name!r} is logged, but the queue head is {queued}"
+            )
+        heapq.heappop(self._queue)
+        self._deliver(head)
         self.deliveries_done += 1
 
     def apply_gc(self, horizons: dict[str, int]) -> int:
@@ -823,35 +831,6 @@ class StreamingRuntime:
                 total += len(doomed)
         self.rows_reclaimed += total
         return total
-
-    def regenerate_deliveries(self) -> int:
-        """Re-enqueue every committed-but-undelivered workflow hop.
-
-        After replay (either mode), any batch with
-        ``delivered < batch_id <= last_committed`` on some subscription
-        was committed upstream but its delivery never reached the durable
-        log — the crash interrupted the pipeline between stages.  Those
-        deliveries are rebuilt from the stream tables and queued; they run
-        on the next ``drain()`` (weak recovery drains immediately; strong
-        recovery leaves them queued so the recovered state first matches
-        the pre-crash committed state exactly).  Exactly-once holds: the
-        lost deliveries never committed, so re-running them is the first
-        time their effects become visible.  Returns how many were queued.
-        """
-        queued = 0
-        for stream_name, subs in self._subscriptions.items():
-            stream = self._stream(stream_name)
-            for _workflow, procedure in subs:
-                key = (stream_name, procedure)
-                last = self.delivered.get(key, 0)
-                for batch_id in range(last + 1, stream.last_committed + 1):
-                    ext_rows = self._batch_ext_rows(stream, batch_id)
-                    batch = Batch(
-                        stream_name, batch_id, _strip(ext_rows, stream.declared.arity())
-                    )
-                    self._enqueue(_Delivery(batch, ext_rows, "proc", procedure))
-                    queued += 1
-        return queued
 
     # -- introspection -----------------------------------------------------------
 

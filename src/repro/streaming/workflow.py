@@ -24,10 +24,10 @@ Execution guarantees (enforced by the runtime's scheduler):
 Exactly-once **survives crashes** when the database is opened with
 ``recovery_dir=`` (paper §4.4): every committed delivery is command-
 logged with its ``(stream, batch_id, procedure)`` position, strong
-recovery replays those records in commit order, and deliveries whose
-records died in the crash (committed upstream, never delivered) are
-regenerated from the persisted ``delivered`` watermarks — the lost hops
-never committed, so re-running them is their first visible execution.
+recovery replays those records in commit order against the delivery
+queue it rebuilds, and the deliveries whose records died in the crash
+(committed upstream, never delivered) are what is left queued — the
+lost hops never committed, so running them is their first execution.
 Weak recovery skips delivery records entirely and re-derives the whole
 DAG by re-driving it through the scheduler.
 """

@@ -17,8 +17,10 @@ import pytest
 
 from repro.common.clock import EVENTS, CostModel, EventLedger, sim_time_us
 from repro.common.errors import RecoveryError, TransactionError, UserAbort
+from repro.common.serde import encode_record
 from repro.common.types import ColumnType as T
 from repro.engine import Database
+from repro.recovery.checkpoint import load_checkpoint
 from repro.recovery.log import DEFAULT_GROUP_BYTES, CommandLog, scan_log
 from repro.storage.schema import schema
 
@@ -405,6 +407,31 @@ class TestCheckpoints:
         assert third.stats()["recovery"]["recovered"]["replayed"] == 0
         assert third.execute("SELECT count(*) FROM accounts").scalar() == 5
 
+    def test_corrupt_newest_checkpoint_over_truncated_log_refuses(self, tmp_path):
+        # the older checkpoint (LSN 3) cannot stand in for the corrupt
+        # newest (LSN 6): the log was truncated to base 6, so LSNs 4..6
+        # live in no readable file — recovery must refuse, not skip them
+        d = tmp_path / "db"
+        db = open_db(d, table_bootstrap, group_commit=1)
+        for keys in (range(0, 3), range(3, 6)):
+            for key in keys:
+                db.call("deposit", key, 1.0)
+            db.checkpoint()
+        assert db.stats()["recovery"]["log"]["base_lsn"] == 6
+        for key in range(6, 9):
+            db.call("deposit", key, 1.0)
+        db.flush_log()
+        db.close()
+        newest = max(d.glob("checkpoint-*.ckpt"))
+        data = bytearray(newest.read_bytes())
+        data[len(data) // 2] ^= 0x01  # flip one byte
+        newest.write_bytes(bytes(data))
+        before = {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+        with pytest.raises(RecoveryError, match=r"LSN 4\.\.6 is in no readable file"):
+            open_db(d, table_bootstrap)
+        # the failed open left the directory byte-identical
+        assert {p.name: p.read_bytes() for p in sorted(d.iterdir())} == before
+
 
 # ---------------------------------------------------------------------------
 # Weak vs. strong differential
@@ -462,6 +489,136 @@ class TestWeakRecovery:
         # weak re-drove the whole DAG during recovery — no drain needed
         assert weak.catalog.snapshot() == strong.catalog.snapshot()
         assert weak.streaming.delivered == strong.streaming.delivered
+
+
+# ---------------------------------------------------------------------------
+# Replay rebuilds and consumes the scheduler's delivery queue
+# ---------------------------------------------------------------------------
+
+
+def odd_bootstrap(db):
+    """s1 -> p1 -> s2 -> p2, where p1 forwards only odd values: s2 sees
+    batches 1 and 3 of [1], [2], [3], and never a batch 2."""
+    db.create_stream(schema("s1", ("v", T.BIGINT)))
+    db.create_stream(schema("s2", ("v", T.BIGINT)))
+    db.create_table(schema("runs", ("proc", T.VARCHAR), ("batch", T.BIGINT)))
+
+    @db.register_procedure
+    def p1(ctx, batch):
+        ctx.execute("INSERT INTO runs VALUES (?, ?)", ("p1", batch.batch_id))
+        odd = [row for row in batch.rows if row[0] % 2]
+        if odd:
+            ctx.emit("s2", odd)
+
+    @db.register_procedure
+    def p2(ctx, batch):
+        ctx.execute("INSERT INTO runs VALUES (?, ?)", ("p2", batch.batch_id))
+
+    db.create_workflow("odd", [("s1", "p1", "s2"), ("s2", "p2", None)])
+
+
+def runs_of(db, proc):
+    rows = db.execute("SELECT batch FROM runs WHERE proc = ?", (proc,)).rows
+    return sorted(batch for (batch,) in rows)
+
+
+def cut_log_after(directory, record):
+    """Crash with the log's tail lost: keep records up to ``record``."""
+    log = directory / "command.log"
+    _base, records, _end = scan_log(log)
+    lines = log.read_bytes().splitlines(keepends=True)
+    log.write_bytes(b"".join(lines[: records.index(record) + 2]))  # + header
+
+
+def odd_run_losing_tail(directory):
+    """Ingest [1], [2], [3]; the log loses everything after p1 delivers
+    batch 3 (p2's delivery of s2 batch 3 and the GC that followed)."""
+    db = open_db(directory, odd_bootstrap, group_commit=1)
+    for v in (1, 2, 3):
+        db.ingest("s1", [(v,)])
+    assert runs_of(db, "p2") == [1, 3]
+    pre = db.catalog.snapshot()
+    db.close()
+    cut_log_after(
+        directory, {"op": "delivery", "stream": "s1", "batch_id": 3, "proc": "p1"}
+    )
+    return pre
+
+
+class TestReplayQueue:
+    def test_lost_tail_delivers_only_batches_that_exist(self, tmp_path):
+        d = tmp_path / "db"
+        pre = odd_run_losing_tail(d)
+        recovered = open_db(d, odd_bootstrap)
+        assert recovered.stats()["recovery"]["recovered"]["regenerated_deliveries"] == 1
+        assert recovered.drain() == 1
+        assert runs_of(recovered, "p2") == [1, 3]  # no phantom batch 2
+        assert runs_of(recovered, "p1") == [1, 2, 3]
+        assert recovered.catalog.snapshot() == pre
+
+    def test_second_crash_before_drain_keeps_the_queue(self, tmp_path):
+        d = tmp_path / "db"
+        pre = odd_run_losing_tail(d)
+        first = open_db(d, odd_bootstrap)  # recovers, checkpoints, truncates
+        first.close()
+        ckpt_path = max(d.glob("checkpoint-*.ckpt"))
+        # crash again before any drain(): the checkpoint carried the queue
+        second = open_db(d, odd_bootstrap)
+        assert second.stats()["recovery"]["recovered"]["regenerated_deliveries"] == 1
+        assert second.drain() == 1
+        assert runs_of(second, "p2") == [1, 3]  # batch 3 exactly once
+        assert second.catalog.snapshot() == pre
+        ckpt = load_checkpoint(ckpt_path, EventLedger())
+        assert ckpt["streaming"]["undelivered"] == [["s2", 3, "p2"]]
+
+    def test_lost_delivery_of_an_empty_batch_runs_once(self, tmp_path):
+        d = tmp_path / "db"
+        db = open_db(d, odd_bootstrap, group_commit=1)
+        db.ingest("s1", [(1,)])
+        db.ingest("s1", [])  # batch 2 commits with no rows
+        db.close()
+        cut_log_after(d, {"op": "ingest", "stream": "s1", "batch_id": 2, "rows": []})
+        recovered = open_db(d, odd_bootstrap)
+        assert recovered.stats()["recovery"]["recovered"]["regenerated_deliveries"] == 1
+        recovered.drain()
+        assert runs_of(recovered, "p1") == [1, 2]
+        assert recovered.streaming.delivered[("s1", "p1")] == 2
+
+    def test_delivery_logged_out_of_queue_order_raises(self, tmp_path):
+        d = tmp_path / "db"
+        db = open_db(d, odd_bootstrap, group_commit=1)
+        db.ingest("s1", [(1,)])
+        db.close()
+        log = d / "command.log"
+        lines = log.read_bytes().splitlines(keepends=True)
+        # drop p1's delivery of batch 1: p2's delivery is now logged while
+        # p1's is still the head of the replayed queue
+        _base, records, _end = scan_log(log)
+        i = records.index({"op": "delivery", "stream": "s1", "batch_id": 1, "proc": "p1"})
+        log.write_bytes(b"".join(lines[: i + 1] + lines[i + 2:]))
+        with pytest.raises(RecoveryError, match="log out of order"):
+            open_db(d, odd_bootstrap)
+
+    def test_checkpoint_without_queue_needs_caught_up_subscriptions(self, tmp_path):
+        def strip_queue(directory):
+            path = max(directory.glob("checkpoint-*.ckpt"))
+            payload = load_checkpoint(path, EventLedger())
+            del payload["streaming"]["undelivered"]
+            path.write_text(encode_record(payload) + "\n")
+
+        quiet = tmp_path / "quiet"
+        db = open_db(quiet, odd_bootstrap)
+        db.ingest("s1", [(1,)])
+        db.checkpoint()
+        strip_queue(quiet)
+        assert runs_of(open_db(quiet, odd_bootstrap), "p2") == [1]
+
+        lagging = tmp_path / "lagging"
+        odd_run_losing_tail(lagging)
+        open_db(lagging, odd_bootstrap).close()  # checkpoint holds s2 -> p2
+        strip_queue(lagging)
+        with pytest.raises(RecoveryError, match="undelivered"):
+            open_db(lagging, odd_bootstrap)
 
 
 class TestBootstrapMismatch:
