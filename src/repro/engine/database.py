@@ -240,14 +240,7 @@ class Database(StatsSections):
                 f"db.create_stream(...) / db.create_window(...) for "
                 f"{schema.kind.value} tables"
             )
-        if schema.hidden_columns():
-            # '__'-prefixed names are engine metadata, hidden from SELECT *
-            # and stats(); a user column by that name would silently vanish
-            raise SchemaError(
-                f"table {schema.name!r}: column names starting with '__' are "
-                f"reserved for engine metadata "
-                f"({', '.join(schema.hidden_columns())})"
-            )
+        schema.reject_hidden_columns("table")
         table = self.catalog.create_table(schema)
         self._schema_changed()
         return table
@@ -879,9 +872,11 @@ class Database(StatsSections):
     @property
     def force_join(self) -> Optional[str]:
         """Forced join algorithm (``"inl"``/``"hash"``/``"bnl"``)
-        or None for cost-based selection.  Setting it clears the plan cache
-        so already-cached plans do not leak the previous strategy — this is
-        the differential-testing hook, not a tuning knob."""
+        or None for cost-based selection.  Changing it clears the plan cache
+        and every procedure's pin table, so no cached or pinned plan leaks
+        the previous strategy; the schema epoch stays, because a held
+        prepared statement is still correct.  This is the
+        differential-testing hook, not a tuning knob."""
         return self._force_join
 
     @force_join.setter
@@ -894,6 +889,8 @@ class Database(StatsSections):
         if value != self._force_join:
             self._force_join = value
             self.plan_cache.clear()
+            for proc in self._procedures.values():
+                proc.unpin_all()
 
     def analyze(self, table: Optional[str] = None) -> dict[str, int]:
         """Collect column statistics (NDV, min/max, null counts) for one

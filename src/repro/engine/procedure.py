@@ -87,6 +87,10 @@ class StoredProcedure:
     def pinned_count(self) -> int:
         return len(self._pinned)
 
+    def unpin_all(self) -> None:
+        """Drop every pinned plan; each statement re-pins on its next run."""
+        self._pinned.clear()
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StoredProcedure({self.name!r}, pinned={len(self._pinned)})"
 

@@ -205,7 +205,7 @@ class PartitionedDatabase(StatsSections):
         if workers not in ("process", "inline"):
             raise ValueError(f"workers must be 'process' or 'inline', not {workers!r}")
         # strict map: unkeyed tables fail loudly instead of hot-spotting
-        self.partition_map = PartitionMap(num_partitions, mode=mode, default_partition=None)
+        self.partition_map = PartitionMap(num_partitions, mode=mode)
         for table, column in (partition_keys or {}).items():
             self.partition_map.set_partition_key(table, column)
         self.num_partitions = num_partitions

@@ -23,7 +23,7 @@ plain single-partition engine.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Sequence
+from typing import Any
 
 from ..common.errors import SchemaError
 
@@ -80,42 +80,21 @@ class PartitionMap:
     (``value % n``) keeps contiguous x-ways spread evenly, matching the
     paper's "we distribute the x-ways evenly across partitions".
 
-    ``default_partition`` controls what happens to rows of tables with no
-    registered partition key when the map has more than one partition:
-
-    * an integer (the legacy behaviour was ``0``) routes every unkeyed row
-      there — acceptable for replicated lookup tables, a silent hot-spot
-      for anything else;
-    * ``None`` (**strict mode**, what
-      :class:`~repro.partition.PartitionedDatabase` uses) makes
-      :meth:`partition_of_row` raise :class:`SchemaError`, so a
-      misconfigured table fails loudly instead of funnelling all its
-      traffic to partition 0.
+    A table with no registered partition key cannot be routed on a
+    multi-partition map: :meth:`require_partition_key` raises
+    :class:`SchemaError` (**strict mode**), so a misconfigured table fails
+    loudly instead of funnelling all its traffic to one partition.
     """
 
-    __slots__ = ("num_partitions", "_table_keys", "mode", "default_partition")
+    __slots__ = ("num_partitions", "_table_keys", "mode")
 
-    def __init__(
-        self,
-        num_partitions: int = 1,
-        *,
-        mode: str = "hash",
-        default_partition: int | None = 0,
-    ):
+    def __init__(self, num_partitions: int = 1, *, mode: str = "hash"):
         if num_partitions < 1:
             raise SchemaError("need at least one partition")
         if mode not in ("hash", "round_robin"):
             raise SchemaError(f"unknown partitioning mode {mode!r}")
-        if default_partition is not None and not (
-            0 <= default_partition < num_partitions
-        ):
-            raise SchemaError(
-                f"default_partition {default_partition} out of range for "
-                f"{num_partitions} partition(s)"
-            )
         self.num_partitions = num_partitions
         self.mode = mode
-        self.default_partition = default_partition
         self._table_keys: dict[str, str] = {}
 
     def set_partition_key(self, table: str, column: str) -> None:
@@ -143,26 +122,3 @@ class PartitionMap:
         if self.mode == "round_robin" and isinstance(value, int):
             return value % self.num_partitions
         return stable_hash(value) % self.num_partitions
-
-    def partition_of_row(self, table: str, schema, row: Sequence[Any]) -> int:
-        """Partition for a full row of ``table`` (single-partition → 0).
-
-        An unkeyed table on a multi-partition map routes to
-        ``default_partition``; with ``default_partition=None`` (strict
-        mode) it raises :class:`SchemaError` instead.
-        """
-        key_col = self._table_keys.get(table.lower())
-        if self.num_partitions == 1:
-            return 0
-        if key_col is None:
-            if self.default_partition is None:
-                raise SchemaError(
-                    f"table {table!r} has no partition key registered in a "
-                    f"{self.num_partitions}-partition map (strict mode: "
-                    f"refusing to hot-spot a default partition)"
-                )
-            return self.default_partition
-        return self.partition_of(row[schema.position(key_col)])
-
-    def all_partitions(self) -> range:
-        return range(self.num_partitions)

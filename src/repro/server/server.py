@@ -82,7 +82,6 @@ class ServerStats:
 
     def __init__(self) -> None:
         self.connections_accepted = 0
-        self.connections_active = 0
         self.requests: Counter[str] = Counter()
         self.replies = 0
         self.rejected: Counter[str] = Counter()
@@ -95,7 +94,7 @@ class ServerStats:
             "listening": list(server.address),
             "connections": {
                 "accepted": self.connections_accepted,
-                "active": self.connections_active,
+                "active": len(server._conns),
             },
             "requests": dict(self.requests),
             "replies": self.replies,
@@ -258,7 +257,6 @@ class ReproServer:
     ) -> None:
         st = self.stats
         st.connections_accepted += 1
-        st.connections_active += 1
         conn = _Conn(writer, self.max_inflight_per_conn + _REPLY_QUEUE_SLACK)
         self._conns.add(conn)
         self._conn_tasks.add(asyncio.current_task())
@@ -269,7 +267,6 @@ class ReproServer:
         finally:
             await conn.replies.put(None)
             await writer_task  # drains pending replies, releases budget
-            st.connections_active -= 1
             self._conns.discard(conn)
             self._conn_tasks.discard(asyncio.current_task())
             writer.close()

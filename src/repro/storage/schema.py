@@ -208,6 +208,17 @@ class TableSchema:
         """Engine-managed metadata column names (``__``-prefixed)."""
         return tuple(c.name for c in self.columns if is_hidden_column(c.name))
 
+    def reject_hidden_columns(self, kind: str) -> None:
+        """Raise :class:`SchemaError` if this user-declared ``kind`` schema
+        uses a reserved ``__``-prefixed name: engine metadata is hidden from
+        ``SELECT *`` and ``stats()``, so such a column would silently vanish."""
+        hidden = self.hidden_columns()
+        if hidden:
+            raise SchemaError(
+                f"{kind} {self.name!r}: column names starting with '__' are "
+                f"reserved for engine metadata ({', '.join(hidden)})"
+            )
+
     def extended(
         self,
         extra: Sequence[Column],

@@ -36,7 +36,6 @@ from ..common.errors import (
     NoSuchTableError,
     RecoveryError,
     ScheduleViolation,
-    SchemaError,
     StreamingError,
     TransactionError,
     TriggerError,
@@ -44,6 +43,7 @@ from ..common.errors import (
     WorkflowError,
 )
 from ..obs.tracing import NOOP_SPAN
+from ..sql.executor import ExecutionContext
 from ..storage.schema import TableKind, TableSchema
 from ..storage.table import Table
 from .stream import BATCH_COLUMN, Batch, Stream, stream_schema
@@ -54,50 +54,6 @@ from .workflow import Workflow, find_cycle, stream_arcs
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..engine.database import Database
     from ..engine.transaction import Transaction
-
-
-class _TxnOps:
-    """Transactional mutation helper for the streaming layer's physical
-    writes (batch inserts, window staging/activation/eviction).
-
-    Mirrors what :class:`~repro.sql.executor.ExecutionContext` does for SQL
-    writes: every mutation is appended to the transaction's undo log and
-    counted on the event ledger, so streaming maintenance aborts and
-    replays with the rest of the transaction.
-    """
-
-    __slots__ = ("events", "_txn")
-
-    def __init__(self, db: "Database", txn: "Transaction"):
-        self.events = db.events
-        self._txn = txn
-
-    def insert(self, table: Table, values: Sequence[Any]) -> int:
-        rowid = table.insert(values)
-        self._txn.undo.on_insert(table, rowid)
-        self.events.rows_inserted += 1
-        return rowid
-
-    def insert_many(self, table: Table, rows: Sequence[Sequence[Any]]) -> range:
-        """Bulk insert: one undo-log range record and one ledger tally for
-        the whole batch — identical events as per-row inserts, amortized
-        bookkeeping."""
-        rowids = table.insert_many(rows)
-        n = len(rowids)
-        if n:
-            self._txn.undo.on_insert_many(table, rowids.start, n)
-            self.events.rows_inserted += n
-        return rowids
-
-    def update(self, table: Table, rowid: int, values: Sequence[Any]) -> None:
-        old = table.update_row(rowid, values)
-        self._txn.undo.on_update(table, rowid, old)
-        self.events.rows_updated += 1
-
-    def delete(self, table: Table, rowid: int) -> None:
-        old = table.delete_row(rowid)
-        self._txn.undo.on_delete(table, rowid, old)
-        self.events.rows_deleted += 1
 
 
 @dataclass
@@ -137,8 +93,6 @@ class StreamingRuntime:
         self.delivered: dict[tuple[str, str], int] = {}
         self.deliveries_done = 0
         self.delivery_retries = 0
-        #: lifetime rows dropped by stream garbage collection (all streams)
-        self.rows_reclaimed = 0
         #: recovery-replay mode: None (live), "strong" (logged deliveries
         #: consume the queue) or "weak" (the scheduler drains it); replay
         #: fires no user PE trigger — its effects replay from its own records
@@ -165,11 +119,7 @@ class StreamingRuntime:
     def create_stream(self, declared: TableSchema) -> Stream:
         """Register a stream from the user's *declared* schema; the physical
         table carries the hidden ``__batch_id__``/``__seq__`` columns."""
-        if declared.hidden_columns():
-            raise SchemaError(
-                f"stream {declared.name!r}: column names starting with '__' are "
-                f"reserved for engine metadata ({', '.join(declared.hidden_columns())})"
-            )
+        declared.reject_hidden_columns("stream")
         table = Table(stream_schema(declared))
         self._db.catalog.add_table(table)
         stream = Stream(declared=declared, table=table)
@@ -378,17 +328,11 @@ class StreamingRuntime:
         return applied
 
     def _coerce_declared(self, stream: Stream, raw) -> tuple:
-        """One declared-width row from user input (tuple or mapping), type-
-        coerced and NOT-NULL-checked against the declared schema."""
+        """One declared-width row from user input (tuple or mapping), width-,
+        type- and NOT-NULL-checked by the declared schema's ``coerce_row``."""
         if isinstance(raw, dict):
             return stream.declared.row_from_mapping(raw)
-        row = tuple(raw)
-        if len(row) != stream.declared.arity():
-            raise SchemaError(
-                f"stream {stream.name!r} expects {stream.declared.arity()} "
-                f"value(s) per row, got {len(row)}"
-            )
-        return stream.declared.coerce_row(row)
+        return stream.declared.coerce_row(tuple(raw))
 
     def _apply_batch(self, stream: Stream, batch_id: int, rows) -> None:
         db = self._db
@@ -473,8 +417,8 @@ class StreamingRuntime:
                     f"silently never advance — wire the owner into a "
                     f"workflow before ingesting"
                 )
-        ops = _TxnOps(db, txn)
-        db.events.sql_stmt += 1  # the batch insert is one statement
+        events = db.events
+        events.sql_stmt += 1  # the batch insert is one statement
         # Vectorized batch apply: coerce the whole batch against the
         # declared schema, stamp metadata, and bulk-insert in one pass —
         # one undo range record, one index-maintenance loop per index.
@@ -485,14 +429,20 @@ class StreamingRuntime:
         seq0 = stream.next_seq
         stream.next_seq = seq0 + len(declared_rows)
         table = stream.table
-        rowids = ops.insert_many(
-            table,
-            [d + (batch_id, seq0 + i) for i, d in enumerate(declared_rows)],
-        )
-        frozen = tuple(table.get(rowid) for rowid in rowids)  # post-coercion rows
-        for window in self._windows_by_source.get(stream.name, ()):
-            if window.owner is None:
-                window.absorb(ops, frozen)
+        # the batch insert and window maintenance write like SQL does: undo-
+        # logged through the transaction; a failed attempt still counts its writes
+        ctx = ExecutionContext(db.catalog, (), txn.undo)
+        try:
+            rowids = ctx.insert_many(
+                table,
+                [d + (batch_id, seq0 + i) for i, d in enumerate(declared_rows)],
+            )
+            frozen = tuple(table.get(rowid) for rowid in rowids)  # post-coercion rows
+            for window in self._windows_by_source.get(stream.name, ()):
+                if window.owner is None:
+                    events.window_slide += window.absorb(ctx, frozen)
+        finally:
+            ctx.add_to(events)
         self._fire_ee(txn, stream, batch_id, frozen)
         self._stage(txn, stream, batch_id, frozen)
 
@@ -697,10 +647,19 @@ class StreamingRuntime:
         """Inside the delivery transaction, before the procedure body:
         windows over the input stream owned by the target procedure absorb
         the batch.  An abort rolls this back; the retry re-absorbs."""
-        ops = _TxnOps(self._db, txn)
-        for window in self._windows_by_source.get(delivery.batch.stream, ()):
-            if window.owner == delivery.target:
-                window.absorb(ops, delivery.ext_rows)
+        owned = [
+            w for w in self._windows_by_source.get(delivery.batch.stream, ())
+            if w.owner == delivery.target
+        ]
+        if not owned:
+            return
+        events = self._db.events
+        ctx = ExecutionContext(self._db.catalog, (), txn.undo)
+        try:
+            for window in owned:
+                events.window_slide += window.absorb(ctx, delivery.ext_rows)
+        finally:
+            ctx.add_to(events)
 
     # -- recovery support --------------------------------------------------------
     #
@@ -739,7 +698,6 @@ class StreamingRuntime:
                 if d.kind == "proc"
             ],
             "deliveries_done": self.deliveries_done,
-            "rows_reclaimed": self.rows_reclaimed,
         }
 
     def restore_persistent_state(self, state: dict[str, Any]) -> None:
@@ -766,7 +724,6 @@ class StreamingRuntime:
             for stream, proc, batch_id in state.get("delivered", ())
         }
         self.deliveries_done = int(state.get("deliveries_done", 0))
-        self.rows_reclaimed = int(state.get("rows_reclaimed", 0))
         undelivered = state.get("undelivered")
         if undelivered is None:  # written before checkpoints carried the queue
             undelivered = ()
@@ -829,7 +786,6 @@ class StreamingRuntime:
                 table.delete_many(doomed)
                 stream.reclaimed_rows += len(doomed)
                 total += len(doomed)
-        self.rows_reclaimed += total
         return total
 
     # -- introspection -----------------------------------------------------------
@@ -869,7 +825,7 @@ class StreamingRuntime:
                 "pending_deliveries": len(self._queue),
                 "delivered": self.deliveries_done,
                 "retries": self.delivery_retries,
-                "rows_reclaimed": self.rows_reclaimed,
+                "rows_reclaimed": sum(s.reclaimed_rows for s in self.streams.values()),
             },
         }
 

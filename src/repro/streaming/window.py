@@ -122,22 +122,23 @@ class Window:
 
     # -- incremental maintenance ---------------------------------------------
     #
-    # ``ops`` is the runtime's transactional mutation helper: every insert /
-    # update / delete is undo-logged against the current transaction and
-    # counted on the event ledger (``ops.events``), so window maintenance
-    # aborts and replays with the rest of the transaction.
+    # ``ctx`` is the SQL layer's :class:`~repro.sql.executor.ExecutionContext`
+    # over the current transaction's undo log: every insert / update /
+    # delete is undo-logged and tallied like a SQL write, so window
+    # maintenance aborts and replays with the rest of the transaction.
 
-    def absorb(self, ops, ext_rows) -> None:
-        """Stage newly committed source tuples, then slide if due.
+    def absorb(self, ctx, ext_rows) -> int:
+        """Stage newly committed source tuples, then slide if due; returns
+        how many slides were performed.
 
         ``ext_rows`` are stream-extended rows ``(declared..., batch, seq)``
         in arrival order.
         """
         for row in ext_rows:
-            ops.insert(self.table, tuple(row) + (STAGED,))
-        self.slide(ops)
+            ctx.insert(self.table, tuple(row) + (STAGED,))
+        return self.slide(ctx)
 
-    def slide(self, ops) -> int:
+    def slide(self, ctx) -> int:
         """Apply every due slide; returns how many slides were performed.
 
         The window state is scanned **once**; the slide loop updates the
@@ -150,15 +151,14 @@ class Window:
             while len(staged) >= self.spec.slide:
                 advancing = staged[: self.spec.slide]
                 del staged[: self.spec.slide]
-                self._activate(ops, advancing)
+                self._activate(ctx, advancing)
                 active.extend(advancing)
                 excess = len(active) - self.spec.size
                 if excess > 0:
                     for rowid, _row in active[:excess]:
-                        ops.delete(self.table, rowid)
+                        ctx.delete(self.table, rowid)
                     del active[:excess]
                 slides += 1
-                ops.events.window_slide += 1
             return slides
 
         # unit == "batches": batch ids are the (logical) time axis
@@ -170,7 +170,7 @@ class Window:
             advancing_ids = set(staged_batches[: self.spec.slide])
             advancing = [p for p in staged if p[1][batch_pos] in advancing_ids]
             staged = [p for p in staged if p[1][batch_pos] not in advancing_ids]
-            self._activate(ops, advancing)
+            self._activate(ctx, advancing)
             active.extend(advancing)
             active_batches = _ordered_batches(active, batch_pos)
             excess = len(active_batches) - self.spec.size
@@ -178,10 +178,9 @@ class Window:
                 evict_ids = set(active_batches[:excess])
                 for rowid, row in active:
                     if row[batch_pos] in evict_ids:
-                        ops.delete(self.table, rowid)
+                        ctx.delete(self.table, rowid)
                 active = [p for p in active if p[1][batch_pos] not in evict_ids]
             slides += 1
-            ops.events.window_slide += 1
 
     def _rows_by_state(self) -> tuple[list, list]:
         """(staged, active) as ``(rowid, row)`` lists in arrival order."""
@@ -191,12 +190,12 @@ class Window:
             (active if row[pos] == ACTIVE else staged).append((rowid, row))
         return staged, active
 
-    def _activate(self, ops, pairs) -> None:
+    def _activate(self, ctx, pairs) -> None:
         pos = self._active_pos
         for rowid, row in pairs:
             new = list(row)
             new[pos] = ACTIVE
-            ops.update(self.table, rowid, new)
+            ctx.update(self.table, rowid, new)
 
     # -- introspection ---------------------------------------------------------
 

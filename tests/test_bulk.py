@@ -366,6 +366,27 @@ def test_drain_reclaims_fully_consumed_batches():
     assert db.execute("SELECT v FROM s WHERE __batch_id__ = 11").rows == [(99,)]
 
 
+def test_reclaimed_total_is_the_per_stream_sum_across_a_checkpoint():
+    """The scheduler's ``rows_reclaimed`` is the sum of the streams'
+    counters: a checkpoint carries only those, and restore ignores the
+    top-level total an older file may hold."""
+    def consuming_db():
+        db = stream_db()
+        db.register_procedure("consume", lambda ctx, batch: None)
+        db.create_workflow("w", [("s", "consume")])
+        return db
+
+    db = consuming_db()
+    for b in range(1, 6):
+        db.ingest("s", [(b,), (b * 10,)])
+    state = db.streaming.persistent_state()
+    assert "rows_reclaimed" not in state
+    assert state["streams"]["s"]["reclaimed_rows"] == 8
+    restored = consuming_db()
+    restored.streaming.restore_persistent_state({**state, "rows_reclaimed": 999})
+    assert restored.stats()["streaming"]["scheduler"]["rows_reclaimed"] == 8
+
+
 def test_unconsumed_batches_are_never_reclaimed():
     db = stream_db()
     calls = []

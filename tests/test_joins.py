@@ -214,6 +214,21 @@ def test_force_join_change_invalidates_plan_cache(db):
     db.force_join = None
 
 
+def test_force_join_change_replans_pinned_procedure_statements(db):
+    """A procedure's pin table must not keep the previous strategy's plan,
+    and the change must not stale an externally held prepared statement."""
+    sql = "SELECT e.id, d.name FROM emp e JOIN dept d ON e.dept_ref = d.id"
+    db.register_procedure("roster", lambda ctx: ctx.execute(sql).rows)
+    held = db.prepare("SELECT name FROM dept WHERE id = ?")
+    expected = sorted(db.call("roster"))
+    assert db.stats("planner")["joins"] == {"hash": 1, "inl": 0, "bnl": 0}
+    db.force_join = "bnl"
+    assert sorted(db.call("roster")) == expected
+    assert db.stats("planner")["joins"] == {"hash": 1, "inl": 0, "bnl": 1}
+    assert db.execute_prepared(held, (3,)).rows == [("dept-3",)]
+    db.force_join = None
+
+
 def test_hash_join_scans_inner_once(db):
     def scanned() -> int:
         return db.stats("counters").get("rows_scanned", 0)

@@ -8,9 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.common.errors import SchemaError
-from repro.common.types import ColumnType as T
 from repro.partition.partitioning import PartitionMap, stable_hash
-from repro.storage.schema import schema
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +83,6 @@ def test_partition_of_hash_mode_spreads_and_stays_in_range():
 def test_single_partition_routes_everything_to_zero():
     pmap = PartitionMap(1)
     assert pmap.partition_of("anything") == 0
-    assert pmap.partition_of_row("t", None, ("x",)) == 0
 
 
 def test_constructor_error_paths():
@@ -93,10 +90,6 @@ def test_constructor_error_paths():
         PartitionMap(0)
     with pytest.raises(SchemaError, match="unknown partitioning mode"):
         PartitionMap(2, mode="range")
-    with pytest.raises(SchemaError, match="out of range"):
-        PartitionMap(2, default_partition=2)
-    with pytest.raises(SchemaError, match="out of range"):
-        PartitionMap(2, default_partition=-1)
 
 
 def test_partition_key_registration_is_case_insensitive():
@@ -107,34 +100,13 @@ def test_partition_key_registration_is_case_insensitive():
     assert pmap.require_partition_key("vOtEs") == "phone"
 
 
-def test_partition_of_row_routes_by_registered_column():
-    pmap = PartitionMap(2)
-    pmap.set_partition_key("votes", "phone")
-    sch = schema("votes", ("phone", T.BIGINT), ("contestant", T.INTEGER))
-    row = (4155551234, 3)
-    assert pmap.partition_of_row("votes", sch, row) == pmap.partition_of(4155551234)
-
-
-def test_unkeyed_table_routes_to_default_partition_when_configured():
-    pmap = PartitionMap(3, default_partition=1)
-    sch = schema("lookup", ("k", T.INTEGER))
-    assert pmap.partition_of_row("lookup", sch, (9,)) == 1
-
-
 def test_strict_mode_rejects_unkeyed_tables():
-    """default_partition=None: an unkeyed table on a multi-partition map
-    fails loudly instead of hot-spotting one partition."""
-    pmap = PartitionMap(2, default_partition=None)
-    sch = schema("lookup", ("k", T.INTEGER))
-    with pytest.raises(SchemaError, match="strict mode"):
-        pmap.partition_of_row("lookup", sch, (9,))
+    """An unkeyed table on a multi-partition map fails loudly instead of
+    hot-spotting one partition."""
+    pmap = PartitionMap(2)
     with pytest.raises(SchemaError, match="no partition key"):
         pmap.require_partition_key("lookup")
 
 
 def test_require_partition_key_is_lenient_on_single_partition():
-    assert PartitionMap(1, default_partition=None).require_partition_key("t") == ""
-
-
-def test_all_partitions():
-    assert list(PartitionMap(3).all_partitions()) == [0, 1, 2]
+    assert PartitionMap(1).require_partition_key("t") == ""

@@ -6,6 +6,8 @@ from repro.common.errors import UserAbort, WorkflowError
 from repro.common.types import ColumnType as T
 from repro.engine import Database
 from repro.storage.schema import schema
+from repro.storage.table import Table
+from repro.streaming.window import WindowTable
 
 
 def fresh_db():
@@ -288,3 +290,88 @@ def test_procedure_call_emission_triggers_downstream():
     db.call("producer", 7)
     assert got == [1]
     assert db.execute("SELECT v FROM sink").rows == [(7,)]
+
+
+
+# -- owned-window maintenance under abort and retry ----------------------------
+
+
+def _owned_window_pipeline():
+    """s --agg--> sums: ``agg`` owns a 4-row window over ``s`` that slides
+    every 2 rows.  ``faults`` arms one-shot failures: ``"body"`` aborts the
+    body after the window advanced, ``"activate"`` is for the caller's
+    patched row activation."""
+    db = fresh_db()
+    db.create_stream(schema("s", ("v", T.INTEGER)))
+    db.create_table(schema("sums", ("batch", T.BIGINT), ("total", T.BIGINT)))
+    faults = {"body": False, "activate": False}
+
+    @db.register_procedure
+    def agg(ctx, batch):
+        total = ctx.execute("SELECT sum(v) FROM w").scalar()
+        if faults["body"]:
+            faults["body"] = False
+            ctx.abort("injected failure after the window advanced")
+        ctx.execute(
+            "INSERT INTO sums (batch, total) VALUES (?, ?)", (batch.batch_id, total)
+        )
+
+    db.create_window("w", "s", size=4, slide=2, owner="agg")
+    db.create_workflow("wf", [("s", "agg")])
+    return db, faults
+
+
+#: the ledger after batch 1, a failed batch-2 delivery and its retry; the
+#: failed attempt's writes stay counted (and undone) wherever it died
+_RETRY_LEDGER = {
+    "rows_inserted": 17, "sql_plan": 2, "txn_begin": 5, "txn_commit": 4,
+    "txn_abort": 1, "txn_implicit": 2, "procedure_call": 3, "client_submit": 2,
+    "pe_trigger": 2,
+}
+OWNED_WINDOW_RETRY_EVENTS = {
+    # died in the body: the window advance (3 staged, 4 activated, 2
+    # evicted) and its 2 slides were counted, and its 9 writes undone
+    "body": {
+        **_RETRY_LEDGER, "sql_stmt": 7, "rows_scanned": 10, "rows_updated": 10,
+        "rows_deleted": 4, "rows_undone": 9, "window_slide": 5,
+    },
+    # died at the first activation: only the 3 staged rows were written
+    "activate": {
+        **_RETRY_LEDGER, "sql_stmt": 6, "rows_scanned": 6, "rows_updated": 6,
+        "rows_deleted": 2, "rows_undone": 3, "window_slide": 3,
+    },
+}
+
+
+@pytest.mark.parametrize("fault", ["body", "activate"])
+def test_owned_window_delivery_abort_and_retry_events_are_pinned(monkeypatch, fault):
+    db, faults = _owned_window_pipeline()
+
+    def update_row(self, rowid, values):
+        # "activate": the delivery dies inside window maintenance itself,
+        # at its first row activation, after the batch was staged
+        if faults["activate"]:
+            faults["activate"] = False
+            raise RuntimeError("injected failure inside window maintenance")
+        return Table.update_row(self, rowid, values)
+
+    monkeypatch.setattr(WindowTable, "update_row", update_row)
+    table = db.catalog.table("w")
+
+    def window_rows():
+        return sorted(row[0] for row in table.scan_rows() if table.is_visible(row))
+
+    db.ingest("s", [(1,), (2,), (3,)])
+    faults[fault] = True
+    with pytest.raises(Exception, match="injected failure"):
+        db.ingest("s", [(4,), (5,), (6,)])
+    assert db.stats()["streaming"]["scheduler"]["pending_deliveries"] == 1
+    assert window_rows() == [1, 2]
+    assert db.drain() == 1
+    assert db.stats("events") == OWNED_WINDOW_RETRY_EVENTS[fault]
+    # the retry absorbed batch 2 once: the newest 4 rows are active
+    assert window_rows() == [3, 4, 5, 6]
+    assert db.streaming.windows["w"].counts() == {"active_rows": 4, "staged_rows": 0}
+    assert db.execute("SELECT batch, total FROM sums ORDER BY batch").rows == [
+        (1, 3), (2, 18),
+    ]
