@@ -63,6 +63,7 @@ from ..recovery.checkpoint import write_checkpoint
 from ..recovery.manager import RecoveryManager
 from ..sql.executor import ExecutionContext, ExecutionCounters, ResultSet
 from ..sql.costing import JOIN_STRATEGIES
+from ..sql.parser import statement_head
 from ..sql.planner import PreparedStatement, prepare
 from ..storage.catalog import Catalog
 from ..storage.schema import TableKind, TableSchema
@@ -983,16 +984,11 @@ class Database(StatsSections):
             TransactionError: the enclosing transaction is no longer live.
         """
         # ANALYZE is a utility statement, not a plannable one; intercept it
-        # before the plan cache (cheap guard: first letter then full check)
-        if sql.lstrip()[:1] in ("a", "A"):
-            head = sql.strip().rstrip(";").rstrip()
-            if head.lower() == "analyze" or (
-                head[:7].lower() == "analyze" and head[7:8].isspace()
-            ):
-                analyzed = self.analyze(head[7:].strip() or None)
-                return ResultSet(
-                    ("table_name", "analyzed_rows"), sorted(analyzed.items())
-                )
+        # before the plan cache
+        verb, table = statement_head(sql)
+        if verb == "analyze":
+            analyzed = self.analyze(table)
+            return ResultSet(("table_name", "analyzed_rows"), sorted(analyzed.items()))
         return self.execute_prepared(self.prepare(sql), params)
 
     def execute_prepared(

@@ -66,7 +66,6 @@ from __future__ import annotations
 import multiprocessing
 import socket
 from collections import Counter, defaultdict, deque
-from functools import lru_cache
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
@@ -81,7 +80,7 @@ from ..common.ops import StatsSections
 from ..obs import MetricsRegistry, observability
 from ..obs.tracing import NOOP_SPAN
 from ..sql.executor import ResultSet
-from ..sql.lexer import TokenType, tokenize
+from ..sql.parser import statement_head
 from .partitioning import PartitionMap
 from .rpc import Channel, open_span, settle
 from .worker import InlineWorker, PartitionInfo, worker_main
@@ -129,17 +128,6 @@ class _ProcessHandle:
         self.process.terminate()
         self.process.join(timeout=10)
         self.channel.close()
-
-
-@lru_cache(maxsize=256)
-def _statement_head(sql: str) -> tuple[str, Optional[str]]:
-    """The statement's first token, lower-cased, and the identifier after
-    it (``ANALYZE``'s table), read from the lexer so a leading comment
-    cannot hide the verb."""
-    tokens = tokenize(sql)  # never empty: EOF terminates it
-    head = tokens[0].value
-    follows = len(tokens) > 1 and tokens[1].type is TokenType.IDENT
-    return (head if isinstance(head, str) else ""), (tokens[1].value if follows else None)
 
 
 def _value_sort_key(v: Any) -> tuple:
@@ -371,7 +359,7 @@ class PartitionedDatabase(StatsSections):
             self.routing["single_partition_statements"] += 1
             pid = self.partition_map.partition_of(key)
             return self._request(pid, {"op": "execute", "sql": sql, "params": params})
-        verb, table = _statement_head(sql)
+        verb, table = statement_head(sql)
         if verb == "select":
             return self._fanout_select(sql, params)
         if verb == "insert":

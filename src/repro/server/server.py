@@ -24,7 +24,7 @@ and group commit bounds fsyncs; this layer bounds the request queue, so
 no component of the pipeline grows without limit under overload.  The
 reply path is bounded too: the per-connection reply queue blocks frame
 reading when full, and a peer that stops reading its replies for
-``drain_timeout`` seconds is declared dead and disconnected.
+:data:`DRAIN_TIMEOUT_S` seconds is declared dead and disconnected.
 
 In-flight means *admitted but not yet executed*: the budget is released
 the moment the engine finishes the request, before its reply is written.
@@ -71,6 +71,9 @@ from .protocol import (
 #: replies that carry no budget.  When even this fills, the reader stops
 #: pulling frames and TCP flow control pushes back on the client.
 _REPLY_QUEUE_SLACK = 32
+#: seconds a reply write may stall on a non-reading peer before the
+#: connection is declared dead
+DRAIN_TIMEOUT_S = 30.0
 
 
 class ServerStats:
@@ -144,8 +147,6 @@ class ReproServer:
         max_frame_bytes: per-frame ceiling, enforced both directions.
         idle_timeout: seconds a connection may sit with no request and
             nothing in flight before the server hangs up (None = never).
-        drain_timeout: seconds a reply write may stall on a non-reading
-            peer before the connection is declared dead.
     """
 
     def __init__(
@@ -158,7 +159,6 @@ class ReproServer:
         max_inflight_total: int = 64,
         max_frame_bytes: int = MAX_FRAME_BYTES,
         idle_timeout: Optional[float] = None,
-        drain_timeout: float = 30.0,
     ):
         if max_inflight_per_conn < 1 or max_inflight_total < 1:
             raise ValueError("in-flight budgets must be >= 1")
@@ -169,7 +169,6 @@ class ReproServer:
         self.max_inflight_total = max_inflight_total
         self.max_frame_bytes = max_frame_bytes
         self.idle_timeout = idle_timeout
-        self.drain_timeout = drain_timeout
         self.stats = ServerStats()
         self.address: tuple[str, int] = (host, port)
         self._host, self._port = host, port
@@ -291,12 +290,11 @@ class ReproServer:
             await conn.replies.put(error_reply(exc))
             return False
         self.stats.bytes_in += nbytes
-        self.stats.requests["hello"] += 1
-        if record.get("op") != "hello":
+        op = record.get("op")
+        self.stats.requests[op if isinstance(op, str) else "?"] += 1
+        if op != "hello":
             self.stats.protocol_errors += 1
-            await conn.replies.put(error_reply(ProtocolError(
-                f"expected hello, got {record.get('op')!r}"
-            )))
+            await conn.replies.put(error_reply(ProtocolError(f"expected hello, got {op!r}")))
             return False
         if record.get("protocol") != PROTOCOL_VERSION:
             self.stats.protocol_errors += 1
@@ -434,7 +432,7 @@ class ReproServer:
                     data = self._encode_reply(reply)
                     conn.writer.write(data)
                     await asyncio.wait_for(
-                        conn.writer.drain(), timeout=self.drain_timeout
+                        conn.writer.drain(), timeout=DRAIN_TIMEOUT_S
                     )
                     st.bytes_out += len(data)
                     st.replies += 1

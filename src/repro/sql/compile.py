@@ -1,7 +1,8 @@
 """Expression trees → generated Python code: the SQL expression evaluator.
 
 Every expression the engine evaluates — a WHERE predicate, a projection,
-an index key, an UPDATE's SET list, a constant folded at plan time — runs
+an index or join key, a GROUP BY key, an aggregate's input, an INSERT or
+UPDATE row, a constant folded at plan time — runs
 as Python source this module **generates** and ``compile()``s once at plan
 time: straight-line statements over ``row``/``params`` with explicit
 temporaries, so evaluating a predicate is a single stack frame with
@@ -34,9 +35,11 @@ Entry points: :func:`compile_expr` yields a ``(row, params) -> value``
 callable; :func:`compile_predicate` yields a WHERE-style
 ``(row, params) -> bool`` (NULL → not satisfied) with the coercion
 generated inline instead of paying a wrapper frame per row;
-:func:`compile_row` yields one ``(row, params) -> tuple`` frame for a
-whole projection, index key or updated row.  A node the generator does
-not know raises :class:`PlanningError`.
+:func:`compile_row` yields one ``(row, params) -> tuple`` frame and is
+the SQL layer's only per-row tuple builder: projections, SELECT-without-
+FROM rows, index and join keys, GROUP BY keys, aggregate inputs, and
+INSERT and UPDATE rows.  A node the generator does not know raises
+:class:`PlanningError`.
 """
 
 from __future__ import annotations
@@ -482,8 +485,8 @@ def compile_row(
     exprs: Sequence[Expr], scope: Scope
 ) -> Callable[[Sequence[Any], Sequence[Any]], tuple]:
     """Compile several expressions into one ``(row, params) -> tuple``
-    frame — a projection, an index key or an updated row — evaluated left
-    to right, instead of one call per value."""
+    frame — a projection, a key, aggregate inputs or a table row —
+    evaluated left to right, instead of one call per value."""
     g = _Codegen(scope)
     atoms = [g.gen(fold_constants(expr), 2)[0] for expr in exprs]
     g.emit(2, f"return ({''.join(atom + ', ' for atom in atoms)})")

@@ -487,31 +487,24 @@ def choose_join(
     )
 
     # -- constructors ---------------------------------------------------------
-    def make_inl():
-        consumed = set()
-        key_fns = []
-        for col in index.key_columns:
-            pos, outer_expr = eq_by_col[col]
-            key_fns.append(compile_expr(outer_expr, scope))
-            consumed.add(pos)
-        residual = combine_conjuncts(
+    def residual_without(cols):
+        consumed = {eq_by_col[col][0] for col in cols}
+        return combine_conjuncts(
             [c for i, c in enumerate(conjuncts) if i not in consumed], scope
         )
-        return IndexNestedLoopStep(right.name, arity, index.name, key_fns, residual, kind)
+
+    def make_inl():
+        key_fn = compile_row([eq_by_col[col][1] for col in index.key_columns], scope)
+        residual = residual_without(index.key_columns)
+        return IndexNestedLoopStep(right.name, arity, index.name, key_fn, residual, kind)
 
     def make_hash():
-        consumed = set()
-        outer_key_fns = []
-        inner_key_slots = []
-        for col, (pos, outer_expr) in eq_by_col.items():
-            outer_key_fns.append(compile_expr(outer_expr, scope))
-            inner_key_slots.append(right.schema.position(col))
-            consumed.add(pos)
-        residual = combine_conjuncts(
-            [c for i, c in enumerate(conjuncts) if i not in consumed], scope
+        outer_key = compile_row([outer for _pos, outer in eq_by_col.values()], scope)
+        inner_key = compile_row(
+            [SlotRef(right.schema.position(col)) for col in eq_by_col], _VALUE_SCOPE
         )
         return HashJoinStep(
-            right.name, arity, outer_key_fns, inner_key_slots, residual, kind,
+            right.name, arity, outer_key, inner_key, residual_without(eq_by_col), kind,
             build_inner=build_inner,
         )
 

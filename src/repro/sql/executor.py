@@ -24,7 +24,7 @@ trigger notification, and cost accounting see every mutation.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Iterator, Optional, Protocol, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Protocol, Sequence
 
 from ..common.errors import PlanningError
 from ..obs import DISABLED
@@ -238,6 +238,7 @@ class ExecutionContext(ExecutionCounters):
 
 Predicate = Callable[[Sequence[Any], Sequence[Any]], bool]
 ValueFn = Callable[[Sequence[Any], Sequence[Any]], Any]
+KeyFn = Callable[[Sequence[Any], Sequence[Any]], tuple]
 
 _NO_ROW: tuple = ()
 
@@ -274,42 +275,29 @@ class SeqScan:
                 )
 
 
-class IndexScan:
-    """Equality probe into a hash index, plus optional residual filter.
+class _IndexProbe:
+    """The probe loop both index access paths share: fetch each rowid the
+    index yields, skip rows hidden from reads, count the visited ones,
+    apply the residual filter and record EXPLAIN counts.  Subclasses
+    supply only ``rowids(table, ctx)``, the index lookup itself (None when
+    a NULL key or bound matches nothing)."""
 
-    ``key_fn(row, params)`` builds the whole key tuple in one call."""
-
-    __slots__ = ("table_name", "index_name", "key_fn", "pred", "op_id")
-
-    def __init__(
-        self,
-        table_name: str,
-        index_name: str,
-        key_fn: Callable[[Sequence[Any], Sequence[Any]], tuple],
-        pred: Optional[Predicate] = None,
-    ):
-        self.table_name = table_name
-        self.index_name = index_name
-        self.key_fn = key_fn
-        self.pred = pred
-        self.op_id = -1
+    __slots__ = ()
 
     def __call__(self, ctx: ExecutionContext) -> Iterator[tuple[int, tuple]]:
         table = ctx.read_table(self.table_name)
-        index = table.index(self.index_name)
-        params = ctx.params
-        key = self.key_fn(_NO_ROW, params)
-        ctx.index_probes += 1
-        if None in key:
-            return  # col = NULL never matches
+        rowids = self.rowids(table, ctx)
+        if rowids is None:
+            return
         pred = self.pred
+        params = ctx.params
         visible = table.is_visible
         scanned = 0
         emitted = 0
         # batched counter update (finally: a LIMIT may close this generator
         # early and the rows already visited must still be counted)
         try:
-            for rowid in index.lookup(key):
+            for rowid in rowids:
                 row = table.get(rowid)
                 if row is None or not visible(row):
                     continue
@@ -325,7 +313,34 @@ class IndexScan:
                 )
 
 
-class IndexRangeScan:
+class IndexScan(_IndexProbe):
+    """Equality probe into a hash index, plus optional residual filter.
+
+    ``key_fn(row, params)`` builds the whole key tuple in one call."""
+
+    __slots__ = ("table_name", "index_name", "key_fn", "pred", "op_id")
+
+    def __init__(
+        self,
+        table_name: str,
+        index_name: str,
+        key_fn: KeyFn,
+        pred: Optional[Predicate] = None,
+    ):
+        self.table_name = table_name
+        self.index_name = index_name
+        self.key_fn = key_fn
+        self.pred = pred
+        self.op_id = -1
+
+    def rowids(self, table: Table, ctx: ExecutionContext) -> Optional[Iterable[int]]:
+        index = table.index(self.index_name)
+        key = self.key_fn(_NO_ROW, ctx.params)
+        ctx.index_probes += 1
+        return None if None in key else index.lookup(key)
+
+
+class IndexRangeScan(_IndexProbe):
     """Range scan over an ordered index, plus optional residual filter."""
 
     __slots__ = (
@@ -351,8 +366,7 @@ class IndexRangeScan:
         self.pred = pred
         self.op_id = -1
 
-    def __call__(self, ctx: ExecutionContext) -> Iterator[tuple[int, tuple]]:
-        table = ctx.read_table(self.table_name)
+    def rowids(self, table: Table, ctx: ExecutionContext) -> Optional[Iterable[int]]:
         index = table.index(self.index_name)
         if not isinstance(index, OrderedIndex):  # pragma: no cover - planner invariant
             raise PlanningError(f"index {self.index_name!r} is not ordered")
@@ -360,28 +374,9 @@ class IndexRangeScan:
         lo = self.lo_fn(_NO_ROW, params) if self.lo_fn is not None else None
         hi = self.hi_fn(_NO_ROW, params) if self.hi_fn is not None else None
         if (self.lo_fn is not None and lo is None) or (self.hi_fn is not None and hi is None):
-            return  # range bound NULL -> empty
+            return None
         ctx.index_probes += 1
-        pred = self.pred
-        visible = table.is_visible
-        scanned = 0
-        emitted = 0
-        # batched counter update (same early-close contract as above)
-        try:
-            for rowid in index.range_scan(lo, hi, lo_inclusive=self.lo_inc, hi_inclusive=self.hi_inc):
-                row = table.get(rowid)
-                if row is None or not visible(row):
-                    continue
-                scanned += 1
-                if pred is None or pred(row, params):
-                    emitted += 1
-                    yield rowid, row
-        finally:
-            ctx.rows_scanned += scanned
-            if ctx.explain_counts is not None:
-                ctx.explain_counts[self.op_id] = (
-                    ctx.explain_counts.get(self.op_id, 0) + emitted
-                )
+        return index.range_scan(lo, hi, lo_inclusive=self.lo_inc, hi_inclusive=self.hi_inc)
 
 
 Scan = SeqScan | IndexScan | IndexRangeScan

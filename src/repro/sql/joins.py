@@ -29,23 +29,23 @@ Index-nested-loop counts only the inner rows its probes fetch.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .executor import ExecutionContext
-from .expressions import Compiled
+from .executor import ExecutionContext, KeyFn
 
 __all__ = ["BlockNestedLoopStep", "HashJoinStep", "IndexNestedLoopStep"]
 
 
 class HashJoinStep:
-    """Hash equi-join against ``table_name`` on compiled outer-key
-    expressions vs inner-row key slots."""
+    """Hash equi-join against ``table_name``: ``outer_key(row, params)``
+    and ``inner_key(row, params)`` build each side's key tuple in one
+    generated frame."""
 
     __slots__ = (
         "table_name",
         "arity",
-        "outer_key_fns",
-        "inner_key_slots",
+        "outer_key",
+        "inner_key",
         "residual",
         "kind",
         "build_inner",
@@ -57,8 +57,8 @@ class HashJoinStep:
         self,
         table_name: str,
         arity: int,
-        outer_key_fns: Sequence[Compiled],
-        inner_key_slots: Sequence[int],
+        outer_key: KeyFn,
+        inner_key: KeyFn,
         residual,
         kind: str,
         *,
@@ -66,8 +66,8 @@ class HashJoinStep:
     ):
         self.table_name = table_name
         self.arity = arity
-        self.outer_key_fns = tuple(outer_key_fns)
-        self.inner_key_slots = tuple(inner_key_slots)
+        self.outer_key = outer_key
+        self.inner_key = inner_key
         self.residual = residual
         self.kind = kind
         self.build_inner = build_inner
@@ -86,15 +86,14 @@ class HashJoinStep:
         params = ctx.params
         residual = self.residual
         left_outer = self.kind == "left"
-        slots = self.inner_key_slots
-        key_fns = self.outer_key_fns
+        inner_key, outer_key = self.inner_key, self.outer_key
 
         span = obs.span("join.build", table=self.table_name, side="inner") if obs.enabled else None
         build: dict[tuple, list[tuple]] = {}
         scanned = 0
         for _rowid, right in table.scan_visible():
             scanned += 1
-            key = tuple(right[s] for s in slots)
+            key = inner_key(right, params)
             if None in key:
                 continue  # NULL never joins
             bucket = build.get(key)
@@ -111,8 +110,7 @@ class HashJoinStep:
         try:
             for left in rows:
                 matched = False
-                key = tuple(fn(left, params) for fn in key_fns)
-                bucket = build.get(key)  # a NULL in the key simply misses
+                bucket = build.get(outer_key(left, params))  # a NULL in the key simply misses
                 if bucket is not None:
                     for right in bucket:
                         combined = left + right
@@ -137,13 +135,13 @@ class HashJoinStep:
         params = ctx.params
         residual = self.residual
         left_outer = self.kind == "left"
-        slots = self.inner_key_slots
+        inner_key, outer_key = self.inner_key, self.outer_key
 
         span = obs.span("join.build", table=self.table_name, side="outer") if obs.enabled else None
         outer_rows = list(rows)
         build: dict[tuple, list[int]] = {}
         for idx, left in enumerate(outer_rows):
-            key = tuple(fn(left, params) for fn in self.outer_key_fns)
+            key = outer_key(left, params)
             if None in key:
                 continue
             bucket = build.get(key)
@@ -161,8 +159,7 @@ class HashJoinStep:
         try:
             for _rowid, right in table.scan_visible():
                 scanned += 1
-                key = tuple(right[s] for s in slots)
-                bucket = build.get(key)
+                bucket = build.get(inner_key(right, params))
                 if bucket is None:
                     continue
                 for idx in bucket:
@@ -189,12 +186,13 @@ class HashJoinStep:
 
 class IndexNestedLoopStep:
     """Index-nested-loop join: per outer row, probe an inner-table equality
-    index with key values computed from the outer row, instead of scanning
-    the whole inner table.  Residual ON conjuncts (those not covered by the
-    index key) are evaluated on the combined row."""
+    index with the key ``key_fn(row, params)`` builds from the outer row in
+    one generated frame, instead of scanning the whole inner table.
+    Residual ON conjuncts (those not covered by the index key) are
+    evaluated on the combined row."""
 
     __slots__ = (
-        "table_name", "arity", "index_name", "key_fns", "residual", "kind",
+        "table_name", "arity", "index_name", "key_fn", "residual", "kind",
         "op_id", "_null_pad",
     )
 
@@ -203,14 +201,14 @@ class IndexNestedLoopStep:
         table_name: str,
         arity: int,
         index_name: str,
-        key_fns: Sequence[Compiled],
+        key_fn: KeyFn,
         residual,
         kind: str,
     ):
         self.table_name = table_name
         self.arity = arity
         self.index_name = index_name
-        self.key_fns = tuple(key_fns)
+        self.key_fn = key_fn
         self.residual = residual
         self.kind = kind
         self.op_id = -1
@@ -223,13 +221,14 @@ class IndexNestedLoopStep:
         params = ctx.params
         left_outer = self.kind == "left"
         visible = table.is_visible
+        key_fn = self.key_fn
         emitted = 0
         try:
             for left in rows:
                 matched = False
-                key = tuple(fn(left, params) for fn in self.key_fns)
+                key = key_fn(left, params)
                 ctx.index_probes += 1
-                if not any(v is None for v in key):  # col = NULL never matches
+                if None not in key:  # col = NULL never matches
                     for rowid in index.lookup(key):
                         right = table.get(rowid)
                         if right is None or not visible(right):

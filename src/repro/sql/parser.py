@@ -16,9 +16,10 @@ IN / BETWEEN / LIKE / IS, additive, multiplicative, unary, primary.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
-from ..common.errors import ParseError
+from ..common.errors import LexError, ParseError
 from .ast import (
     Assignment,
     Between,
@@ -59,6 +60,29 @@ def parse_expression(sql: str) -> Expr:
     expr = parser.parse_expr()
     parser.expect_eof()
     return expr
+
+
+@lru_cache(maxsize=256)
+def statement_head(sql: str) -> tuple[str, Optional[str]]:
+    """``(verb, table)``: the statement's first word, lower-cased (``""``
+    when it starts with none), read from the lexer so a leading comment
+    cannot hide it; ``table`` is the operand of the utility statement
+    ``ANALYZE [table]``, else None.  Text the lexer rejects has no verb:
+    preparing it raises the lexer's error."""
+    try:
+        tokens = tokenize(sql)  # never empty: EOF terminates it
+    except LexError:
+        return "", None
+    first = tokens[0]
+    head = first.value if first.type in (TokenType.KEYWORD, TokenType.IDENT) else ""
+    if head != "analyze":
+        return head, None
+    rest = tokens[1:-1]
+    if rest and rest[-1].type is TokenType.OP and rest[-1].value == ";":
+        rest = rest[:-1]
+    if len(rest) > 1 or (rest and rest[0].type is not TokenType.IDENT):
+        raise ParseError(f"expected ANALYZE [table], got {sql!r}")
+    return head, rest[0].value if rest else None
 
 
 class _Parser:

@@ -199,27 +199,19 @@ def plan(
     return prepared
 
 
-class _AggSpec:
-    """One aggregate call: its argument compiler and accumulator factory."""
+def _aggregate_input(call: FuncCall) -> Expr:
+    """The value one aggregate call accumulates per row; ``COUNT(*)``
+    counts ``TRUE``."""
+    if call.star:
+        return Literal(True)
+    if len(call.args) != 1:
+        raise PlanningError(f"aggregate {call.name.upper()}() takes exactly one argument")
+    return call.args[0]
 
-    __slots__ = ("call", "arg_fn", "star", "distinct", "name")
 
-    def __init__(self, call: FuncCall, scope: Scope):
-        self.call = call
-        self.name = call.name
-        self.star = call.star
-        self.distinct = call.distinct
-        if call.star:
-            self.arg_fn = None
-        else:
-            if len(call.args) != 1:
-                raise PlanningError(
-                    f"aggregate {call.name.upper()}() takes exactly one argument"
-                )
-            self.arg_fn = compile_expr(call.args[0], scope)
-
-    def fresh(self):
-        return make_accumulator(self.name, star=self.star, distinct=self.distinct)
+def _accumulators(calls: Sequence[FuncCall]) -> list:
+    """A fresh accumulator per aggregate call, for one new group."""
+    return [make_accumulator(c.name, star=c.star, distinct=c.distinct) for c in calls]
 
 
 def _resolve_columns(expr: Expr, scope: Scope) -> Expr:
@@ -323,7 +315,7 @@ def _plan_select(stmt: Select, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
         if stmt.group_by or stmt.having is not None or stmt.joins:
             raise PlanningError("GROUP BY/HAVING/JOIN require a FROM clause")
         names = tuple(_output_name(item, i) for i, item in enumerate(stmt.items))
-        fns = [compile_expr(item.expr, _VALUE_SCOPE) for item in stmt.items]
+        build = compile_row([item.expr for item in stmt.items], _VALUE_SCOPE)
         where_pred = (
             compile_predicate(stmt.where, _VALUE_SCOPE)
             if stmt.where is not None
@@ -339,7 +331,7 @@ def _plan_select(stmt: Select, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
             if where_pred is not None and not where_pred((), params):
                 out: list[tuple] = []
             else:
-                out = [tuple(fn((), params) for fn in fns)]
+                out = [build((), params)]
             if const_offset is not None:
                 out = out[const_offset(params):]
             if const_limit is not None:
@@ -428,8 +420,8 @@ def _plan_select(stmt: Select, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
                 # e.g. an ORDER BY select-list alias; handled by _compile_order
                 continue
         agg_calls = _collect_aggregates(resolved_for_aggs)
-        key_fns = [compile_expr(g, scope) for g in resolved_keys]
-        agg_specs = [_AggSpec(call, scope) for call in agg_calls]
+        group_key = compile_row(resolved_keys, scope)
+        agg_inputs = compile_row([_aggregate_input(call) for call in agg_calls], scope)
         mapping: dict[Expr, int] = {}
         for i, g in enumerate(resolved_keys):
             mapping.setdefault(g, i)
@@ -480,9 +472,7 @@ def _plan_select(stmt: Select, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
                 out_exprs.append(item.expr)
         out_names = tuple(out_names_list)
         project = compile_row(out_exprs, scope)
-        having_pred = None
-        key_fns = []
-        agg_specs = []
+        having_pred = group_key = agg_inputs = agg_calls = None
         order_fns = _compile_order(stmt, out_names, lambda e: compile_expr(e, scope))
 
     limit_fn = _compile_limit(stmt.limit, "LIMIT")
@@ -522,16 +512,15 @@ def _plan_select(stmt: Select, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
         if grouped:
             groups: dict[tuple, list] = {}
             for row in rows:
-                key = tuple(fn(row, params) for fn in key_fns)
+                key = group_key(row, params)
                 accs = groups.get(key)
                 if accs is None:
-                    accs = [spec.fresh() for spec in agg_specs]
-                    groups[key] = accs
-                for spec, acc in zip(agg_specs, accs):
-                    acc.add(True if spec.star else spec.arg_fn(row, params))
-            if not groups and not key_fns:
+                    accs = groups[key] = _accumulators(agg_calls)
+                for acc, value in zip(accs, agg_inputs(row, params)):
+                    acc.add(value)
+            if not groups and not stmt.group_by:
                 # global aggregate over an empty input still yields one row
-                groups[()] = [spec.fresh() for spec in agg_specs]
+                groups[()] = _accumulators(agg_calls)
             source_rows: Iterator[tuple] = (
                 key + tuple(acc.result() for acc in accs)
                 for key, accs in groups.items()
@@ -635,22 +624,25 @@ def _plan_insert(stmt: Insert, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
 
     if stmt.columns:
         target_cols = tuple(c.lower() for c in stmt.columns)
-        for c in target_cols:
-            schema.position(c)  # raises on unknown columns
+        slots = [schema.position(c) for c in target_cols]  # raises on unknown columns
         if len(set(target_cols)) != len(target_cols):
             raise PlanningError(f"duplicate column in INSERT column list: {target_cols}")
     else:
         target_cols = schema.column_names()
+        slots = list(range(len(target_cols)))
+
+    def build_row(values: Sequence[Expr]):
+        """The full table row in one generated frame: target column ``i``
+        takes ``values[i]``, every other column its default (``Table.insert``
+        still coerces types and enforces NOT NULL/unique constraints)."""
+        given = dict(zip(slots, values))
+        return compile_row(
+            [given.get(i, Literal(col.default)) for i, col in enumerate(schema.columns)],
+            _VALUE_SCOPE,
+        )
 
     table_name = table.name
     plan_info = {"kind": "insert", "table": table_name}
-    # Plan-time column permutation: target column i of the INSERT lands in
-    # row slot ``slots[i]``; unmentioned columns take their default.  The
-    # hot path then builds each full-width row with list indexing only —
-    # no per-row dict construction (``Table.insert`` still coerces types
-    # and enforces NOT NULL/unique constraints).
-    slots = tuple(schema.position(c) for c in target_cols)
-    defaults = tuple(col.default for col in schema.columns)
 
     if stmt.select is not None:
         inner = _plan_select(stmt.select, catalog, sql, env)
@@ -659,17 +651,13 @@ def _plan_insert(stmt: Insert, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
                 f"INSERT ... SELECT arity mismatch: {len(target_cols)} target "
                 f"column(s), SELECT produces {len(inner.columns)}"
             )
+        build = build_row([SlotRef(i) for i in range(len(target_cols))])
 
         def run_insert_select(ctx: ExecutionContext) -> ResultSet:
             result = inner.execute(ctx)  # materialised — safe for self-insert
             t = ctx.write_table(table_name)
-            full_rows = []
-            for row in result.rows:
-                full = list(defaults)
-                for slot, value in zip(slots, row):
-                    full[slot] = value
-                full_rows.append(full)
-            n = len(ctx.insert_many(t, full_rows))
+            params = ctx.params
+            n = len(ctx.insert_many(t, [build(row, params) for row in result.rows]))
             return ResultSet((), [], rowcount=n)
 
         plan_info["select"] = inner.plan_info
@@ -677,71 +665,36 @@ def _plan_insert(stmt: Insert, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
             sql, "insert", param_count, run_insert_select, plan_info=plan_info
         )
 
-    row_fns: list[list[Compiled]] = []
     for row in stmt.rows:
         if len(row) != len(target_cols):
             raise PlanningError(
                 f"INSERT row has {len(row)} value(s), expected {len(target_cols)}"
             )
-        row_fns.append([compile_expr(e, _VALUE_SCOPE) for e in row])
+    builders = [build_row(row) for row in stmt.rows]
 
     def run_insert(ctx: ExecutionContext) -> ResultSet:
         t = ctx.write_table(table_name)
         params = ctx.params
-        if len(row_fns) == 1:  # the single-row OLTP hot path: no batch setup
-            full = list(defaults)
-            for slot, fn in zip(slots, row_fns[0]):
-                full[slot] = fn((), params)
-            ctx.insert(t, full)
+        if len(builders) == 1:  # Table.insert: a bulk insert re-sorts ordered indexes
+            ctx.insert(t, builders[0]((), params))
             return ResultSet((), [], rowcount=1)
-        full_rows = []
-        for fns in row_fns:
-            full = list(defaults)
-            for slot, fn in zip(slots, fns):
-                full[slot] = fn((), params)
-            full_rows.append(full)
-        n = len(ctx.insert_many(t, full_rows))
+        n = len(ctx.insert_many(t, [build((), params) for build in builders]))
         return ResultSet((), [], rowcount=n)
-
-    # Plan-time fact for the batch binder: a single VALUES row whose target
-    # list covers every column in schema order binds straight to a full row
-    # (no defaults template, no slot permutation) — the common bulk-load shape.
-    # An in-order *prefix* of the columns does not qualify: the unmentioned
-    # trailing columns still need their defaults.
-    full_width_in_order = (
-        len(row_fns) == 1
-        and len(slots) == len(defaults)
-        and slots == tuple(range(len(slots)))
-    )
 
     def run_insert_many(ctx: ExecutionContext, param_rows: Iterable[Sequence]) -> int:
         """Vectorized batch binder for ``executemany``: bind every parameter
         row, then apply the whole batch as **one** bulk insert (one undo-log
         range record, per-row work in tight loops)."""
         t = ctx.write_table(table_name)
-        empty: tuple = ()
         full_rows = []
-        if full_width_in_order:
-            fns = row_fns[0]
-            for params in param_rows:
-                if len(params) < param_count:
-                    raise PlanningError(
-                        f"statement requires {param_count} parameter(s), "
-                        f"got {len(params)}: {sql!r}"
-                    )
-                full_rows.append([fn(empty, params) for fn in fns])
-        else:
-            for params in param_rows:
-                if len(params) < param_count:
-                    raise PlanningError(
-                        f"statement requires {param_count} parameter(s), "
-                        f"got {len(params)}: {sql!r}"
-                    )
-                for fns in row_fns:
-                    full = list(defaults)
-                    for slot, fn in zip(slots, fns):
-                        full[slot] = fn(empty, params)
-                    full_rows.append(full)
+        for params in param_rows:
+            if len(params) < param_count:
+                raise PlanningError(
+                    f"statement requires {param_count} parameter(s), "
+                    f"got {len(params)}: {sql!r}"
+                )
+            for build in builders:
+                full_rows.append(build((), params))
         return len(ctx.insert_many(t, full_rows))
 
     return PreparedStatement(sql, "insert", param_count, run_insert,

@@ -120,6 +120,21 @@ class TestHandshake:
         finally:
             sock.close()
 
+    def test_first_frame_is_counted_under_its_own_op(self, db, server):
+        """A first frame that is not a hello counts under its op — "?"
+        for a non-string op — and never as a hello."""
+        for frame in ({"op": "execute", "sql": "SELECT 1", "params": []}, {"op": 7}):
+            sock = raw_connection(server)
+            try:
+                send_frame(sock, frame)
+                reply, _ = recv_frame(sock)
+                assert reply["ok"] is False and "expected hello" in reply["message"]
+            finally:
+                sock.close()
+        requests = db.stats()["server"]["requests"]
+        assert (requests.get("execute"), requests.get("?")) == (1, 1)
+        assert "hello" not in requests
+
     def test_duplicate_hello_errors_but_keeps_connection(self, server):
         with client(server) as c:
             with pytest.raises(ProtocolError):

@@ -53,6 +53,22 @@ def test_analyze_single_table_statement():
     assert result.rows == [("txns", 30)]
 
 
+def test_analyze_after_a_leading_comment_on_a_single_engine():
+    """The single engine reads the verb from the lexer, as the partitioned
+    one does: a leading comment does not hide ANALYZE, in process or
+    served, and a malformed ANALYZE is a parse error on both shapes."""
+    from repro.common.errors import ParseError
+    from repro.server import ReproClient, ReproServer
+
+    db = make_db(20)
+    assert db.execute("-- c\nANALYZE txns").rows == [("txns", 20)]
+    assert db.execute("-- c\nanalyze;").rows == [("txns", 20)]
+    with ReproServer(db) as server, ReproClient(*server.address) as client:
+        assert client.execute("-- c\nANALYZE").rows == [("txns", 20)]
+    with pytest.raises(ParseError, match="ANALYZE"):
+        db.execute("ANALYZE txns extra")
+
+
 def test_analyze_api_bumps_stats_version():
     db = make_db(10)
     v0 = db.table_stats.version
