@@ -18,8 +18,10 @@ builds on them):
   buffered and fsynced in groups (flush when ``group_size`` records or
   ``DEFAULT_GROUP_BYTES`` (64 KiB) are pending).  A crash loses at most the
   unflushed group — a bounded suffix of *acknowledged-but-undurable*
-  commands, exactly H-Store's group-commit window.  Everything before
-  the last flush is durable.
+  commands.  This is not H-Store's group commit, which holds each reply
+  until its group is fsynced: here an in-process return, and a served
+  reply, can precede the fsync.  ``Database.flush_log()`` is the barrier
+  — everything before the last flush is durable.
 * **A failed write or fsync stops the log.**  Records are durable only
   once their fsync returned, and a retried fsync proves nothing about
   pages the kernel may have dropped: the failing flush raises

@@ -51,6 +51,9 @@ from ..partition.rpc import open_span, settle
 from ..sql.executor import ResultSet
 from .protocol import PROTOCOL_VERSION
 
+#: seconds :class:`ReproClient` waits for the TCP connection to open
+CONNECT_TIMEOUT_S = 5.0
+
 
 def _ingest_result(value: Any) -> Any:
     # a partitioned reply is {partition: batch ids}; JSON stringified the
@@ -160,12 +163,11 @@ class ReproClient(_ClientBase):
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        connect_timeout: float = 5.0,
         max_frame_bytes: int = MAX_FRAME_BYTES,
         obs=None,
     ):
         super().__init__(max_frame_bytes=max_frame_bytes, obs=obs)
-        self._sock = socket.create_connection((host, port), timeout=connect_timeout)
+        self._sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_S)
         self._sock.settimeout(None)
         self._closed = False
         try:

@@ -21,9 +21,9 @@ is the partition RPC's request/reply shape lifted onto a public socket:
 
 Engine operations (``OPS`` — the verbs declared in
 :mod:`repro.common.ops`, each request record carrying that verb's operands
-by name) run on the server's single engine thread in arrival order;
-``hello``/``ping``/``bye`` are connection-level and never touch the
-engine.  ``EXEMPT_OPS`` are engine-dispatched but **exempt** from admission
+by name) run one at a time, in arrival order, on the server's event-loop
+thread; ``hello``/``ping``/``bye`` are connection-level and never touch
+the engine.  ``EXEMPT_OPS`` are engine-dispatched but **exempt** from admission
 control: observability must keep working while the server is shedding
 load.
 """
@@ -39,7 +39,7 @@ from ..partition.rpc import error_reply, respond, value_reply
 #: rejects clients speaking a different version.
 PROTOCOL_VERSION = 1
 
-#: engine operations — dispatched to the engine thread in FIFO order.
+#: engine operations — run from the server's job FIFO in arrival order.
 OPS = frozenset(BY_NAME)
 
 #: connection-level operations handled entirely on the event loop.

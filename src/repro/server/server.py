@@ -1,40 +1,37 @@
 """The asyncio TCP server fronting a single or partitioned engine.
 
-Architecture — three kinds of thread, one writer of engine state:
-
-* the **event-loop thread** owns all sockets and every admission-control
-  counter.  Connections are coroutines; budget increments (at admit) and
-  decrements (at engine completion) happen only here, so the counters
-  need no locks;
-* the **engine thread** — a one-worker :class:`ThreadPoolExecutor` — is
-  the only thread that ever touches the engine.  Every engine operation,
-  from every connection, is submitted to it in arrival order, preserving
-  the serial execution model the engine is built on.  This also makes
-  server-assigned batch ids safe: concurrent clients ingesting the same
-  stream are serialised here, so each batch draws the next id with no
-  interleaving (no :class:`~repro.common.errors.BatchOrderError`);
-* **client threads** live in other processes and speak frames.
+Architecture — two threads: the caller's, which starts and closes the
+server, and the **event-loop thread**, which owns every socket, every
+admission-control counter and the engine itself.  Connections are
+coroutines; each admitted request joins one job FIFO shared by all
+connections, and the loop runs exactly one job per turn, so engine
+operations execute serially in arrival order — the execution model the
+engine is built on — with no lock and no hand-off between threads.
+This also makes server-assigned batch ids safe: concurrent clients
+ingesting the same stream are serialised by the FIFO, so each batch
+draws the next id with no interleaving (no
+:class:`~repro.common.errors.BatchOrderError`).
 
 Backpressure is *rejection*, not buffering.  Each connection carries a
-bounded in-flight budget and the server a global one; a request arriving
-with either budget full is answered — in FIFO position — with a
-:class:`~repro.common.errors.BackpressureError` reply (``retryable``)
-and **nothing** is queued or executed.  Stream GC bounds engine memory
-and group commit bounds fsyncs; this layer bounds the request queue, so
-no component of the pipeline grows without limit under overload.  The
-reply path is bounded too: the per-connection reply queue blocks frame
-reading when full, and a peer that stops reading its replies for
-:data:`DRAIN_TIMEOUT_S` seconds is declared dead and disconnected.
+bounded in-flight budget and the server a global one; a frame read while
+either budget is held by queued work is answered — in FIFO position —
+with a :class:`~repro.common.errors.BackpressureError` reply
+(``retryable``) and **nothing** is queued or executed.  Stream GC bounds
+engine memory and group commit bounds fsyncs; this layer bounds the job
+FIFO, so no component of the pipeline grows without limit under
+overload.  The reply path is bounded too: the per-connection reply queue
+blocks frame reading when full, and a peer that stops reading its
+replies for :data:`DRAIN_TIMEOUT_S` seconds is declared dead and
+disconnected.
 
-In-flight means *admitted but not yet executed*: the budget is released
-the moment the engine finishes the request, before its reply is written.
-That ordering matters — by the time a client can react to a reply the
-budget it held is already free, so a strict request/reply client is
-never spuriously rejected even at budget 1.  A client that disconnects
-mid-request does not abort anything — admitted work runs to completion
-on the engine thread (the transaction either fully applies or never
-started; there is no partial state to roll back), its budget is
-released, and the undeliverable reply is dropped.
+In-flight means *admitted but not yet executed*: a job settles its reply
+and releases its budget before the next job starts, so the reply write
+is queued ahead of further engine work and a strict request/reply client
+is never spuriously rejected even at budget 1.  A client that
+disconnects mid-request does not abort anything — admitted work runs to
+completion (the transaction either fully applies or never started; there
+is no partial state to roll back), its budget is released, and the
+undeliverable reply is dropped.
 """
 
 from __future__ import annotations
@@ -42,8 +39,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter, deque
 from functools import partial
 from typing import Any, Optional
 
@@ -77,11 +73,8 @@ DRAIN_TIMEOUT_S = 30.0
 
 
 class ServerStats:
-    """Counters surfaced as the ``server`` section of ``db.stats()``.
-
-    Mutated only on the event-loop thread; read (GIL-atomic ints) from
-    the engine thread when a stats snapshot is taken.
-    """
+    """Counters surfaced as the ``server`` section of ``db.stats()``,
+    read and written on the event-loop thread only."""
 
     def __init__(self) -> None:
         self.connections_accepted = 0
@@ -122,7 +115,7 @@ class _Conn:
 
     def __init__(self, writer: asyncio.StreamWriter, queue_size: int):
         self.writer = writer
-        #: FIFO of reply dicts / engine-task futures; ``None`` ends it
+        #: FIFO of reply dicts / job futures; ``None`` ends it
         self.replies: asyncio.Queue = asyncio.Queue(maxsize=queue_size)
         self.inflight = 0
         self.alive = True
@@ -134,7 +127,7 @@ class ReproServer:
 
     The server owns no engine state and closes without touching the
     engine — ``close()`` stops accepting, finishes or abandons
-    connections, joins its threads, and leaves ``db`` usable in-process.
+    connections, joins its thread, and leaves ``db`` usable in-process.
 
     Args:
         db: the engine to front — any shape: every request goes through
@@ -177,7 +170,10 @@ class ReproServer:
         self._conn_tasks: set[asyncio.Task] = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread: Optional[threading.Thread] = None
-        self._engine: Optional[ThreadPoolExecutor] = None
+        #: admitted requests of every connection, run one per loop turn:
+        #: ``(record, future, conn or None if exempt, queued_ns)``.  A
+        #: ``_run_next`` is scheduled exactly while it is non-empty.
+        self._jobs: deque = deque()
         self._aserver: Optional[asyncio.AbstractServer] = None
         self._started = False
         self._closed = False
@@ -192,9 +188,6 @@ class ReproServer:
         if self._started:
             raise ServerError("server already started")
         self._started = True
-        self._engine = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-engine"
-        )
         self._loop = asyncio.new_event_loop()
         self._loop_thread = threading.Thread(
             target=self._loop.run_forever, name="repro-server", daemon=True
@@ -214,8 +207,8 @@ class ReproServer:
         return self
 
     def close(self) -> None:
-        """Stop accepting, finish open connections, join all server
-        threads, and detach from the engine.  Idempotent."""
+        """Stop accepting, finish open connections and their jobs, join
+        the loop thread, and detach from the engine.  Idempotent."""
         if self._closed:
             return
         self._closed = True
@@ -227,8 +220,6 @@ class ReproServer:
                 self._loop.call_soon_threadsafe(self._loop.stop)
             self._loop_thread.join()
             self._loop.close()
-        if self._engine is not None:
-            self._engine.shutdown(wait=True)
         self.db.remove_stats_section("server")
 
     async def _shutdown(self) -> None:
@@ -265,7 +256,7 @@ class ReproServer:
                 await self._serve(conn, reader)
         finally:
             await conn.replies.put(None)
-            await writer_task  # drains pending replies, releases budget
+            await writer_task  # waits out this connection's jobs, drains replies
             self._conns.discard(conn)
             self._conn_tasks.discard(asyncio.current_task())
             writer.close()
@@ -348,20 +339,19 @@ class ReproServer:
                 hint = "duplicate hello" if name in CONNECTION_OPS else f"unknown op {op!r}"
                 await conn.replies.put(error_reply(ProtocolError(hint)))
                 continue
-            if op not in EXEMPT_OPS:
+            charged = op not in EXEMPT_OPS
+            if charged:
                 rejection = self._admit(conn, op)
                 if rejection is not None:
                     await conn.replies.put(rejection)
                     continue
-            task = asyncio.ensure_future(self._run_on_engine(record))
-            if op not in EXEMPT_OPS:
-                # release at engine completion (runs on the loop), not at
-                # reply-write time: by the time a client can react to its
-                # reply the budget is already free, so a request/reply
-                # client is never spuriously rejected at budget 1 — and a
-                # vanished client cannot pin budget behind a dead socket
-                task.add_done_callback(lambda _t, c=conn: self._release(c))
-            await conn.replies.put(task)
+            future = self._loop.create_future()
+            self._jobs.append(
+                (record, future, conn if charged else None, time.perf_counter_ns())
+            )
+            if len(self._jobs) == 1:  # the FIFO was idle: start it
+                self._loop.call_soon(self._run_next)
+            await conn.replies.put(future)
 
     def _admit(self, conn: _Conn, op: str) -> Optional[dict[str, Any]]:
         """Take one unit of budget, or return the rejection reply.
@@ -382,21 +372,28 @@ class ReproServer:
             f"{op} rejected: {scope}; nothing was executed, retry later"
         ))
 
-    def _release(self, conn: _Conn) -> None:
-        conn.inflight -= 1
-        self._inflight_total -= 1
-
-    async def _run_on_engine(self, record: dict[str, Any]) -> dict[str, Any]:
-        # stamped at submission so the engine thread can report how long
-        # the request sat behind earlier work in the one-worker executor
-        queued_ns = time.perf_counter_ns()
-        return await self._loop.run_in_executor(
-            self._engine, self._respond, record, queued_ns
-        )
+    def _run_next(self) -> None:
+        """Run the oldest job, settle its reply, release its budget, and
+        only then schedule the next job: the reply write is queued ahead
+        of further engine work, and I/O is polled between jobs."""
+        record, future, conn, queued_ns = self._jobs.popleft()
+        try:
+            reply = self._respond(record, queued_ns)
+        except BaseException as exc:
+            # owe the connection's reply writer a reply regardless
+            reply = error_reply(ServerError(f"request lost: {exc}"))
+            raise
+        finally:
+            future.set_result(reply)
+            if conn is not None:
+                conn.inflight -= 1
+                self._inflight_total -= 1
+            if self._jobs:
+                self._loop.call_soon(self._run_next)
 
     def _respond(self, record: dict[str, Any], queued_ns: int) -> dict[str, Any]:
-        """Engine-thread entry: measure executor queue wait, adopt the
-        client's trace context (if any), span the request, execute."""
+        """Job entry: measure the wait from admission to job start, adopt
+        the client's trace context (if any), span the request, execute."""
         ctx = record.pop(TRACE_KEY, None)
         obs = self.db.obs
         op = record.get("op")
@@ -412,7 +409,7 @@ class ReproServer:
 
     async def _write_replies(self, conn: _Conn) -> None:
         """Drain the reply queue in FIFO order.  Runs until the ``None``
-        sentinel, even once the socket is dead — every queued engine task
+        sentinel, even once the socket is dead — every queued job future
         must still be awaited to completion (admitted work always runs,
         reachable client or not)."""
         st = self.stats
@@ -420,13 +417,7 @@ class ReproServer:
             payload = await conn.replies.get()
             if payload is None:
                 return
-            if isinstance(payload, asyncio.Future):
-                try:
-                    reply = await payload
-                except Exception as exc:  # noqa: BLE001 - owe a reply regardless
-                    reply = error_reply(ServerError(f"request lost: {exc}"))
-            else:
-                reply = payload
+            reply = await payload if isinstance(payload, asyncio.Future) else payload
             if conn.alive:
                 try:
                     data = self._encode_reply(reply)

@@ -24,7 +24,7 @@ from repro.common.errors import (
     SchemaError,
     ServerError,
 )
-from repro.common.framing import HEADER, recv_frame, send_frame
+from repro.common.framing import HEADER, encode_frame, recv_frame, send_frame
 from repro.common.types import ColumnType as T
 from repro.engine import Database
 from repro.partition import PartitionedDatabase
@@ -80,6 +80,14 @@ def wait_until(predicate, timeout=5.0):
             return True
         time.sleep(0.01)
     return False
+
+
+def post_in_one_write(c, records):
+    """Pipeline ``records`` on client ``c`` in a single socket write, so
+    the server reads them all in one loop wakeup — before the first runs.
+    Replies are taken with ``c.collect()`` as after ``c.post``."""
+    c._sock.sendall(b"".join(encode_frame(r) for r in records))
+    c._spans.extend([None] * len(records))
 
 
 def raw_connection(server):
@@ -289,7 +297,7 @@ class TestWireFaults:
 
     def test_mid_request_disconnect_applies_fully_exactly_once(self, db, server):
         # post one ingest and hang up without reading the reply: the
-        # admitted batch still runs to completion on the engine thread —
+        # admitted batch still runs to completion on the server's loop —
         # fully applied, exactly once, nothing to roll back
         c = client(server)
         c.post({"op": "ingest", "stream": "feed",
@@ -391,6 +399,23 @@ class TestTypedErrors:
         finally:
             db.remove_stats_section("boom")
 
+    def test_job_raising_outside_the_engine_still_replies(self, db, server, monkeypatch):
+        # a job that raises past the engine's own error replies still
+        # settles its reply, releases its budget and starts the next job
+        respond = server._respond
+
+        def broken(record, queued_ns):
+            if record["op"] == "flush_log":
+                raise RuntimeError("boom")
+            return respond(record, queued_ns)
+
+        monkeypatch.setattr(server, "_respond", broken)
+        with client(server) as c:
+            with pytest.raises(ServerError, match="request lost: boom"):
+                c.flush_log()
+            assert c.query("SELECT count(*) FROM bal") == [{"count": 0}]
+            assert c.stats()["server"]["inflight"]["now"] == 0
+
 
 # ---------------------------------------------------------------------------
 # Admission control / backpressure
@@ -400,9 +425,9 @@ class TestBackpressure:
     def test_overload_rejects_with_retryable_error(self, db):
         with ReproServer(db, max_inflight_per_conn=2, max_inflight_total=2) as srv:
             with client(srv) as c:
-                for i in range(10):
-                    c.post({"op": "ingest", "stream": "feed",
-                            "rows": [[1, 1]], "batch_id": None})
+                # one write: all ten frames are read before the first runs
+                post_in_one_write(c, [{"op": "ingest", "stream": "feed",
+                                       "rows": [[1, 1]], "batch_id": None}] * 10)
                 admitted = rejected = 0
                 for _ in range(10):
                     try:
@@ -420,72 +445,39 @@ class TestBackpressure:
         db.drain()
         assert db.query("SELECT total FROM bal WHERE acct = 1") == [{"total": admitted}]
 
-    @pytest.mark.slow
-    @pytest.mark.wallclock
     def test_rejected_batch_retries_and_applies_exactly_once(self, db):
+        ingest = {"op": "ingest", "stream": "feed", "batch_id": None}
         with ReproServer(db, max_inflight_per_conn=1, max_inflight_total=1) as srv:
-            blocker = client(srv)
-            victim = client(srv)
-            # saturate the global budget with a slow call...
-            event = threading.Event()
-
-            @db.register_procedure
-            def slow(ctx):
-                event.wait(5.0)
-
-            blocker.post({"op": "call", "proc": "slow", "args": [], "key": None})
-            # ...so the victim's first try is rejected, then retried once
-            # the budget frees.  The retried batch must land exactly once.
-            def release():
-                time.sleep(0.15)
-                event.set()
-
-            t = threading.Thread(target=release)
-            t.start()
-            try:
-                with pytest.raises(BackpressureError):
-                    victim.ingest("feed", [(7, 3)])  # no retries: rejected
-                victim.ingest("feed", [(7, 3)], retries=50, backoff=0.02)
-                blocker.collect()
-            finally:
-                t.join()
-            victim.drain()
-            assert victim.query("SELECT total FROM bal WHERE acct = 7") == [{"total": 3}]
-            assert victim.stats()["server"]["rejected"]["total"] >= 2
-            blocker.close(), victim.close()
+            with client(srv) as c:
+                # twice: the victim batch is read while the only budget
+                # slot is held by a queued batch, so it is rejected —
+                # retryably, and without reaching the engine...
+                for _ in range(2):
+                    post_in_one_write(c, [{**ingest, "rows": [[1, 1]]},
+                                          {**ingest, "rows": [[7, 3]]}])
+                    c.collect()
+                    with pytest.raises(BackpressureError) as rejected:
+                        c.collect()
+                    assert rejected.value.retryable is True
+                # ...and the retried batch lands exactly once
+                c.ingest("feed", [(7, 3)], retries=50, backoff=0.02)
+                c.drain()
+                assert c.query("SELECT total FROM bal WHERE acct = 7") == [{"total": 3}]
+                assert c.stats()["server"]["rejected"]["total"] >= 2
 
     def test_stats_exempt_from_admission(self, db):
-        # observability must survive overload: while ``slow`` holds the
-        # only budget slot, an ingest sent beside a stats frame is turned
-        # away and the stats frame is answered.  Asserts the admission
-        # decision itself (made on the loop thread as each frame is read),
-        # not ``inflight.now`` — a stats job runs on the engine thread
-        # right after ``slow`` returns and races its budget release.
+        # observability must survive overload: with the only budget slot
+        # held by a queued ingest, the ingest read next is turned away
+        # and the stats frame read after it is still admitted and answered
+        ingest = {"op": "ingest", "stream": "feed", "rows": [[1, 1]], "batch_id": None}
         with ReproServer(db, max_inflight_per_conn=1, max_inflight_total=1) as srv:
-            blocker = client(srv)
-            started, finish = threading.Event(), threading.Event()
-
-            @db.register_procedure
-            def slow(ctx):
-                started.set()
-                finish.wait(5.0)
-
-            blocker.post({"op": "call", "proc": "slow", "args": [], "key": None})
-            assert started.wait(5.0)
-            try:
-                with client(srv) as c:
-                    c.post({"op": "ingest", "stream": "feed",
-                            "rows": [[1, 1]], "batch_id": None})
-                    c.post({"op": "stats", "section": "server"})
-                    with pytest.raises(BackpressureError):
-                        c.collect()  # rejected without reaching the engine
-                    finish.set()  # the stats job queues behind ``slow``
-                    st = c.collect()  # answered, not a BackpressureError
-                    assert st["rejected"]["by_op"] == {"ingest": 1}
-            finally:
-                finish.set()
-            blocker.collect()
-            blocker.close()
+            with client(srv) as c:
+                post_in_one_write(c, [ingest, ingest, {"op": "stats", "section": "server"}])
+                c.collect()  # the queued ingest
+                with pytest.raises(BackpressureError):
+                    c.collect()  # rejected without reaching the engine
+                st = c.collect()  # answered, not a BackpressureError
+                assert st["rejected"]["by_op"] == {"ingest": 1}
 
     def test_budget_validation(self, db):
         with pytest.raises(ValueError):
@@ -500,7 +492,7 @@ class TestConcurrentClients:
     def test_concurrent_ingest_never_sees_batch_order_error(self, db, server):
         # regression (PR 6 sequencing over the wire): N clients ingesting
         # the same stream concurrently under server-assigned ids must
-        # serialise on the engine thread — ids never collide or reorder
+        # serialise in the server's job FIFO — ids never collide or reorder
         clients, errors = 4, []
         batches_each, rows_each = 10, 3
 
@@ -629,6 +621,19 @@ class TestLifecycle:
         srv.close()  # idempotent
         with pytest.raises(ServerError):
             srv.start()  # a server is one lifecycle
+
+    def test_server_runs_one_thread(self, db):
+        # the loop thread reads frames and runs the engine: serving a
+        # request adds exactly one thread, and close() joins it
+        before = threading.active_count()
+        srv = ReproServer(db).start()
+        try:
+            with client(srv) as c:
+                c.ingest("feed", [(1, 1)])
+                assert threading.active_count() == before + 1
+        finally:
+            srv.close()
+        assert threading.active_count() == before
 
     def test_engine_stays_usable_after_close(self, db):
         srv = serve(db)
