@@ -194,10 +194,9 @@ async def read_frame_async(
             :func:`recv_frame`.
     """
     try:
-        head = reader.readexactly(HEADER.size)
-        if header_timeout is not None:
-            head = asyncio.wait_for(head, header_timeout)
-        header = await head
+        # not ``wait_for``: on 3.11 its new task yields with a header buffered
+        async with asyncio.timeout(header_timeout):
+            header = await reader.readexactly(HEADER.size)
     except asyncio.IncompleteReadError as exc:
         torn = bool(exc.partial)
         raise ConnectionClosedError(

@@ -73,8 +73,9 @@ DRAIN_TIMEOUT_S = 30.0
 
 
 class ServerStats:
-    """Counters surfaced as the ``server`` section of ``db.stats()``,
-    read and written on the event-loop thread only."""
+    """Counters surfaced as the ``server`` section of ``db.stats()``.
+    Written on the loop thread; an in-process ``db.stats()`` reads them
+    from its own thread, one GIL-atomic copy per field."""
 
     def __init__(self) -> None:
         self.connections_accepted = 0

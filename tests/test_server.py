@@ -28,6 +28,7 @@ from repro.common.framing import HEADER, encode_frame, recv_frame, send_frame
 from repro.common.types import ColumnType as T
 from repro.engine import Database
 from repro.partition import PartitionedDatabase
+from repro.partition.rpc import settle
 from repro.server import AsyncReproClient, PROTOCOL_VERSION, ReproClient, ReproServer, serve
 from repro.storage.schema import schema
 
@@ -82,18 +83,22 @@ def wait_until(predicate, timeout=5.0):
     return False
 
 
-def post_in_one_write(c, records):
-    """Pipeline ``records`` on client ``c`` in a single socket write, so
-    the server reads them all in one loop wakeup — before the first runs.
-    Replies are taken with ``c.collect()`` as after ``c.post``."""
-    c._sock.sendall(b"".join(encode_frame(r) for r in records))
-    c._spans.extend([None] * len(records))
-
-
 def raw_connection(server):
     sock = socket.create_connection(server.address, timeout=5.0)
     sock.settimeout(5.0)
     return sock
+
+
+def send_in_one_write(sock, records):
+    """Pipeline ``records`` in a single socket write, so the server reads
+    them all in one loop wakeup — before the first of them runs."""
+    sock.sendall(b"".join(encode_frame(r) for r in records))
+
+
+def next_reply(sock):
+    """The next reply on a raw socket, decoded as a client would: its
+    value, or its typed error raised."""
+    return settle(recv_frame(sock)[0], None, "server", ServerError)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +430,9 @@ class TestBackpressure:
     def test_overload_rejects_with_retryable_error(self, db):
         with ReproServer(db, max_inflight_per_conn=2, max_inflight_total=2) as srv:
             with client(srv) as c:
-                # one write: all ten frames are read before the first runs
-                post_in_one_write(c, [{"op": "ingest", "stream": "feed",
-                                       "rows": [[1, 1]], "batch_id": None}] * 10)
+                for i in range(10):
+                    c.post({"op": "ingest", "stream": "feed",
+                            "rows": [[1, 1]], "batch_id": None})
                 admitted = rejected = 0
                 for _ in range(10):
                     try:
@@ -448,22 +453,53 @@ class TestBackpressure:
     def test_rejected_batch_retries_and_applies_exactly_once(self, db):
         ingest = {"op": "ingest", "stream": "feed", "batch_id": None}
         with ReproServer(db, max_inflight_per_conn=1, max_inflight_total=1) as srv:
-            with client(srv) as c:
+            sock = raw_connection(srv)
+            try:
+                send_frame(sock, {"op": "hello", "protocol": PROTOCOL_VERSION})
+                recv_frame(sock)
                 # twice: the victim batch is read while the only budget
                 # slot is held by a queued batch, so it is rejected —
                 # retryably, and without reaching the engine...
                 for _ in range(2):
-                    post_in_one_write(c, [{**ingest, "rows": [[1, 1]]},
-                                          {**ingest, "rows": [[7, 3]]}])
-                    c.collect()
+                    send_in_one_write(sock, [{**ingest, "rows": [[1, 1]]},
+                                             {**ingest, "rows": [[7, 3]]}])
+                    next_reply(sock)
                     with pytest.raises(BackpressureError) as rejected:
-                        c.collect()
+                        next_reply(sock)
                     assert rejected.value.retryable is True
-                # ...and the retried batch lands exactly once
+            finally:
+                sock.close()
+            # ...and, resubmitted, the batch lands exactly once (the client's
+            # retry loop: test_ingest_retry_after_rejection_applies_exactly_once)
+            with client(srv) as c:
                 c.ingest("feed", [(7, 3)], retries=50, backoff=0.02)
                 c.drain()
                 assert c.query("SELECT total FROM bal WHERE acct = 7") == [{"total": 3}]
                 assert c.stats()["server"]["rejected"]["total"] >= 2
+
+    def test_ingest_retry_after_rejection_applies_exactly_once(self, db, server, monkeypatch):
+        # ingest(retries=N) end to end: its first attempt is really
+        # rejected by admission (the connection budget reads full once),
+        # the client backs off and resends, and the batch lands once
+        admit, admitted_ops = server._admit, []
+
+        def full_once(conn, op):
+            admitted_ops.append(op)
+            held = server.max_inflight_per_conn if len(admitted_ops) == 1 else 0
+            conn.inflight += held
+            try:
+                return admit(conn, op)
+            finally:
+                conn.inflight -= held
+
+        monkeypatch.setattr(server, "_admit", full_once)
+        with client(server) as c:
+            before = c.stats()["server"]["rejected"]["total"]  # stats: exempt
+            c.ingest("feed", [(7, 3)], retries=3, backoff=0.01)
+            assert admitted_ops == ["ingest", "ingest"]
+            assert c.stats()["server"]["rejected"]["total"] == before + 1
+            c.drain()
+            assert c.query("SELECT total FROM bal WHERE acct = 7") == [{"total": 3}]
 
     def test_stats_exempt_from_admission(self, db):
         # observability must survive overload: with the only budget slot
@@ -471,13 +507,34 @@ class TestBackpressure:
         # and the stats frame read after it is still admitted and answered
         ingest = {"op": "ingest", "stream": "feed", "rows": [[1, 1]], "batch_id": None}
         with ReproServer(db, max_inflight_per_conn=1, max_inflight_total=1) as srv:
-            with client(srv) as c:
-                post_in_one_write(c, [ingest, ingest, {"op": "stats", "section": "server"}])
-                c.collect()  # the queued ingest
+            sock = raw_connection(srv)
+            try:
+                send_frame(sock, {"op": "hello", "protocol": PROTOCOL_VERSION})
+                recv_frame(sock)
+                send_in_one_write(sock, [ingest, ingest, {"op": "stats", "section": "server"}])
+                next_reply(sock)  # the queued ingest
                 with pytest.raises(BackpressureError):
-                    c.collect()  # rejected without reaching the engine
-                st = c.collect()  # answered, not a BackpressureError
+                    next_reply(sock)  # rejected without reaching the engine
+                st = next_reply(sock)  # answered, not a BackpressureError
                 assert st["rejected"]["by_op"] == {"ingest": 1}
+            finally:
+                sock.close()
+
+    def test_idle_timeout_keeps_pipelined_frames_in_one_wakeup(self, db):
+        # the idle timeout must not yield between frames already read:
+        # the second of two pipelined ingests still meets a held budget
+        ingest = {"op": "ingest", "stream": "feed", "rows": [[1, 1]], "batch_id": None}
+        with ReproServer(db, max_inflight_per_conn=1, idle_timeout=5.0) as srv:
+            sock = raw_connection(srv)
+            try:
+                send_frame(sock, {"op": "hello", "protocol": PROTOCOL_VERSION})
+                recv_frame(sock)
+                send_in_one_write(sock, [ingest, ingest])
+                next_reply(sock)
+                with pytest.raises(BackpressureError):
+                    next_reply(sock)
+            finally:
+                sock.close()
 
     def test_budget_validation(self, db):
         with pytest.raises(ValueError):
