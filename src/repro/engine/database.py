@@ -402,11 +402,12 @@ class Database(StatsSections):
         hops the crash lost wait in the queue; the first ``drain()``
         resumes the dataflow where the crash cut it.
 
-        After the queue empties, stream garbage collection drops rows of
-        batches that every workflow subscriber has fully consumed (keeping
-        the newest consumed batch), so sustained ingest does not grow
-        memory without bound; ``stats()["streaming"]`` reports per-stream
-        and total ``rows_reclaimed``.
+        After each workflow delivery commits, stream garbage collection
+        drops the rows of its input stream's batches that every workflow
+        subscriber has consumed (keeping the newest consumed batch), so
+        sustained ingest does not grow memory without bound;
+        ``stats()["streaming"]`` reports per-stream and total
+        ``rows_reclaimed``.
 
         Returns:
             How many deliveries were processed.

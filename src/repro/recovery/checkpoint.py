@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from ..common.clock import EventLedger
 from ..common.errors import RecoveryError
 from ..common.serde import decode_record, encode_record
+from .log import fsync_dir
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..engine.database import Database
@@ -60,8 +61,8 @@ def _snapshot_rows(catalog_snapshot: dict[str, Any]) -> int:
 
 def write_checkpoint(path: str | Path, db: "Database", lsn: int) -> Path:
     """Write one checkpoint of ``db`` covering ``lsn`` atomically (temp
-    file + rename + fsync).  Counts one ``snapshot_row`` event per
-    serialised row.  Returns the final path.
+    file + fsync + rename + directory fsync).  Counts one ``snapshot_row``
+    event per serialised row.  Returns the final path.
     """
     path = Path(path)
     catalog = db.catalog.snapshot()
@@ -73,6 +74,7 @@ def write_checkpoint(path: str | Path, db: "Database", lsn: int) -> Path:
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
+    fsync_dir(path.parent)
     return path
 
 
@@ -133,4 +135,6 @@ def prune_checkpoints(directory: str | Path, keep: int = 2) -> list[Path]:
     for path in list_checkpoints(directory)[keep:]:
         path.unlink(missing_ok=True)
         removed.append(path)
+    if removed:
+        fsync_dir(directory)
     return removed

@@ -27,8 +27,13 @@ builds on them):
   pages the kernel may have dropped: the failing flush raises
   :class:`RecoveryError` naming the first LSN not durable, and so does
   every later append and flush.
-* **Events.**  An append counts one ``log_group_commit``, an fsync one
-  ``log_write``; ``stats()`` reads ``appended``/``flushes`` off them.
+* **Directory entries are durable too.**  Creating, renaming or
+  unlinking a file changes its directory, which a file's own fsync does
+  not cover: :func:`fsync_dir` follows the log's creation, each rename of
+  a log or checkpoint into place, and the pruning of old checkpoints.
+* **Events.**  An append counts one ``log_group_commit``, an fsync of the
+  log one ``log_write``; ``stats()`` reads ``appended``/``flushes`` off
+  them.  A directory fsync counts nothing.
 """
 
 from __future__ import annotations
@@ -51,6 +56,16 @@ HEADER_OP = "_header"
 #: ``group_size``) and bytes pending before one (fixed).
 DEFAULT_GROUP_SIZE = 8
 DEFAULT_GROUP_BYTES = 64 * 1024
+
+
+def fsync_dir(directory: str | Path) -> None:
+    """fsync ``directory``, making the creations, renames and unlinks of
+    the files in it survive a crash."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _header_record(base_lsn: int) -> dict[str, Any]:
@@ -165,6 +180,7 @@ class CommandLog:
         if fresh:
             self._file.write(encode_record(_header_record(base_lsn)) + "\n")
             self._fsync()
+            fsync_dir(self.path.parent)
 
     # -- appending -----------------------------------------------------------
 
@@ -283,6 +299,7 @@ class CommandLog:
             os.fsync(f.fileno())
         self._file.close()
         os.replace(tmp, self.path)
+        fsync_dir(self.path.parent)
         self.base_lsn = new_base_lsn
         self._flushed_records = 0
         self._file = open(self.path, "a", encoding="utf-8")

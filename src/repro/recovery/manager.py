@@ -57,8 +57,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: File name of the single command log inside a recovery directory.
 LOG_NAME = "command.log"
 
-#: Record ops replayed by weak recovery; everything else (workflow
-#: deliveries, GC advances) is regenerated by re-driving the DAG.
+#: Record ops replayed by weak recovery; the rest (workflow deliveries)
+#: is regenerated by re-driving the DAG.
 WEAK_REPLAY_OPS = ("txn", "call", "ingest")
 
 
@@ -215,8 +215,6 @@ class RecoveryManager:
             db.streaming.replay_delivery(
                 record["stream"], record["batch_id"], record["proc"]
             )
-        elif op == "gc":
-            db.streaming.apply_gc(record["horizons"])
         else:
             raise RecoveryError(f"unknown command-log op {op!r}")
 
@@ -321,12 +319,6 @@ class RecoveryManager:
         """Build one workflow ``delivery`` record: the hop, not its rows —
         replay finds the batch at the head of the rebuilt queue."""
         return {"op": "delivery", "stream": stream, "batch_id": batch_id, "proc": proc_name}
-
-    def record_gc(self, horizons: dict[str, int]) -> None:
-        """Capture one stream-GC horizon advance (runs outside any
-        transaction; appended directly)."""
-        if self.active and self._log is not None:
-            self._log.append({"op": "gc", "horizons": dict(horizons)})
 
     def on_commit(self, txn: "Transaction") -> None:
         """Append the transaction's logical record, if it has one.

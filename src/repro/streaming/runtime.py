@@ -527,16 +527,13 @@ class StreamingRuntime:
 
         A failing delivery goes back to the head of the queue, the error
         propagates, and a later ``drain()`` retries it.  No-op while a
-        drain is already running or a transaction is open.
-
-        After the queue empties, stream garbage collection runs (see
-        :meth:`_reclaim`): rows of batches every workflow subscriber has
-        consumed are dropped, so sustained ingest holds a bounded number of
-        rows per subscribed stream instead of growing without bound.
+        drain is already running or a transaction is open.  Each workflow
+        delivery that commits runs stream GC on its input stream (see
+        :meth:`_reclaim`).
         """
         db = self._db
         if self._draining or db._txn is not None or self.replay_mode == "strong":
-            # strong replay: logged deliveries (and GC) run in log order
+            # strong replay: logged deliveries run in log order
             return 0
         self._draining = True
         processed = 0
@@ -551,43 +548,9 @@ class StreamingRuntime:
                     raise
                 processed += 1
                 self.deliveries_done += 1
-            self._reclaim()
         finally:
             self._draining = False
         return processed
-
-    def _reclaim(self) -> int:
-        """Stream GC: bulk-drop rows of fully consumed batches.
-
-        A batch is reclaimable once **every** workflow subscription on its
-        stream has delivered past it.  The newest consumed batch (the
-        horizon) is retained, so the latest committed contents remain
-        queryable; everything older is physically deleted through the bulk
-        delete primitive (one index-maintenance loop per index).  Runs
-        outside any transaction — deliveries up to the horizon have
-        committed, so reclamation is post-commit maintenance (not
-        undo-logged), like checkpointing.  Returns rows reclaimed.
-        """
-        advanced: dict[str, int] = {}
-        for stream in self.streams.values():
-            subs = self._subscriptions.get(stream.name)
-            if not subs:
-                continue  # terminal streams keep their contents
-            horizon = min(
-                self.delivered.get((stream.name, procedure), 0)
-                for _workflow, procedure in subs
-            )
-            if horizon > stream.gc_horizon:
-                advanced[stream.name] = horizon
-        total = self.apply_gc(advanced)
-        # GC timing is not derivable from the command log alone (it runs
-        # when the queue happens to empty), so the horizon advance itself
-        # is logged; strong replay re-applies it at the same log position,
-        # keeping recovered snapshots byte-identical to pre-crash state.
-        capture = self._db._log_capture
-        if capture is not None and advanced:
-            capture.record_gc(advanced)
-        return total
 
     def _deliver(self, delivery: _Delivery) -> None:
         db = self._db
@@ -642,6 +605,28 @@ class StreamingRuntime:
         finally:
             self._delivering = previous
         self.delivered[key] = delivery.batch.batch_id
+        self._reclaim(self.streams[delivery.batch.stream])
+
+    def _reclaim(self, stream: Stream) -> None:
+        """Stream GC after a committed workflow delivery from ``stream``:
+        bulk-drop the rows of batches every workflow subscription on it has
+        delivered past, keeping the newest consumed batch (the horizon) so
+        the latest committed contents stay queryable.  Post-commit
+        maintenance, not undo-logged; replay re-runs the same deliveries
+        in log order, so it re-runs the same GC."""
+        horizon = min(
+            self.delivered.get((stream.name, procedure), 0)
+            for _workflow, procedure in self._subscriptions[stream.name]
+        )
+        if horizon <= stream.gc_horizon:
+            return
+        table = stream.table
+        batch_pos = table.schema.position(BATCH_COLUMN)
+        doomed = [rowid for rowid, row in table.scan() if row[batch_pos] < horizon]
+        stream.gc_horizon = horizon
+        if doomed:
+            table.delete_many(doomed)
+            stream.reclaimed_rows += len(doomed)
 
     def _advance_owned_windows(self, txn: "Transaction", delivery: _Delivery) -> None:
         """Inside the delivery transaction, before the procedure body:
@@ -760,33 +745,6 @@ class StreamingRuntime:
         heapq.heappop(self._queue)
         self._deliver(head)
         self.deliveries_done += 1
-
-    def apply_gc(self, horizons: dict[str, int]) -> int:
-        """Advance GC horizons and drop the rows below them.
-
-        The single reclamation primitive: live GC (:meth:`_reclaim`)
-        computes its horizons from the ``delivered`` map and delegates
-        here; strong recovery calls it directly with the horizons a
-        logged ``gc`` record carries — one code path, so live and
-        replayed reclamation cannot diverge.  Returns rows reclaimed.
-        """
-        total = 0
-        for name, horizon in horizons.items():
-            stream = self._stream(name)
-            horizon = int(horizon)
-            if horizon <= stream.gc_horizon:
-                continue
-            table = stream.table
-            batch_pos = table.schema.position(BATCH_COLUMN)
-            doomed = [
-                rowid for rowid, row in table.scan() if row[batch_pos] < horizon
-            ]
-            stream.gc_horizon = horizon
-            if doomed:
-                table.delete_many(doomed)
-                stream.reclaimed_rows += len(doomed)
-                total += len(doomed)
-        return total
 
     # -- introspection -----------------------------------------------------------
 

@@ -366,6 +366,26 @@ def test_drain_reclaims_fully_consumed_batches():
     assert db.execute("SELECT v FROM s WHERE __batch_id__ = 11").rows == [(99,)]
 
 
+def test_gc_runs_after_each_delivery_not_when_the_queue_empties():
+    """GC runs right after each delivery commits, so what a later delivery
+    sees resident follows from the delivery order alone — which the command
+    log records — and not from when the queue happens to empty."""
+    db = stream_db()
+    resident = {}
+
+    @db.register_procedure
+    def consume(ctx, batch):
+        rows = ctx.execute("SELECT DISTINCT __batch_id__ FROM s").rows
+        resident[batch.batch_id] = sorted(b for (b,) in rows)
+
+    db.create_workflow("w", [("s", "consume")])
+    db.ingest("s", [(3,)], batch_id=3)
+    db.ingest("s", [(2,)], batch_id=2)
+    assert resident == {}  # both wait for batch 1
+    db.ingest("s", [(1,)], batch_id=1)  # one drain delivers 1, 2 and 3
+    assert resident == {1: [1, 2, 3], 2: [1, 2, 3], 3: [2, 3]}
+
+
 def test_reclaimed_total_is_the_per_stream_sum_across_a_checkpoint():
     """The scheduler's ``rows_reclaimed`` is the sum of the streams'
     counters: a checkpoint carries only those, and restore ignores the

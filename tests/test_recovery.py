@@ -378,6 +378,44 @@ class TestCheckpoints:
             db.checkpoint()
         assert len(list(d.glob("checkpoint-*.ckpt"))) == 2
 
+    def test_each_rename_and_unlink_is_followed_by_a_directory_fsync(
+        self, tmp_path, monkeypatch
+    ):
+        # a crash must not keep the truncated log yet lose the rename of
+        # the checkpoint that covers the dropped records
+        d = tmp_path / "db"
+        db = open_db(d, table_bootstrap)
+        for i in range(2):
+            db.call("deposit", i, 1.0)
+            db.checkpoint()
+        db.call("deposit", 2, 1.0)  # a new LSN: the next checkpoint prunes one
+        here = os.stat(d)
+        real_replace, real_unlink, real_fsync = os.replace, os.unlink, os.fsync
+        ops = []
+
+        def replace(src, dst):
+            ops.append("rename")
+            real_replace(src, dst)
+
+        def unlink(path, *args, **kwargs):
+            ops.append("unlink")
+            real_unlink(path, *args, **kwargs)
+
+        def fsync(fd):
+            ops.append("fsync dir" if os.path.samestat(os.fstat(fd), here) else "fsync")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "unlink", unlink)
+        monkeypatch.setattr(os, "fsync", fsync)
+        db.checkpoint()
+        assert ops.count("rename") == 2 and ops.count("unlink") == 1
+        for i, op in enumerate(ops):
+            if op in ("rename", "unlink"):
+                rest = ops[i + 1:]
+                until = rest.index("rename") if "rename" in rest else len(rest)
+                assert "fsync dir" in rest[:until], ops
+
     def test_checkpoint_rejected_inside_transaction(self, tmp_path):
         db = open_db(tmp_path / "db", table_bootstrap)
         with db.transaction():
@@ -874,18 +912,17 @@ class TestFailedFsync:
 # Golden event counts of a durable dataflow
 # ---------------------------------------------------------------------------
 
-#: ``stats("events")`` after :func:`durable_dag_run`, as the engine reported
-#: them before the event ledger replaced the sim clock.  Every priced event
+#: ``stats("events")`` after :func:`durable_dag_run`.  Every priced event
 #: appears at least once.
 DAG_EVENTS = {
-    "client_submit": 5, "ee_trigger": 5, "index_probes": 41, "log_group_commit": 31,
-    "log_write": 10, "pe_trigger": 20, "plan_cache_hit": 9, "rows_deleted": 65,
+    "client_submit": 5, "ee_trigger": 5, "index_probes": 41, "log_group_commit": 26,
+    "log_write": 8, "pe_trigger": 20, "plan_cache_hit": 9, "rows_deleted": 65,
     "rows_inserted": 358, "rows_scanned": 223, "rows_undone": 1, "rows_updated": 133,
     "snapshot_row": 102, "sql_plan": 6, "sql_stmt": 80, "txn_abort": 1,
     "txn_begin": 27, "txn_commit": 26, "window_slide": 5,
 }
-#: simulated time of :data:`DAG_EVENTS` at the default costs, as reported then
-DAG_SIM_TIME_US = 7006.5
+#: simulated time of :data:`DAG_EVENTS` at the default costs
+DAG_SIM_TIME_US = 6006.5
 
 
 def durable_dag_run(directory):
@@ -992,7 +1029,7 @@ def capture_paths_run(directory):
     with db.transaction():
         db.call_in_txn("deposit", 2, 1.0)
         db.call_in_txn("balance_of", 2)
-    # ingest -> workflow delivery -> stream GC
+    # ingest -> workflow delivery (stream GC runs after it, unlogged)
     db.ingest("feed", [(1, 0.5), (2, 0.25)])
     db.ingest("feed", [(3, 0.125)])
     db.flush_log()
@@ -1018,14 +1055,12 @@ CAPTURE_LOG = [
     {"op": "txn", "cmds": [["callx", "deposit", [2, 1.0]]]},
     {"op": "ingest", "stream": "feed", "batch_id": 1, "rows": [[1, 0.5], [2, 0.25]]},
     {"op": "delivery", "stream": "feed", "batch_id": 1, "proc": "apply_feed"},
-    {"op": "gc", "horizons": {"feed": 1}},
     {"op": "ingest", "stream": "feed", "batch_id": 2, "rows": [[3, 0.125]]},
     {"op": "delivery", "stream": "feed", "batch_id": 2, "proc": "apply_feed"},
-    {"op": "gc", "horizons": {"feed": 2}},
 ]
 #: ``stats("events")`` after :func:`capture_paths_run`
 CAPTURE_EVENTS = {
-    "client_submit": 2, "index_probes": 16, "log_group_commit": 13, "log_write": 5,
+    "client_submit": 2, "index_probes": 16, "log_group_commit": 11, "log_write": 4,
     "pe_trigger": 2, "plan_cache_hit": 8, "procedure_call": 6, "rows_inserted": 8,
     "rows_scanned": 13, "rows_updated": 9, "sql_plan": 6, "sql_stmt": 22,
     "txn_begin": 14, "txn_commit": 14, "txn_implicit": 7,
