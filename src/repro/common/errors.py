@@ -65,7 +65,7 @@ class ConstraintViolation(StorageError):
 
 
 class TypeMismatchError(StorageError):
-    """A value could not be coerced to the declared column type."""
+    """A value could not be converted to the declared column type."""
 
 
 # ---------------------------------------------------------------------------

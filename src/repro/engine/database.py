@@ -430,10 +430,10 @@ class Database(StatsSections):
         next-rowid) plus the streaming runtime's watermarks and scheduler
         positions.  With no ``path``, the checkpoint is *managed*: it
         lands in the recovery directory, the command log is truncated up
-        to the checkpoint's LSN, and older checkpoints are pruned (the
-        newest two are kept — the predecessor is the fallback should a
-        crash tear the newest).  With an explicit ``path``, the snapshot
-        is exported there and the log is left untouched.
+        to the checkpoint's LSN, and all but the newest two checkpoints
+        are pruned (the newest is fsynced before its rename; the older one
+        cannot stand in once the log is truncated).  With an explicit
+        ``path``, the snapshot is exported there and the log is untouched.
 
         Args:
             path: optional export destination (outside the managed
@@ -584,16 +584,14 @@ class Database(StatsSections):
         try:
             if event == "txn_commit":
                 self.events.txn_commit += 1
-                # Command logging rides the commit path, before post-commit
-                # hooks fire, so parent records precede the downstream
+                # Command logging rides the commit path, before staged
+                # batches publish, so parent records precede the downstream
                 # deliveries they trigger.
                 capture = self._log_capture
                 if capture is not None:
                     capture.on_commit(txn)
             else:
                 self.events.txn_abort += 1
-                # aborted transactions publish no stream batches (no PE triggers)
-                self.streaming.on_abort(txn)
         finally:
             span = self._txn_span
             if span is not None:

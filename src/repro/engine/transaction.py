@@ -136,14 +136,15 @@ class Step:
 
     An *owned* step opened its transaction and exits it like ``with txn``
     (see :meth:`Transaction.__exit__`).  Otherwise it is a savepoint of
-    the open transaction: an exception undoes the writes and captured
-    commands since entry, leaving the transaction usable.  Given ``cmd =
-    (kind, text, payload)``, a clean exit whose body wrote captures it for
-    the command log; a failed capture undoes the step.  A ``__slots__``
-    class, not a generator: it is per statement.
+    the open transaction: an exception undoes the writes, captured
+    commands and staged stream batches since entry, leaving the
+    transaction usable.  Given ``cmd = (kind, text, payload)``, a clean
+    exit whose body wrote captures it for the command log; a failed
+    capture undoes the step.  A ``__slots__`` class, not a generator: it
+    is per statement.
     """
 
-    __slots__ = ("txn", "_db", "_owned", "_mark", "_cmd_mark", "_cmd")
+    __slots__ = ("txn", "_db", "_owned", "_mark", "_cmd_mark", "_staged_mark", "_cmd")
 
     def __init__(self, db: "Database", txn: "Transaction", owned: bool, cmd=None):
         self._db = db
@@ -154,6 +155,7 @@ class Step:
         else:
             self._mark = len(txn.undo)
             self._cmd_mark = len(txn.log_cmds)
+            self._staged_mark = len(txn.staged)
         self._cmd = cmd
 
     def __enter__(self) -> "Transaction":
@@ -174,6 +176,7 @@ class Step:
         if exc_type is not None:
             self._db.events.rows_undone += txn.undo.rollback_to(self._mark)
             del txn.log_cmds[self._cmd_mark:]
+            del txn.staged[self._staged_mark:]
         return False
 
 
@@ -202,8 +205,8 @@ class Transaction:
         "wrote",
         "log_record",
         "log_cmds",
+        "staged",
         "_db",
-        "_commit_hooks",
     )
 
     def __init__(self, db: "Database", txn_id: int, *, implicit: bool = False):
@@ -225,10 +228,11 @@ class Transaction:
         #: execution order — the logical command list of an explicit or
         #: implicit client transaction.  Discarded on abort.
         self.log_cmds: list = []
-        #: Callables run once, after a successful commit has fully closed the
-        #: transaction (the paper's PE-trigger firing point, §3.2.3).  An
-        #: abort discards them unrun — an aborted ingest fires no triggers.
-        self._commit_hooks: list = []
+        #: Stream batches ``(stream, batch_id, ext_rows)`` written by this
+        #: transaction, published once a commit has fully closed it (the
+        #: paper's PE-trigger firing point, §3.2.3).  An abort drops them
+        #: with the transaction — an aborted ingest fires no triggers.
+        self.staged: list = []
 
     @staticmethod
     def savepoint(db: "Database", cmd: Optional[tuple] = None) -> Step:
@@ -264,17 +268,6 @@ class Transaction:
                 f"cannot {op} transaction {self.txn_id}: it is already {self.state}"
             )
 
-    def add_commit_hook(self, fn) -> None:
-        """Register ``fn()`` to run after this transaction commits.
-
-        Hooks run *outside* the transaction (it is already closed), in
-        registration order; the streaming layer uses them to publish
-        committed stream batches and fire PE triggers.  On abort the hooks
-        are discarded without running.
-        """
-        self._require_active("attach a commit hook to")
-        self._commit_hooks.append(fn)
-
     def commit(self) -> None:
         """Make the transaction's writes permanent and close it."""
         self._require_active("commit")
@@ -282,14 +275,12 @@ class Transaction:
         self.undo.clear()
         self.state = self.COMMITTED
         self._db._txn_closed(self, "txn_commit")
-        hooks, self._commit_hooks = self._commit_hooks, []
-        for fn in hooks:
-            fn()
+        if self.staged:
+            self._db.streaming.publish(self)
 
     def abort(self) -> None:
         """Replay the undo log in reverse and close the transaction."""
         self._require_active("abort")
-        self._commit_hooks.clear()
         db = self._db
         db.events.rows_undone += self.undo.rollback_to(0)
         self.state = self.ABORTED

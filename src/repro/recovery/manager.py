@@ -4,9 +4,9 @@ One :class:`RecoveryManager` per :class:`~repro.engine.Database` opened
 with ``recovery_dir=``.  Invariants the manager maintains:
 
 * **Only committed work is logged.**  The engine calls :meth:`on_commit`
-  from the transaction-close path, *before* post-commit hooks run, so
-  records land in the log in commit order and parents precede the
-  downstream deliveries they trigger.  Aborted transactions leave no
+  from the transaction-close path, *before* staged stream batches
+  publish, so records land in the log in commit order and parents
+  precede the downstream deliveries they trigger.  Aborted transactions leave no
   record (and therefore their rowid/sequence gaps are not reproduced by
   replay — replay regenerates *committed* state, which is the durability
   contract).
@@ -310,7 +310,7 @@ class RecoveryManager:
     @staticmethod
     def ingest_record(stream: str, batch_id: int, rows) -> dict[str, Any]:
         """Build one ``ingest`` record; the batch is the dataflow's external
-        input, so its (coerced, declared-width) rows ride in the record."""
+        input, so its declared-width, type-checked rows ride in the record."""
         rows = [list(r) for r in rows]
         return {"op": "ingest", "stream": stream, "batch_id": batch_id, "rows": rows}
 

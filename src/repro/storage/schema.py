@@ -52,8 +52,8 @@ class Column:
         if not self.name or not self.name.replace("_", "a").isalnum():
             raise SchemaError(f"invalid column name {self.name!r}")
         if self.default is not None:
-            coerced = coerce_value(self.default, self.ctype, column=self.name)
-            object.__setattr__(self, "default", coerced)
+            default = coerce_value(self.default, self.ctype, column=self.name)
+            object.__setattr__(self, "default", default)
 
 
 class TableSchema:

@@ -158,7 +158,7 @@ class Table:
         """Bulk insert; returns the contiguous range of new rowids.
 
         The batch-oriented fast path (paper §3.2.1: the batch is the atomic
-        unit): the whole batch is coerced and unique-checked up front —
+        unit): the whole batch is type-checked and unique-checked up front —
         each index key computed exactly once, intra-batch duplicates
         included — then rows are appended in one pass and every index is
         maintained with a single loop.  A constraint violation anywhere in
@@ -166,16 +166,16 @@ class Table:
         entries, and no rowids consumed.  Arrival order is batch order.
         """
         coerce = self.schema.coerce_row
-        coerced = [coerce(values) for values in rows]
+        checked = [coerce(values) for values in rows]
         first = self._next_rowid
-        n = len(coerced)
+        n = len(checked)
         if n == 0:
             return range(first, first)
         key_of = self.schema.key_of
         per_index: list[tuple[Index, list[tuple]]] = []
         for index in self.indexes.values():
             cols = index.key_columns
-            keys = [key_of(row, cols) for row in coerced]
+            keys = [key_of(row, cols) for row in checked]
             if getattr(index, "unique", False):
                 seen: set[tuple] = set()
                 for key in keys:
@@ -191,7 +191,7 @@ class Table:
         self._next_rowid = first + n
         store = self._rows
         rowid = first
-        for row in coerced:
+        for row in checked:
             store[rowid] = row
             rowid += 1
         for index, keys in per_index:

@@ -9,10 +9,11 @@ the engine through exactly three seams:
   may read streams freely, but direct DML against stream/window tables is
   rejected (ingest is the only write path), and owned windows are visible
   only inside their owning procedure (paper §3.2.2);
-* the transaction's **commit hooks** — an atomic batch staged by
-  ``ingest``/``emit`` is published (stream watermark advanced, PE triggers
-  fired and queued) only when its transaction commits; an abort publishes
-  nothing;
+* the transaction's **staged batches** (``Transaction.staged``) — an
+  atomic batch written by ``ingest``/``emit`` is published (stream
+  watermark advanced, PE triggers fired and queued) by :meth:`publish`
+  only once its transaction commits; an abort, or a rolled-back savepoint,
+  drops it unpublished;
 * the database's **procedure invocation** path — workflow deliveries run
   downstream procedures as ordinary one-transaction calls, with owned
   windows advanced inside the delivery transaction before the body runs.
@@ -84,8 +85,6 @@ class StreamingRuntime:
         #: min-heap of [batch_id, enqueue_seq, _Delivery]
         self._queue: list[list] = []
         self._enq_seq = 0
-        #: batches staged by the open transaction, keyed by txn id
-        self._txn_staged: dict[int, list[tuple[Stream, int, tuple]]] = {}
         self._draining = False
         self._delivering: Optional[_Delivery] = None
         self._ee_depth = 0
@@ -303,12 +302,13 @@ class StreamingRuntime:
             # retry — replace the stuck copy instead of wedging the stream
             del stream.pending[batch_id]
         db.events.client_submit += 1
+        # Coerce once, at the door: a malformed row fails this submission
+        # before any transaction opens, and a queued batch cannot poison the
+        # gap-filling ingest that eventually applies it.
+        rows = [self._coerce_declared(stream, r) for r in rows]
         applied: list[int] = []
         if batch_id != stream.expected_batch:
-            # Coerce rows now, against the declared schema: a malformed row
-            # must fail this submission, not poison the gap-filling ingest
-            # that eventually applies the queued batch.
-            stream.pending[batch_id] = [self._coerce_declared(stream, r) for r in rows]
+            stream.pending[batch_id] = rows
             return applied
         obs = db.obs
         with (
@@ -334,19 +334,16 @@ class StreamingRuntime:
             return stream.declared.row_from_mapping(raw)
         return stream.declared.coerce_row(tuple(raw))
 
-    def _apply_batch(self, stream: Stream, batch_id: int, rows) -> None:
+    def _apply_batch(self, stream: Stream, batch_id: int, rows: list) -> None:
         db = self._db
         capture = db._log_capture
-        if capture is not None:
-            # Coerce up front so the logged rows are the canonical declared
-            # tuples a replayed ingest will re-coerce identically
-            # (idempotent); the batch is the dataflow's external input, so
-            # its rows must ride in the log record itself.
-            rows = [self._coerce_declared(stream, raw) for raw in rows]
         with db._scope(implicit=True) as txn:
             if capture is not None:
+                # the batch is the dataflow's external input, so its declared
+                # rows ride in the log record itself (replay re-coerces them
+                # identically)
                 txn.log_record = capture.ingest_record(stream.name, batch_id, rows)
-            self._emit_into(txn, stream, batch_id, rows, coerced=capture is not None)
+            self._emit_into(txn, stream, batch_id, rows)
 
     def emit(self, txn: "Transaction", stream_name: str, rows, batch_id=None) -> int:
         """Append an atomic batch to a stream inside ``txn`` (procedures and
@@ -359,7 +356,7 @@ class StreamingRuntime:
             )
         stream = self._stream(stream_name)
         last = stream.last_committed
-        for staged_stream, staged_id, _rows in self._txn_staged.get(txn.txn_id, ()):
+        for staged_stream, staged_id, _rows in txn.staged:
             if staged_stream is stream and staged_id > last:
                 last = staged_id
         if batch_id is None:
@@ -382,24 +379,14 @@ class StreamingRuntime:
                 f"stream {stream.name!r}: emitted batch {batch_id} conflicts "
                 f"with queued ingest batches {sorted(stream.pending)}"
             )
+        rows = [self._coerce_declared(stream, r) for r in rows]
         self._emit_into(txn, stream, batch_id, rows)
         return batch_id
 
-    def _emit_into(
-        self,
-        txn: "Transaction",
-        stream: Stream,
-        batch_id: int,
-        rows,
-        *,
-        coerced: bool = False,
-    ) -> None:
-        """The one write path into a stream: insert the batch (undo-logged),
-        advance unowned windows, fire EE triggers, stage for publication.
-
-        ``coerced=True`` marks ``rows`` as already declared-width canonical
-        tuples (the durable ingest path coerces up front for its log
-        record), skipping a second per-row coercion pass."""
+    def _emit_into(self, txn: "Transaction", stream: Stream, batch_id: int, rows: list) -> None:
+        """The one write path into a stream: insert the batch of declared-
+        width tuples (undo-logged), advance unowned windows, fire EE
+        triggers, stage it on ``txn`` for :meth:`publish`."""
         db = self._db
         # Fail fast on a miswired pipeline: an owned window only advances
         # through deliveries of its source stream to its owner, so batches
@@ -419,15 +406,10 @@ class StreamingRuntime:
                 )
         events = db.events
         events.sql_stmt += 1  # the batch insert is one statement
-        # Vectorized batch apply: coerce the whole batch against the
-        # declared schema, stamp metadata, and bulk-insert in one pass —
-        # one undo range record, one index-maintenance loop per index.
-        if coerced:
-            declared_rows = rows if isinstance(rows, list) else list(rows)
-        else:
-            declared_rows = [self._coerce_declared(stream, raw) for raw in rows]
+        # Vectorized batch apply: stamp metadata and bulk-insert in one
+        # pass — one undo range record, one index-maintenance loop per index.
         seq0 = stream.next_seq
-        stream.next_seq = seq0 + len(declared_rows)
+        stream.next_seq = seq0 + len(rows)
         table = stream.table
         # the batch insert and window maintenance write like SQL does: undo-
         # logged through the transaction; a failed attempt still counts its writes
@@ -435,7 +417,7 @@ class StreamingRuntime:
         try:
             rowids = ctx.insert_many(
                 table,
-                [d + (batch_id, seq0 + i) for i, d in enumerate(declared_rows)],
+                [d + (batch_id, seq0 + i) for i, d in enumerate(rows)],
             )
             frozen = tuple(table.get(rowid) for rowid in rowids)  # post-coercion rows
             for window in self._windows_by_source.get(stream.name, ()):
@@ -444,7 +426,7 @@ class StreamingRuntime:
         finally:
             ctx.add_to(events)
         self._fire_ee(txn, stream, batch_id, frozen)
-        self._stage(txn, stream, batch_id, frozen)
+        txn.staged.append((stream, batch_id, frozen))
 
     # -- EE triggers (in-transaction, per statement) ---------------------------
 
@@ -478,24 +460,12 @@ class StreamingRuntime:
         finally:
             self._ee_depth -= 1
 
-    # -- publication (commit hooks) and PE triggers ----------------------------
+    # -- publication and PE triggers --------------------------------------------
 
-    def _stage(self, txn: "Transaction", stream: Stream, batch_id: int, ext_rows: tuple) -> None:
-        staged = self._txn_staged.get(txn.txn_id)
-        if staged is None:
-            staged = []
-            self._txn_staged[txn.txn_id] = staged
-            txn.add_commit_hook(lambda txn_id=txn.txn_id: self._publish(txn_id))
-        staged.append((stream, batch_id, ext_rows))
-
-    def on_abort(self, txn: "Transaction") -> None:
-        """Called by the database when a transaction aborts: its staged
-        batches are discarded — an aborted ingest fires no triggers."""
-        self._txn_staged.pop(txn.txn_id, None)
-
-    def _publish(self, txn_id: int) -> None:
-        """Commit hook: advance stream watermarks, fire (count + enqueue)
-        PE triggers and workflow subscriptions for every committed batch.
+    def publish(self, txn: "Transaction") -> None:
+        """Run by ``Transaction.commit`` once the commit has fully closed:
+        advance stream watermarks, fire (count + enqueue) PE triggers and
+        workflow subscriptions for every batch ``txn`` staged.
 
         Workflow deliveries enqueue in every mode, so replay rebuilds the
         queue exactly as live execution built it (strong replay consumes
@@ -504,7 +474,7 @@ class StreamingRuntime:
         own records, and replaying both would double them.
         """
         db = self._db
-        for stream, batch_id, ext_rows in self._txn_staged.pop(txn_id, ()):
+        for stream, batch_id, ext_rows in txn.staged:
             stream.last_committed = max(stream.last_committed, batch_id)
             batch = Batch(stream.name, batch_id, _strip(ext_rows, stream.declared.arity()))
             if self.replay_mode is None:

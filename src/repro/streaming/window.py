@@ -11,13 +11,15 @@ from the source tuple, and ``__active__``, the staging flag:
   are staged until the slide condition is met"*.
 * ``__active__ = 1`` — part of the window's current contents.
 
-Two slide disciplines:
+Two slide units, one slide rule over *groups* — a group is one row
+(``__seq__``) for ``unit="rows"`` and one atomic batch (``__batch_id__``)
+for ``unit="batches"``:
 
-* ``unit="rows"`` — a tuple-based sliding window of ``size`` rows
-  advancing every ``slide`` arrivals;
-* ``unit="batches"`` — a batch-based (logical-time) window of ``size``
-  atomic batches advancing every ``slide`` batches; batch ids are the
-  time axis, so this is the repo's time-based window.
+* a window holds the newest ``size`` groups and advances every ``slide``
+  staged groups: a slide activates the ``slide`` oldest staged groups,
+  then evicts the active groups beyond the newest ``size``;
+* ``unit="batches"`` is a batch-based (logical-time) window — batch ids
+  are the time axis, so this is the repo's time-based window.
 
 Every mutation (stage, activate, evict) goes through the owning
 transaction's undo log, so window state is exactly as transactional as
@@ -141,54 +143,33 @@ class Window:
     def slide(self, ctx) -> int:
         """Apply every due slide; returns how many slides were performed.
 
-        The window state is scanned **once**; the slide loop updates the
-        in-memory staged/active lists as it activates and evicts, so a
-        large absorb costs one scan plus the rows actually touched.
+        Every due group is activated first, then the active groups beyond
+        the newest ``size`` are evicted: the same updates and deletes as
+        sliding one step at a time, from a **single** scan of the window
+        state plus the rows actually touched.
         """
-        staged, active = self._rows_by_state()
-        slides = 0
-        if self.spec.unit == "rows":
-            while len(staged) >= self.spec.slide:
-                advancing = staged[: self.spec.slide]
-                del staged[: self.spec.slide]
-                self._activate(ctx, advancing)
-                active.extend(advancing)
-                excess = len(active) - self.spec.size
-                if excess > 0:
-                    for rowid, _row in active[:excess]:
-                        ctx.delete(self.table, rowid)
-                    del active[:excess]
-                slides += 1
-            return slides
+        spec = self.spec
+        key = self._seq_pos if spec.unit == "rows" else self._batch_pos
+        staged, active = self._groups_by_state(key)
+        slides = len(staged) // spec.slide
+        due = staged[: slides * spec.slide]
+        for group in due:
+            self._activate(ctx, group)
+        active += due
+        for group in active[: -spec.size]:
+            for rowid, _row in group:
+                ctx.delete(self.table, rowid)
+        return slides
 
-        # unit == "batches": batch ids are the (logical) time axis
-        batch_pos = self._batch_pos
-        while True:
-            staged_batches = _ordered_batches(staged, batch_pos)
-            if len(staged_batches) < self.spec.slide:
-                return slides
-            advancing_ids = set(staged_batches[: self.spec.slide])
-            advancing = [p for p in staged if p[1][batch_pos] in advancing_ids]
-            staged = [p for p in staged if p[1][batch_pos] not in advancing_ids]
-            self._activate(ctx, advancing)
-            active.extend(advancing)
-            active_batches = _ordered_batches(active, batch_pos)
-            excess = len(active_batches) - self.spec.size
-            if excess > 0:
-                evict_ids = set(active_batches[:excess])
-                for rowid, row in active:
-                    if row[batch_pos] in evict_ids:
-                        ctx.delete(self.table, rowid)
-                active = [p for p in active if p[1][batch_pos] not in evict_ids]
-            slides += 1
-
-    def _rows_by_state(self) -> tuple[list, list]:
-        """(staged, active) as ``(rowid, row)`` lists in arrival order."""
-        staged, active = [], []
+    def _groups_by_state(self, key: int) -> tuple[list, list]:
+        """(staged, active) groups in arrival order; a group is the
+        ``(rowid, row)`` pairs sharing the value at position ``key``."""
+        groups: tuple[dict, dict] = ({}, {})
         pos = self._active_pos
-        for rowid, row in self.table.scan():
-            (active if row[pos] == ACTIVE else staged).append((rowid, row))
-        return staged, active
+        for pair in self.table.scan():
+            row = pair[1]
+            groups[row[pos] == ACTIVE].setdefault(row[key], []).append(pair)
+        return list(groups[0].values()), list(groups[1].values())
 
     def _activate(self, ctx, pairs) -> None:
         pos = self._active_pos
@@ -200,8 +181,9 @@ class Window:
     # -- introspection ---------------------------------------------------------
 
     def counts(self) -> dict[str, int]:
-        staged, active = self._rows_by_state()
-        return {"active_rows": len(active), "staged_rows": len(staged)}
+        pos = self._active_pos
+        active = sum(row[pos] == ACTIVE for row in self.table.scan_rows())
+        return {"active_rows": active, "staged_rows": self.table.row_count() - active}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         own = f", owner={self.owner!r}" if self.owner else ""
@@ -210,11 +192,3 @@ class Window:
             f"{self.spec.size}/{self.spec.slide} {self.spec.unit}{own})"
         )
 
-
-def _ordered_batches(pairs, batch_pos: int) -> list[int]:
-    """Distinct batch ids among ``(rowid, row)`` pairs, in first-seen
-    (arrival) order."""
-    seen: dict[int, None] = {}
-    for _rowid, row in pairs:
-        seen.setdefault(row[batch_pos], None)
-    return list(seen)

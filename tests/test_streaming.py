@@ -13,6 +13,7 @@ from repro.common.errors import (
 from repro.common.types import ColumnType as T
 from repro.engine import Database
 from repro.storage.schema import TableKind, schema
+from repro.streaming.runtime import StreamingRuntime
 
 
 def fresh_db():
@@ -198,6 +199,37 @@ def test_failed_gap_fill_batch_can_be_retried_by_reingest():
     assert db.execute("SELECT k FROM keyed").rows == [(1,), (2,), (3,)]
 
 
+@pytest.mark.parametrize("durable", [False, True], ids=["memory", "recovery_dir"])
+def test_ingest_coerces_each_row_once_and_counts_alike_in_both_modes(
+    monkeypatch, tmp_path, durable
+):
+    def bootstrap(db):
+        db.create_stream(schema("votes", ("phone", T.BIGINT), ("contestant", T.INTEGER)))
+
+    if durable:
+        db = Database(recovery_dir=tmp_path / "db", bootstrap=bootstrap)
+    else:
+        db = fresh_db()
+        bootstrap(db)
+    calls = []
+    coerce = StreamingRuntime._coerce_declared
+
+    def counting(self, stream, raw):
+        calls.append(raw)
+        return coerce(self, stream, raw)
+
+    monkeypatch.setattr(StreamingRuntime, "_coerce_declared", counting)
+    assert db.ingest("votes", [(2, 1), (3, 1), (4, 1)], batch_id=2) == []
+    assert db.ingest("votes", [(1, 1)], batch_id=1) == [1, 2]
+    assert len(calls) == 4  # the queued batch is not coerced again when applied
+    before = db.stats("events")
+    with pytest.raises(SchemaError, match="expects 2"):
+        db.ingest("votes", [(5, 1, 9)])
+    after = db.stats("events")
+    changed = {k: after[k] - before.get(k, 0) for k in after if after[k] != before.get(k, 0)}
+    assert changed == {"client_submit": 1}
+
+
 def test_ingest_rejected_inside_open_transaction():
     db = votes_db()
     with db.transaction():
@@ -334,6 +366,31 @@ def test_tuple_window_slides_and_evicts():
     # (5, 6) activate; eviction drops (1, 2)
     assert db.execute("SELECT phone FROM recent").rows == [(3,), (4,), (5,), (6,)]
     assert db.events.window_slide == 3
+
+
+@pytest.mark.parametrize(
+    "unit, size, slide, batch_sizes, visible, slides, updated, deleted",
+    [
+        ("rows", 2, 1, [5], [3, 4], 5, 5, 3),
+        ("rows", 3, 2, [7, 1, 4], [9, 10, 11], 6, 12, 9),
+        ("batches", 3, 2, [1, 1, 1, 1, 1], [1, 2, 3], 2, 4, 1),
+    ],
+)
+def test_multi_slide_absorb_pins_contents_and_writes(
+    unit, size, slide, batch_sizes, visible, slides, updated, deleted
+):
+    # one absorb may slide several times and evict rows it just activated
+    db = votes_db()
+    db.create_window("w", "votes", size=size, slide=slide, unit=unit)
+    phone = 0
+    for n in batch_sizes:
+        db.ingest("votes", [(phone + i, 0) for i in range(n)])
+        phone += n
+    assert [r[0] for r in db.execute("SELECT phone FROM w ORDER BY phone").rows] == visible
+    events = db.stats("events")
+    assert (events["window_slide"], events["rows_updated"], events["rows_deleted"]) == (
+        slides, updated, deleted,
+    )
 
 
 def test_tuple_window_with_large_slide_keeps_all_activated_rows():

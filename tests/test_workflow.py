@@ -292,6 +292,33 @@ def test_procedure_call_emission_triggers_downstream():
     assert db.execute("SELECT v FROM sink").rows == [(7,)]
 
 
+def test_rolled_back_savepoint_drops_the_batches_it_staged():
+    """A body that emits and then fails inside ``call_in_txn`` is rolled
+    back to its savepoint: the batch's rows are undone, and the batch must
+    not be published when the enclosing transaction commits."""
+    db = fresh_db()
+    db.create_stream(schema("out", ("v", T.INTEGER)))
+    got = []
+
+    @db.register_procedure
+    def emit_then_fail(ctx):
+        ctx.emit("out", [(7,)])
+        raise RuntimeError("after the emit")
+
+    @db.register_procedure
+    def consumer(ctx, batch):
+        got.append((batch.batch_id, list(batch.rows)))
+
+    db.create_workflow("w", [("out", "consumer")])
+    with db.transaction():
+        with pytest.raises(Exception, match="after the emit"):
+            db.call_in_txn("emit_then_fail")
+    db.drain()
+    assert db.execute("SELECT v FROM out").rows == []
+    assert db.streaming.streams["out"].last_committed == 0
+    assert got == []
+
+
 
 # -- owned-window maintenance under abort and retry ----------------------------
 
