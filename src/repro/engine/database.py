@@ -115,7 +115,6 @@ class Database(StatsSections):
         recovery: str = "strong",
         bootstrap=None,
         group_commit: int = 8,
-        verify_recovery: bool = False,
         readonly: bool = False,
         obs=None,
     ):
@@ -127,10 +126,10 @@ class Database(StatsSections):
                 When given, the database is **durable**: every committed
                 transaction is command-logged, ``checkpoint()`` works,
                 and opening runs crash recovery (see ``recovery``).
-            recovery: ``"strong"`` replays every logged transaction
-                exactly; ``"weak"`` replays only dataflow inputs and
-                re-drives workflow DAGs through the scheduler (paper
-                §4.4).  Ignored without ``recovery_dir``.
+            recovery: ``"strong"`` logs and replays every committed
+                transaction; ``"weak"`` logs only the dataflow's border
+                inputs and re-drives workflow DAGs through the scheduler
+                (paper §4.4).  Ignored without ``recovery_dir``.
             bootstrap: ``fn(db)`` that re-creates the deployment — all
                 DDL (tables, streams, windows, indexes, workflows) and
                 procedure/trigger registrations.  DDL is *not* logged
@@ -142,13 +141,9 @@ class Database(StatsSections):
             group_commit: command-log records buffered per fsync (1 =
                 synchronous logging; the default batches 8); 64 KiB of
                 buffered records also force one.
-            verify_recovery: with ``recovery="weak"``, additionally run
-                strong recovery on a read-only shadow and raise
-                :class:`RecoveryError` unless both reach the identical
-                ``Catalog.snapshot()``.
             readonly: recover state but never write to the recovery
                 directory (no log appends, no checkpoints) — for
-                inspection and weak-recovery verification.
+                inspecting or timing a recovery.
             obs: observability handle — an
                 :class:`~repro.obs.Observability`, ``"metrics"``,
                 ``"full"``, or ``None``/``"off"`` (the default: the
@@ -159,8 +154,9 @@ class Database(StatsSections):
         Raises:
             ValueError: an unknown ``recovery`` mode.
             RecoveryError: the log or a checkpoint is damaged beyond the
-                torn-tail contract, or references schema objects the
-                bootstrap did not create.
+                torn-tail contract, references schema objects the
+                bootstrap did not create, or is a weak-written log opened
+                with ``recovery="strong"``.
         """
         #: every architectural event this engine counts (``stats("events")``)
         self.events = EventLedger()
@@ -223,7 +219,6 @@ class Database(StatsSections):
                 mode=recovery,
                 bootstrap=bootstrap,
                 group_size=group_commit,
-                verify=verify_recovery,
                 readonly=readonly,
             )
             self._recovery.open()

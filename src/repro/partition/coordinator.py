@@ -165,7 +165,9 @@ class PartitionedDatabase(StatsSections):
             and single-core environments).
         recovery_dir: per-partition durability root; partition *i* uses
             ``<recovery_dir>/p00i``.
-        recovery: ``"strong"`` or ``"weak"`` (forwarded to every worker).
+        recovery: ``"strong"`` or ``"weak"`` (forwarded to every worker;
+            a weak partition logs only its border records, and a strong
+            open of its log is refused).
         group_commit: per-worker command-log group-commit size.
         obs: observability spec (``None``/``"off"``/``"metrics"``/
             ``"full"`` or an :class:`~repro.obs.Observability` for the

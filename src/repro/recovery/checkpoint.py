@@ -33,14 +33,13 @@ Invariants:
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..common.clock import EventLedger
 from ..common.errors import RecoveryError
 from ..common.serde import decode_record, encode_record
-from .log import fsync_dir
+from .log import fsync_dir, replace_durably
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..engine.database import Database
@@ -68,13 +67,7 @@ def write_checkpoint(path: str | Path, db: "Database", lsn: int) -> Path:
     catalog = db.catalog.snapshot()
     db.events.snapshot_row += _snapshot_rows(catalog)
     payload = {"lsn": lsn, "catalog": catalog, "streaming": db.streaming.persistent_state()}
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(encode_record(payload) + "\n")
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
-    fsync_dir(path.parent)
+    replace_durably(path, encode_record(payload) + "\n")
     return path
 
 

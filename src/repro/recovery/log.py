@@ -27,10 +27,15 @@ builds on them):
   pages the kernel may have dropped: the failing flush raises
   :class:`RecoveryError` naming the first LSN not durable, and so does
   every later append and flush.
+* **The header names the mode.**  A log written in weak mode holds
+  only the border records (``ingest``/``call``/``txn``) and its header
+  says ``"mode": "weak"``; a strong header carries no mode.  Every record
+  after a header was written in that header's mode.
 * **Directory entries are durable too.**  Creating, renaming or
   unlinking a file changes its directory, which a file's own fsync does
-  not cover: :func:`fsync_dir` follows the log's creation, each rename of
-  a log or checkpoint into place, and the pruning of old checkpoints.
+  not cover: :func:`fsync_dir` follows the log's creation, each
+  :func:`replace_durably` of a log or checkpoint, and the pruning of old
+  checkpoints.
 * **Events.**  An append counts one ``log_group_commit``, an fsync of the
   log one ``log_write``; ``stats()`` reads ``appended``/``flushes`` off
   them.  A directory fsync counts nothing.
@@ -68,14 +73,23 @@ def fsync_dir(directory: str | Path) -> None:
         os.close(fd)
 
 
-def _header_record(base_lsn: int) -> dict[str, Any]:
-    return {"op": HEADER_OP, "base_lsn": base_lsn}
+def replace_durably(path: Path, text: str) -> None:
+    """Atomically replace ``path`` with ``text``: write a temp file beside
+    it, fsync that, rename it into place and fsync the directory."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as f:
+        f.write(text)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
+    fsync_dir(path.parent)
 
 
-def scan_log(path: str | Path) -> tuple[int, list[dict[str, Any]], int]:
+def scan_log(path: str | Path) -> tuple[Optional[dict], list[dict[str, Any]], int]:
     """Read a command-log file tolerating a torn tail.
 
-    Returns ``(base_lsn, records, valid_end_offset)`` where ``records``
+    Returns ``(header, records, valid_end_offset)`` where ``header`` is
+    the header record (``base_lsn`` and the writer's ``mode``), ``records``
     are the decoded data records in LSN order (record *i*, 0-based, has
     LSN ``base_lsn + i + 1``) and ``valid_end_offset`` is the byte offset
     just past the last valid line — the point to truncate to before
@@ -83,14 +97,12 @@ def scan_log(path: str | Path) -> tuple[int, list[dict[str, Any]], int]:
 
     Raises :class:`RecoveryError` when the header is missing/invalid or a
     *non-final* record is corrupt (damage, not a torn write).
-    A missing or empty file yields ``(0, [], 0)``.
+    A missing or empty file yields ``(None, [], 0)``.
     """
     path = Path(path)
     if not path.exists():
-        return 0, [], 0
+        return None, [], 0
     data = path.read_bytes()
-    if not data:
-        return 0, [], 0
     # The writer terminates every record with a newline in the same write;
     # a file not ending in one therefore ends in a torn write — drop that
     # fragment before decoding (even if its checksum would happen to pass,
@@ -98,10 +110,8 @@ def scan_log(path: str | Path) -> tuple[int, list[dict[str, Any]], int]:
     if not data.endswith(b"\n"):
         nl = data.rfind(b"\n")
         data = b"" if nl < 0 else data[: nl + 1]
-    if not data:
-        return 0, [], 0
     records: list[dict[str, Any]] = []
-    base_lsn: Optional[int] = None
+    header: Optional[dict[str, Any]] = None
     offset = 0
     valid_end = 0
     lines = data.split(b"\n")  # trailing b"" after the final newline
@@ -122,20 +132,18 @@ def scan_log(path: str | Path) -> tuple[int, list[dict[str, Any]], int]:
                 f"command log {path.name!r}: corrupt record mid-file "
                 f"(byte offset {offset}); the log is damaged, not truncated"
             ) from None
-        if base_lsn is None:
+        if header is None:
             if record.get("op") != HEADER_OP:
                 raise RecoveryError(
                     f"command log {path.name!r} does not start with a header record"
                 )
-            base_lsn = int(record["base_lsn"])
+            header = {"mode": "strong", **record}
         else:
             records.append(record)
         seen += 1
         offset = line_end
         valid_end = offset
-    if base_lsn is None:
-        return 0, [], 0
-    return base_lsn, records, valid_end
+    return header, records, valid_end
 
 
 class CommandLog:
@@ -155,12 +163,14 @@ class CommandLog:
         base_lsn: int = 0,
         existing_records: int = 0,
         group_size: int = DEFAULT_GROUP_SIZE,
+        mode: str = "strong",
     ):
         if group_size < 1:
             raise ValueError("group_size must be >= 1")
         self.path = Path(path)
         self._events = events
         self.group_size = group_size
+        self.mode = mode
         self.base_lsn = base_lsn
         #: data records durably in the file (header excluded)
         self._flushed_records = existing_records
@@ -178,9 +188,15 @@ class CommandLog:
         fresh = not self.path.exists() or self.path.stat().st_size == 0
         self._file = open(self.path, "a", encoding="utf-8")
         if fresh:
-            self._file.write(encode_record(_header_record(base_lsn)) + "\n")
+            self._file.write(self._header_line(base_lsn))
             self._fsync()
             fsync_dir(self.path.parent)
+
+    def _header_line(self, base_lsn: int) -> str:
+        header = {"op": HEADER_OP, "base_lsn": base_lsn}
+        if self.mode == "weak":  # a strong header carries no mode
+            header["mode"] = "weak"
+        return encode_record(header) + "\n"
 
     # -- appending -----------------------------------------------------------
 
@@ -288,18 +304,12 @@ class CommandLog:
     def truncate_to(self, new_base_lsn: int) -> None:
         """Drop every record at or below ``new_base_lsn`` (checkpoint
         truncation): the file is atomically replaced by a fresh log whose
-        header carries the new base.  Callers must :meth:`flush` first so
-        the checkpoint's LSN is well-defined."""
+        header carries the new base and this writer's mode.  Callers must
+        :meth:`flush` first so the checkpoint's LSN is well-defined."""
         if self._buffer:
             self.flush()
-        tmp = self.path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(encode_record(_header_record(new_base_lsn)) + "\n")
-            f.flush()
-            os.fsync(f.fileno())
+        replace_durably(self.path, self._header_line(new_base_lsn))
         self._file.close()
-        os.replace(tmp, self.path)
-        fsync_dir(self.path.parent)
         self.base_lsn = new_base_lsn
         self._flushed_records = 0
         self._file = open(self.path, "a", encoding="utf-8")

@@ -27,7 +27,12 @@ with ``recovery_dir=``.  Invariants the manager maintains:
   execution built it; each logged delivery consumes its head under strong
   replay, so the workflow deliveries still queued afterwards are exactly
   those the crash lost (``regenerated_deliveries``): strong recovery
-  leaves them for the next ``drain()``, weak recovery drains them.
+  leaves them for the next ``drain()``, weak recovery drains them.  A
+  delivery failing in replay stays queued, as it did live.
+* **Weak mode logs only the border** (paper §4.4's upstream backup): no
+  ``delivery`` record, under a ``"mode": "weak"`` header that strong
+  recovery refuses.  A session whose mode differs from the log's header
+  rewrites the header before its first append.
 * **Recovery ends with a fresh checkpoint**, which carries that queue,
   and truncates the log, so repeated crashes never see a delivery hole
   or a duplicate.  A checkpoint older than the log's first record is
@@ -57,8 +62,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: File name of the single command log inside a recovery directory.
 LOG_NAME = "command.log"
 
-#: Record ops replayed by weak recovery; the rest (workflow deliveries)
-#: is regenerated by re-driving the DAG.
+#: The border record ops: the only ones weak mode writes or replays; the
+#: rest (workflow deliveries) is regenerated by re-driving the DAG.
 WEAK_REPLAY_OPS = ("txn", "call", "ingest")
 
 
@@ -73,7 +78,6 @@ class RecoveryManager:
         mode: str = "strong",
         bootstrap=None,
         group_size: int = DEFAULT_GROUP_SIZE,
-        verify: bool = False,
         readonly: bool = False,
     ):
         if mode not in ("strong", "weak"):
@@ -83,7 +87,6 @@ class RecoveryManager:
         self.mode = mode
         self.bootstrap = bootstrap
         self.group_size = group_size
-        self.verify = verify
         self.readonly = readonly
         self._log: Optional[CommandLog] = None
         self.last_checkpoint_lsn = 0
@@ -113,24 +116,33 @@ class RecoveryManager:
             self.directory.mkdir(parents=True, exist_ok=True)
         if self.bootstrap is not None:
             self.bootstrap(self._db)
-        ckpt_lsn, base, records, valid_end = self._recover()
-        if self.verify and self.mode == "weak":
-            self._verify_against_strong()
+        ckpt_lsn, base, records, valid_end, log_mode = self._recover()
         if self.readonly:
             return
         self._open_writer(ckpt_lsn, base, records, valid_end)
         if records or ckpt_lsn:
             # Re-anchor the durable state: the recovered state, queue of
             # lost deliveries included, becomes a fresh checkpoint and the
-            # replayed log is truncated.
+            # replayed log is truncated under a header in this mode.
             self.checkpoint()
+        elif log_mode != self.mode:
+            # a header-only log of the other mode: restate the header
+            self._log.truncate_to(self._log.base_lsn)
         self._db._log_capture = self
 
-    def _recover(self) -> tuple[int, int, list[dict[str, Any]], int]:
+    def _recover(self) -> tuple[int, int, list[dict[str, Any]], int, str]:
         db = self._db
         found = newest_valid_checkpoint(self.directory, db.events)
         ckpt_lsn = 0 if found is None else int(found[1]["lsn"])
-        base, records, valid_end = scan_log(self.log_path)
+        header, records, valid_end = scan_log(self.log_path)
+        base = 0 if header is None else int(header["base_lsn"])
+        log_mode = self.mode if header is None else header["mode"]
+        if log_mode == "weak" and self.mode == "strong":
+            raise RecoveryError(
+                f"command log {LOG_NAME!r} was written in weak mode, which "
+                f"logs no workflow delivery; strong recovery needs them — "
+                f"open it with recovery='weak'"
+            )
         if ckpt_lsn < base:
             raise RecoveryError(
                 f"LSN {ckpt_lsn + 1}..{base} is in no readable file: the "
@@ -153,23 +165,15 @@ class RecoveryManager:
                 if self.mode == "weak" and op not in WEAK_REPLAY_OPS:
                     skipped += 1
                     continue
-                try:
-                    self._replay_record(record)
-                except RecoveryError:
-                    raise
-                except Exception as exc:
-                    raise RecoveryError(
-                        f"replay of {op!r} record at LSN {lsn} failed: "
-                        f"{type(exc).__name__}: {exc}"
-                    ) from exc
+                self._replay(f"{op!r} record at LSN {lsn}", self._replay_record, record)
                 replayed += 1
+            # the workflow deliveries still queued are the tail the log lost
+            regenerated = runtime.stats()["scheduler"]["pending_deliveries"]
+            if self.mode == "weak" and regenerated:
+                # weak recovery's contract: the DAG is re-driven to completion
+                self._replay("the queued deliveries", runtime.drain)
         finally:
             runtime.replay_mode = None
-        # the workflow deliveries still queued are the tail the log lost
-        regenerated = runtime.stats()["scheduler"]["pending_deliveries"]
-        if self.mode == "weak" and regenerated:
-            # weak recovery's contract: the DAG is re-driven to completion
-            runtime.drain()
         self.recovered = {
             "mode": self.mode,
             "checkpoint": None if found is None else found[0].name,
@@ -180,7 +184,24 @@ class RecoveryManager:
             "regenerated_deliveries": regenerated,
         }
         self.last_checkpoint_lsn = ckpt_lsn
-        return ckpt_lsn, base, records, valid_end
+        return ckpt_lsn, base, records, valid_end, log_mode
+
+    def _replay(self, what: str, step, *args) -> None:
+        """Run one replay step.  A workflow delivery failing inside it (the
+        scheduler counts a retry before re-raising) runs after the step's
+        own transaction committed: it stays queued, as it did live, and
+        replay goes on.  Any other failure raises :class:`RecoveryError`."""
+        runtime = self._db.streaming
+        retries = runtime.delivery_retries
+        try:
+            step(*args)
+        except RecoveryError:
+            raise
+        except Exception as exc:
+            if runtime.delivery_retries == retries:
+                raise RecoveryError(
+                    f"replay of {what} failed: {type(exc).__name__}: {exc}"
+                ) from exc
 
     def _replay_record(self, record: dict[str, Any]) -> None:
         db = self._db
@@ -236,38 +257,11 @@ class RecoveryManager:
             base_lsn=base if keep else ckpt_lsn,
             existing_records=len(records) if keep else 0,
             group_size=self.group_size,
+            mode=self.mode,
         )
         # group-commit spans ("log.fsync") and buffer-wait timings land in
         # the owning database's observability registry
         self._log.obs = self._db.obs
-
-    def _verify_against_strong(self) -> None:
-        """Weak-recovery verification: run strong recovery on a read-only
-        shadow database and require snapshot equality (paper §4.4: weak
-        recovery must produce *a* correct state — here we hold it to the
-        strong-recovery state after the DAG quiesces)."""
-        from ..engine.database import Database  # local: import cycle
-
-        shadow = Database(
-            recovery_dir=self.directory,
-            recovery="strong",
-            bootstrap=self.bootstrap,
-            readonly=True,
-        )
-        shadow.drain()  # run the still-queued lost-tail deliveries
-        mine = self._db.catalog.snapshot()
-        theirs = shadow.catalog.snapshot()
-        if mine != theirs:
-            differing = sorted(
-                name
-                for name in set(mine) | set(theirs)
-                if mine.get(name) != theirs.get(name)
-            )
-            raise RecoveryError(
-                f"weak recovery diverged from strong recovery in table(s) "
-                f"{', '.join(differing)} — a workflow procedure is likely "
-                f"non-deterministic, or state is written outside the dataflow"
-            )
 
     # -- capture (engine-facing) -----------------------------------------------
     #
@@ -325,15 +319,19 @@ class RecoveryManager:
 
         Preset records (ingest / delivery / procedure call) win over the
         ad-hoc command list; read-only procedure calls and transactions
-        that captured nothing are replay-neutral and skipped.  Workflow
-        deliveries are logged even when the procedure wrote nothing —
-        the delivered-watermark advance itself is durable state.
+        that captured nothing are replay-neutral and skipped.  Under strong
+        recovery, workflow deliveries are logged even when the procedure
+        wrote nothing — the delivered-watermark advance itself is durable
+        state.  Weak mode logs no delivery: weak replay re-derives it.
         """
         if not self.active or self._log is None:
             return
         record = txn.log_record
         if record is not None:
-            if record["op"] == "call" and not txn.wrote:
+            op = record["op"]
+            if (op == "call" and not txn.wrote) or (
+                self.mode == "weak" and op not in WEAK_REPLAY_OPS
+            ):
                 return
             self._log.append(record)
         elif txn.log_cmds:

@@ -17,7 +17,7 @@ import pytest
 
 from repro.common.clock import EVENTS, CostModel, EventLedger, sim_time_us
 from repro.common.errors import RecoveryError, TransactionError, UserAbort
-from repro.common.serde import encode_record
+from repro.common.serde import decode_record, encode_record
 from repro.common.types import ColumnType as T
 from repro.engine import Database
 from repro.recovery.checkpoint import load_checkpoint
@@ -504,7 +504,6 @@ class TestWeakRecovery:
             copy_dir(live, tmp_path / "w"),
             dag_bootstrap,
             recovery="weak",
-            verify_recovery=True,  # raises RecoveryError on divergence
         )
         assert weak.stats()["recovery"]["recovered"]["mode"] == "weak"
 
@@ -527,6 +526,114 @@ class TestWeakRecovery:
         # weak re-drove the whole DAG during recovery — no drain needed
         assert weak.catalog.snapshot() == strong.catalog.snapshot()
         assert weak.streaming.delivered == strong.streaming.delivered
+
+
+class TestWeakLog:
+    def test_weak_log_holds_only_the_border(self, tmp_path):
+        weak, strong = tmp_path / "weak", tmp_path / "strong"
+        for directory, mode in ((weak, "weak"), (strong, "strong")):
+            db = open_db(directory, dag_bootstrap, recovery=mode)
+            drive_dag(db, 4)
+            db.close()
+        header, records, _end = scan_log(weak / "command.log")
+        assert header == {"op": "_header", "base_lsn": 0, "mode": "weak"}
+        assert [r["op"] for r in records] == ["ingest"] * 4
+        header, records, _end = scan_log(strong / "command.log")
+        assert header["mode"] == "strong"
+        first = (strong / "command.log").read_text().splitlines()[0]
+        assert decode_record(first) == {"op": "_header", "base_lsn": 0}  # as ever
+        assert len(records) == 4 + 4 * 3  # each batch: ingest + three hops
+        assert (
+            open_db(weak, dag_bootstrap, recovery="weak").catalog.snapshot()
+            == open_db(strong, dag_bootstrap).catalog.snapshot()
+        )
+
+    def test_strong_open_of_a_weak_log_is_refused(self, tmp_path):
+        d = tmp_path / "db"
+        db = open_db(d, dag_bootstrap, recovery="weak")
+        drive_dag(db, 2)
+        db.flush_log()
+        for readonly in (True, False):
+            with pytest.raises(RecoveryError, match="weak mode"):
+                open_db(d, dag_bootstrap, readonly=readonly)
+        # the weak reopen checkpoints and truncates under a weak header
+        open_db(d, dag_bootstrap, recovery="weak").close()
+        with pytest.raises(RecoveryError, match="weak mode"):
+            open_db(d, dag_bootstrap)
+
+    def test_mode_switch_on_a_header_only_log_restates_the_header(self, tmp_path):
+        d = tmp_path / "db"
+        open_db(d, dag_bootstrap).close()  # a strong log, header only
+        db = open_db(d, dag_bootstrap, recovery="weak")
+        assert scan_log(d / "command.log")[0]["mode"] == "weak"
+        drive_dag(db, 2)
+        db.flush_log()
+        with pytest.raises(RecoveryError, match="weak mode"):
+            open_db(copy_dir(d, tmp_path / "s"), dag_bootstrap)
+        weak = open_db(d, dag_bootstrap, recovery="weak")
+        assert weak.execute("SELECT count(*) FROM audit").scalar() == 2
+
+
+def gate_schema(db):
+    db.create_stream(schema("s", ("x", T.BIGINT)))
+    db.create_table(schema("gate", ("id", T.BIGINT)))
+    db.create_table(schema("out", ("x", T.BIGINT)))
+
+
+def gate_bootstrap(db):
+    """Stream ``s`` feeds ``consume``, which aborts until ``gate`` has a row."""
+    gate_schema(db)
+
+    @db.register_procedure
+    def consume(ctx, batch):
+        if not ctx.execute("SELECT count(*) FROM gate").scalar():
+            ctx.abort("gate closed")
+        for row in batch.rows:
+            ctx.execute("INSERT INTO out (x) VALUES (?)", row)
+
+    @db.register_procedure
+    def open_gate(ctx):
+        ctx.execute("INSERT INTO gate (id) VALUES (1)")
+
+    db.create_workflow("gated", [("s", "consume", None)])
+
+
+@pytest.mark.parametrize("written", ["strong", "weak"])
+def test_replay_leaves_a_failing_delivery_queued(tmp_path, written):
+    readers = ("strong", "weak") if written == "strong" else ("weak",)
+    # (a) the delivery aborts, and a later call's drain retries it
+    retried = tmp_path / "retried"
+    db = open_db(retried, gate_bootstrap, recovery=written)
+    with pytest.raises(UserAbort):
+        db.ingest("s", [(7,)])
+    db.call("open_gate")
+    db.flush_log()
+    for mode in readers:
+        got = open_db(copy_dir(retried, tmp_path / f"a-{mode}"), gate_bootstrap, recovery=mode)
+        assert got.execute("SELECT x FROM out").rows == [(7,)]
+    # (b) the crash comes while the delivery is still queued
+    queued = tmp_path / "queued"
+    db = open_db(queued, gate_bootstrap, recovery=written)
+    with pytest.raises(UserAbort):
+        db.ingest("s", [(7,)])
+    db.flush_log()
+    for mode in readers:
+        got = open_db(copy_dir(queued, tmp_path / f"b-{mode}"), gate_bootstrap, recovery=mode)
+        assert got.stats()["recovery"]["recovered"]["regenerated_deliveries"] == 1
+        assert got.streaming.stats()["scheduler"]["pending_deliveries"] == 1
+        assert got.execute("SELECT count(*) FROM out").scalar() == 0
+        got.execute("INSERT INTO gate (id) VALUES (1)")
+        assert got.drain() == 1
+        assert got.execute("SELECT x FROM out").rows == [(7,)]
+
+
+def test_a_record_that_fails_by_itself_still_raises(tmp_path):
+    d = tmp_path / "db"
+    db = open_db(d, gate_bootstrap, recovery="weak", group_commit=1)
+    db.call("open_gate")
+    db.close()
+    with pytest.raises(RecoveryError, match="replay of 'call' record at LSN 1"):
+        open_db(d, gate_schema, recovery="weak")
 
 
 # ---------------------------------------------------------------------------
