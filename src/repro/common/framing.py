@@ -1,11 +1,12 @@
-"""Length-prefixed frames: the one wire format of the whole system.
+"""Length-prefixed frames: the one length prefix of every wire.
 
-Every message that crosses a process or socket boundary — partition RPC
-(:mod:`repro.partition.rpc`) and the network front door
-(:mod:`repro.server`) — is one :func:`repro.common.serde.encode_record`
-line (versioned JSON with a CRC32), prefixed by a 4-byte big-endian
-length.  This module is the single implementation of that framing, with
-one set of guards shared by every user:
+Every message that crosses a process or socket boundary is one body
+behind a 4-byte big-endian length (:data:`HEADER`, read by
+:func:`recv_exact`).  On the network front door (:mod:`repro.server`) the
+body is a :func:`repro.common.serde.encode_record` line (versioned JSON
+with a CRC32); the private partition hop (:mod:`repro.partition.rpc`)
+puts its own checksummed ``marshal`` body behind the same prefix.  The
+guards, shared by every user:
 
 * **oversized frames** are rejected on both sides: the sender refuses to
   emit a frame beyond ``limit`` (:class:`FrameTooLargeError` before any
@@ -22,10 +23,9 @@ one set of guards shared by every user:
   catchable failure instead of garbage data.
 
 Blocking-socket helpers (:func:`send_frame`/:func:`recv_frame`) serve the
-partition RPC channel and the synchronous client; the asyncio helper
-(:func:`read_frame_async`) serves the server's event loop.  Reads return
-``(record, frame_bytes)`` so callers can keep byte-level accounting
-without re-measuring.
+synchronous client; the asyncio helper (:func:`read_frame_async`) serves
+the server's event loop.  Reads return ``(record, frame_bytes)`` so
+callers can keep byte-level accounting without re-measuring.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .serde import decode_record, encode_record
 HEADER = struct.Struct(">I")
 
 #: Reserved request-dict key carrying trace context across a hop.
-#: Because every frame is a plain JSON dict, distributed tracing needs no
+#: Because every frame carries a plain dict, distributed tracing needs no
 #: wire-format change: a sender that wants its span to parent the
 #: receiver's work puts ``{"trace_id": ..., "span_id": ...}`` under this
 #: key (see :meth:`repro.obs.tracing.Span.context`), and the receiver

@@ -90,8 +90,8 @@ from .worker import InlineWorker, PartitionInfo, worker_main
 MAX_INFLIGHT = 32
 
 
-class _ProcessHandle:
-    """Coordinator-side end of one worker process (an
+class _ProcessHandle(Channel):
+    """The channel to one worker process (an
     :class:`~repro.partition.worker.InlineWorker` is the same interface
     with no process behind it)."""
 
@@ -106,28 +106,22 @@ class _ProcessHandle:
         )
         self.process.start()
         child.close()
-        self.channel = Channel(parent)
+        super().__init__(parent)
 
     def ready(self, partition_id: int) -> None:
-        reply = self.channel.recv()
+        reply = self.recv()
         if not reply.get("ok"):
             self.process.join(timeout=5)
         settle(reply, None, f"partition {partition_id}", PartitionError)
 
-    def send(self, request: dict[str, Any]) -> None:
-        self.channel.send(request)
-
-    def recv(self) -> dict[str, Any]:
-        return self.channel.recv()
-
     def join(self) -> None:
-        self.channel.close()
+        self.close()
         self.process.join(timeout=10)
 
     def kill(self) -> None:
         self.process.terminate()
         self.process.join(timeout=10)
-        self.channel.close()
+        self.close()
 
 
 def _value_sort_key(v: Any) -> tuple:
@@ -295,15 +289,21 @@ class PartitionedDatabase(StatsSections):
                 f"partition key {key_col!r} is not a declared column of "
                 f"{stream!r} (columns: {', '.join(columns)})"
             ) from None
-        buckets: dict[int, list] = defaultdict(list)
+        buckets: list[list] = [[] for _ in range(self.num_partitions)]
         part_of = self.partition_map.partition_of
+        memo: dict[tuple, int] = {}  # (type, key): 1 == True, yet they route apart
         for row in rows:
-            if isinstance(row, Mapping):
-                value = _mapping_value(row, key_col)
-                buckets[part_of(value)].append(dict(row))
-            else:
-                buckets[part_of(row[pos])].append(list(row))
-        return sorted(buckets.items())
+            if type(row) is not list and type(row) is not tuple:
+                row = dict(row) if isinstance(row, Mapping) else list(row)
+            value = _mapping_value(row, key_col) if type(row) is dict else row[pos]
+            try:
+                pid = memo[type(value), value]
+            except (KeyError, TypeError):  # a new key, or an unhashable one
+                pid = part_of(value)  # unhashable: SchemaError
+                if type(value) is not float:  # 0.0 == -0.0, yet they route apart
+                    memo[type(value), value] = pid
+            buckets[pid].append(row)
+        return [(pid, sub) for pid, sub in enumerate(buckets) if sub]
 
     def ingest(
         self,

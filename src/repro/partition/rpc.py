@@ -1,14 +1,14 @@
 """Framed RPC between the coordinator and its partition workers.
 
-The wire protocol is deliberately tiny: every message — request or reply —
-is one frame as defined by :mod:`repro.common.framing` (a
-:func:`repro.common.serde.encode_record` line, versioned JSON with a CRC32,
-prefixed by a 4-byte big-endian length).  Sharing the framing with the
-command log and the network front door means the pipe carries exactly the
-value domain the engine already guarantees is serialisable (JSON-safe SQL
-values), the checksum catches a torn or corrupted frame, and there is no
-pickle on the wire — a worker cannot be made to execute arbitrary code by
-a malformed frame.
+The hop is private — a ``socketpair`` to a worker forked from this
+process, never stored — so it has its own codec: the length prefix of
+:mod:`repro.common.framing` and its reader, a CRC32, then a :mod:`marshal`
+dump of the dict (no JSON text, no pickle; a torn, oversized or corrupt
+frame is a :class:`PartitionError`).  Tuples and int dict keys cross as
+themselves, so the partitioned facade returns what a single engine
+returns; a message holding a subclass (``Counter``, a namedtuple) crosses
+as JSON would carry it.  The public protocol, the command log and
+checkpoints keep :mod:`repro.common.serde`.
 
 Messages are dicts.  A request carries ``{"op": ..., ...operands}`` — for
 an engine verb, exactly the record the public wire carries (see
@@ -28,19 +28,16 @@ may post many ingest requests before collecting any replies.
 
 from __future__ import annotations
 
+import json
+import marshal
 import socket
+import struct
+import zlib
 from pathlib import PurePath
 from typing import Any
 
-from ..common.errors import PartitionError, error_class
-from ..common.framing import (
-    TRACE_KEY,
-    ConnectionClosedError,
-    FrameTooLargeError,
-    ProtocolError,
-    recv_frame,
-    send_frame,
-)
+from ..common.errors import ConnectionClosedError, FrameTooLargeError, PartitionError, error_class
+from ..common.framing import HEADER, MAX_FRAME_BYTES, TRACE_KEY, recv_exact
 from ..common.ops import UNTRACED_OPS
 from ..sql.executor import ResultSet
 
@@ -55,13 +52,41 @@ __all__ = [
     "decode_value",
 ]
 
+#: ``marshal`` grows a front-door frame at most 2.5× (a one-digit int: 2
+#: bytes with its comma in JSON, 5 here): any accepted request's sub-batch fits
+MAX_HOP_BYTES = 3 * MAX_FRAME_BYTES
+_CRC = struct.Struct(">I")
+
+
+def pack(record: Any) -> tuple[bytes, bytes, bytes]:
+    """One message as the buffers of its frame: length prefix, CRC32, body."""
+    try:  # format 2: no back-references, a lookup per shared row for nothing
+        body = marshal.dumps(record, 2)
+    except ValueError:  # a subclass (Counter, namedtuple): cross as JSON would
+        body = marshal.dumps(json.loads(json.dumps(record)), 2)
+    if len(body) > MAX_HOP_BYTES:
+        raise FrameTooLargeError(f"refusing a {len(body)}-byte frame (limit {MAX_HOP_BYTES})")
+    return HEADER.pack(_CRC.size + len(body)), _CRC.pack(zlib.crc32(body)), body
+
+
+def unpack(crc: bytes, body: bytes) -> dict[str, Any]:
+    """Inverse of :func:`pack`."""
+    if crc != _CRC.pack(zlib.crc32(body)):
+        raise PartitionError("bad partition frame: checksum mismatch")
+    try:
+        record = marshal.loads(body)
+    except (EOFError, ValueError, TypeError) as exc:
+        raise PartitionError(f"bad partition frame: {exc}") from None
+    if type(record) is not dict:
+        raise PartitionError(f"bad partition frame: a {type(record).__name__}, not a dict")
+    return record
+
 
 class Channel:
     """One framed, ordered, bidirectional message pipe over a socket.
 
-    A thin wrapper over :mod:`repro.common.framing` that maps every wire
-    failure — peer hang-up, torn/oversized/corrupt frame — to
-    :class:`PartitionError` (never a bare ``OSError``), since for the
+    Maps every wire failure — peer hang-up, torn/oversized/corrupt frame —
+    to :class:`PartitionError` (never a bare ``OSError``), since for the
     coordinator any such failure means one thing: the worker is gone."""
 
     __slots__ = ("_sock",)
@@ -70,25 +95,26 @@ class Channel:
         self._sock = sock
 
     def send(self, record: dict[str, Any]) -> None:
+        buffers = pack(record)
         try:
-            send_frame(self._sock, record)
-        except ConnectionClosedError as exc:
+            sent = self._sock.sendmsg(buffers)
+            if sent < sum(map(len, buffers)):  # a signal cut the write short
+                self._sock.sendall(b"".join(buffers)[sent:])
+        except OSError as exc:
             raise PartitionError(f"worker pipe broken during send: {exc}") from exc
 
     def recv(self) -> dict[str, Any]:
         try:
-            record, _ = recv_frame(self._sock)
+            (length,) = HEADER.unpack(recv_exact(self._sock, HEADER.size))
+            if length > MAX_HOP_BYTES:  # refused before any body byte is read
+                raise PartitionError(f"bad partition frame: {length} bytes announced")
+            payload = recv_exact(self._sock, length, mid_frame=True)
         except ConnectionClosedError as exc:
             raise PartitionError(f"worker hung up ({exc})") from exc
-        except (FrameTooLargeError, ProtocolError) as exc:
-            raise PartitionError(f"bad frame from worker: {exc}") from exc
-        return record
+        return unpack(payload[: _CRC.size], memoryview(payload)[_CRC.size :])
 
     def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
+        self._sock.close()
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +177,8 @@ def settle(reply: dict[str, Any], span, origin: str, fallback: type) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Value codec: everything on the wire is JSON; the one engine type that
-# crosses it — ResultSet — gets an explicit marker envelope (and a
+# Value codec, shared with the JSON front door: the one engine type that
+# crosses a wire — ResultSet — gets an explicit marker envelope (and a
 # checkpoint's path travels as its string).
 # ---------------------------------------------------------------------------
 
@@ -164,7 +190,7 @@ def encode_value(value: Any) -> Any:
         return {
             _RS_MARKER: 1,
             "columns": list(value.columns),
-            "rows": [list(row) for row in value.rows],
+            "rows": list(value.rows),
             "rowcount": value.rowcount,
         }
     if isinstance(value, PurePath):

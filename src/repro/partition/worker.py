@@ -11,7 +11,7 @@ The same :class:`WorkerServer` dispatch runs in two containers:
   a :class:`~repro.partition.rpc.Channel` until ``shutdown`` (real
   parallelism, used by default and by the scaling benchmark);
 * :class:`InlineWorker` — the same server in-process, with requests and
-  replies still round-tripping through the serde framing so tests exercise
+  replies still round-tripping through the hop's codec so tests exercise
   the exact wire value-domain without paying process startup.
 
 An engine verb arrives as the same record the public wire carries and runs
@@ -39,11 +39,10 @@ from typing import Any, Optional
 from ..common.errors import PartitionError
 from ..common.framing import TRACE_KEY
 from ..common.ops import BY_NAME, UNTRACED_OPS, bind
-from ..common.serde import decode_record, encode_record
 from ..engine.database import Database
 from ..obs import observability
 from .partitioning import PartitionMap
-from .rpc import Channel, error_reply, respond, value_reply
+from .rpc import Channel, error_reply, pack, respond, unpack, value_reply
 
 
 @dataclass(frozen=True)
@@ -225,10 +224,10 @@ def worker_main(sock: socket.socket, deploy, part: PartitionInfo, options: dict[
 
 
 class InlineWorker:
-    """The worker loop without the process: same dispatch, same framing.
+    """The worker loop without the process: same dispatch, same codec.
 
     Every request and reply still round-trips through
-    :func:`~repro.common.serde.encode_record`, so an unserialisable value
+    :func:`~repro.partition.rpc.pack`, so a value the hop cannot carry
     fails identically in both modes — inline tests cannot pass on values
     that would die on the real wire.  Replies queue FIFO, preserving the
     coordinator's pipelined send/collect discipline.  It is its own
@@ -251,10 +250,10 @@ class InlineWorker:
     def send(self, request: dict[str, Any]) -> None:
         if not self.alive:
             raise PartitionError(f"partition {self.part.partition_id} worker was killed")
-        request = decode_record(encode_record(request))
+        request = unpack(*pack(request)[1:])
         try:
             value = self.server.handle(request)
-            reply = decode_record(encode_record(value_reply(value)))
+            reply = unpack(*pack(value_reply(value))[1:])
         except Exception as exc:
             reply = error_reply(exc)
         self._replies.append(reply)

@@ -26,9 +26,10 @@ with ``recovery_dir=``.  Invariants the manager maintains:
 * **One delivery queue.**  Replay rebuilds the scheduler's queue as live
   execution built it; each logged delivery consumes its head under strong
   replay, so the workflow deliveries still queued afterwards are exactly
-  those the crash lost (``regenerated_deliveries``): strong recovery
-  leaves them for the next ``drain()``, weak recovery drains them.  A
-  delivery failing in replay stays queued, as it did live.
+  those the crash lost (``regenerated_deliveries``, plus, under weak
+  recovery, every delivery replay ran): strong recovery leaves them for
+  the next ``drain()``, weak recovery drains them.  A delivery failing in
+  replay stays queued, as it did live.
 * **Weak mode logs only the border** (paper §4.4's upstream backup): no
   ``delivery`` record, under a ``"mode": "weak"`` header that strong
   recovery refuses.  A session whose mode differs from the log's header
@@ -155,6 +156,7 @@ class RecoveryManager:
             db.streaming.restore_persistent_state(found[1]["streaming"])
         runtime = db.streaming
         replayed = skipped = 0
+        done_before = runtime.deliveries_done
         runtime.replay_mode = self.mode
         try:
             for i, record in enumerate(records):
@@ -169,8 +171,9 @@ class RecoveryManager:
                 replayed += 1
             # the workflow deliveries still queued are the tail the log lost
             regenerated = runtime.stats()["scheduler"]["pending_deliveries"]
-            if self.mode == "weak" and regenerated:
+            if self.mode == "weak":
                 # weak recovery's contract: the DAG is re-driven to completion
+                regenerated += runtime.deliveries_done - done_before
                 self._replay("the queued deliveries", runtime.drain)
         finally:
             runtime.replay_mode = None

@@ -1,6 +1,6 @@
-"""The shared frame layer: one implementation of the wire format, one
-set of torn/oversized/corrupt-frame guards, used by both the partition
-RPC and the network server."""
+"""The shared frame layer: one length prefix and one set of
+torn/oversized/corrupt-frame guards for the network server's serde
+frames, and the same prefix under the partition hop's marshal frames."""
 
 import socket
 import struct
@@ -11,6 +11,7 @@ import pytest
 from repro.common.errors import (
     ConnectionClosedError,
     FrameTooLargeError,
+    PartitionError,
     ProtocolError,
 )
 from repro.common.framing import (
@@ -18,6 +19,7 @@ from repro.common.framing import (
     MAX_FRAME_BYTES,
     decode_payload,
     encode_frame,
+    recv_exact,
     recv_frame,
     send_frame,
 )
@@ -138,17 +140,19 @@ class TestRecvGuards:
 
 class TestInterop:
     def test_partition_channel_rides_the_shared_framing(self):
-        # the partition RPC Channel and the raw framing helpers must speak
-        # the same bytes: send via Channel, receive via recv_frame
-        from repro.partition.rpc import Channel
+        # the partition hop has its own body codec behind the shared
+        # length prefix: HEADER and recv_exact read a Channel frame
+        from repro.partition.rpc import Channel, unpack
 
         a, b = pipe()
         try:
-            Channel(a).send({"op": "ping", "n": 7})
-            got, _ = recv_frame(b)
-            assert got == {"op": "ping", "n": 7}
-            send_frame(b, {"ok": True, "value": 7})
-            assert Channel(a).recv() == {"ok": True, "value": 7}
+            Channel(a).send({"op": "ping", "n": 7, "row": (1, None, "x", 2.5)})
+            (length,) = HEADER.unpack(recv_exact(b, HEADER.size))
+            payload = recv_exact(b, length)
+            got = unpack(payload[:4], payload[4:])
+            assert got == {"op": "ping", "n": 7, "row": (1, None, "x", 2.5)}
+            Channel(b).send({"ok": True, "value": {1: (2, 3)}})
+            assert Channel(a).recv() == {"ok": True, "value": {1: (2, 3)}}
         finally:
             a.close(), b.close()
 
@@ -165,5 +169,107 @@ class TestInterop:
             got, _ = recv_frame(b)
             t.join()
             assert got == {"rows": list(range(100))}
+        finally:
+            a.close(), b.close()
+
+
+class TestPartitionChannel:
+    """The coordinator<->worker hop's guards: each corrupt, torn or
+    oversized frame is a PartitionError."""
+
+    def test_oversized_announced_length_is_refused_before_the_body(self):
+        from repro.partition.rpc import MAX_HOP_BYTES, Channel
+
+        a, b = pipe()
+        try:
+            a.sendall(HEADER.pack(MAX_HOP_BYTES + 1) + b"tail")
+            with pytest.raises(PartitionError, match="announced"):
+                Channel(b).recv()
+            assert b.recv(16) == b"tail"  # the body was never read
+        finally:
+            a.close(), b.close()
+
+    def test_torn_body(self):
+        from repro.partition.rpc import Channel, pack
+
+        a, b = pipe()
+        try:
+            a.sendall(b"".join(pack({"op": "ingest", "rows": [[1, 2]] * 10}))[:20])
+            a.close()
+            with pytest.raises(PartitionError, match="mid-frame"):
+                Channel(b).recv()
+        finally:
+            b.close()
+
+    def test_checksum_mismatch(self):
+        from repro.partition.rpc import Channel, pack
+
+        a, b = pipe()
+        try:
+            head, crc, body = pack({"op": "ingest", "rows": [[1, 2]]})
+            flipped = body[:-3] + bytes([body[-3] ^ 0xFF]) + body[-2:]
+            a.sendall(head + crc + flipped)
+            with pytest.raises(PartitionError, match="checksum"):
+                Channel(b).recv()
+        finally:
+            a.close(), b.close()
+
+    def test_body_that_is_not_a_dict(self):
+        from repro.partition.rpc import Channel, pack
+
+        a, b = pipe()
+        try:
+            a.sendall(b"".join(pack([1, 2])))
+            with pytest.raises(PartitionError, match="not a dict"):
+                Channel(b).recv()
+        finally:
+            a.close(), b.close()
+
+    def test_subclass_values_cross_as_json_would_carry_them(self):
+        from collections import Counter, namedtuple
+
+        from repro.partition.rpc import Channel
+
+        point = namedtuple("point", "x y")
+        a, b = pipe()
+        try:
+            Channel(a).send({"value": {"c": Counter(a=2), "p": point(1, 2)}})
+            assert Channel(b).recv() == {"value": {"c": {"a": 2}, "p": [1, 2]}}
+        finally:
+            a.close(), b.close()
+
+    def test_value_no_codec_carries_raises_before_writing(self):
+        from repro.partition.rpc import Channel
+
+        a, b = pipe()
+        try:
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                Channel(a).send({"op": "execute", "params": [object()]})
+            b.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                b.recv(1)
+        finally:
+            a.close(), b.close()
+
+    def test_worst_case_front_door_frame_fits_the_hop(self):
+        # one-digit ints grow most (2 bytes with a comma in JSON, 5 in
+        # marshal): a record whose serde frame is exactly the front door's
+        # limit must still cross the hop
+        from repro.partition.rpc import Channel, pack
+
+        row = [7] * 1000
+        record = {"op": "ingest", "stream": "", "rows": [row] * 4190}
+        pad = MAX_FRAME_BYTES - len(encode_record(record))
+        assert 0 <= pad < 5000
+        record["stream"] = "s" * pad
+        assert len(encode_record(record)) == MAX_FRAME_BYTES
+        assert len(pack(record)[2]) > 2.45 * MAX_FRAME_BYTES
+        a, b = pipe()
+        try:
+            sender = threading.Thread(target=Channel(a).send, args=(record,))
+            sender.start()
+            got = Channel(b).recv()
+            sender.join()
+            assert got == record
         finally:
             a.close(), b.close()

@@ -1,8 +1,8 @@
 """The partitioned facade: routing, pipelined ingest, ordered commit,
 fault-torn protocols, and per-partition durable recovery.
 
-Most tests use ``workers="inline"`` — the same dispatch and serde wire
-discipline as process workers, minus the fork cost — so the matrix stays
+Most tests use ``workers="inline"`` — the same dispatch and hop codec
+as process workers, minus the fork cost — so the matrix stays
 fast.  A small set of tests runs real worker processes end-to-end
 (including kill-and-recover); they are the ones whose behaviour could
 differ across a process boundary.
@@ -129,6 +129,37 @@ def test_ingest_mapping_rows_route_by_name():
         pdb.ingest("feed", [{"acct": a, "amt": 3} for a in range(ACCOUNTS)])
         pdb.drain()
         assert pdb.merged_table_rows("bal") == [(a, 3) for a in range(ACCOUNTS)]
+
+
+@pytest.mark.parametrize("mode", ["hash", "round_robin"])
+def test_split_routes_every_row_where_partition_of_puts_its_key(mode):
+    # equal keys of different types route apart (1, 1.0 and True at n=3;
+    # 0.0 and -0.0 too), so a per-batch memo keyed by value alone mixes
+    # them up; rows keep their input order inside a bucket
+    nan = float("nan")
+    keys = [True, 1, 1.0, False, 0, None, "1", nan, 0.0, -0.0, 2, 1, True, "1", -0.0]
+    rows = []
+    for i, key in enumerate(keys):
+        rows.append((key, i))
+        rows.append([key, i])
+        rows.append({"ACCT": key, "amt": i} if i % 2 else {"acct": key, "amt": i})
+    with make_pdb(3, mode=mode) as pdb:
+        part_of = pdb.partition_map.partition_of
+        want: dict[int, list] = {}
+        for row in rows:
+            key = row[0] if not isinstance(row, dict) else row.get("acct", row.get("ACCT"))
+            want.setdefault(part_of(key), []).append(row)
+        got = pdb._split_batch("feed", rows)
+        assert [pid for pid, _sub in got] == sorted(want)
+        for pid, sub in got:
+            # repr, since nan != nan; a tuple row may arrive as a list
+            assert [repr(dict(r) if isinstance(r, dict) else list(r)) for r in sub] == [
+                repr(dict(r) if isinstance(r, dict) else list(r)) for r in want[pid]
+            ]
+        with pytest.raises(SchemaError, match="not hashable"):
+            pdb._split_batch("feed", rows + [([1], 99)])
+        with pytest.raises(SchemaError, match="not hashable"):
+            pdb._split_batch("feed", [({"a": 1}, 0)])
 
 
 def test_pipelined_ingest_matches_waited_ingest():

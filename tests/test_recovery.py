@@ -495,6 +495,18 @@ class TestWeakRecovery:
         assert w_info["replayed"] < s_info["replayed"]
         assert w_info["replayed"] + w_info["skipped"] == s_info["replayed"]
 
+    def test_weak_counts_every_delivery_its_replay_regenerated(self, tmp_path):
+        # 4 batches x 3 workflow hops: the log holds every delivery, so a
+        # strong reopen regenerates none, while weak replay re-runs all 12
+        live = tmp_path / "live"
+        db = open_db(live, dag_bootstrap)
+        drive_dag(db, 4)
+        db.flush_log()
+        for mode, regenerated in (("strong", 0), ("weak", 12)):
+            got = open_db(copy_dir(live, tmp_path / mode), dag_bootstrap, recovery=mode)
+            info = got.stats()["recovery"]["recovered"]
+            assert info["regenerated_deliveries"] == regenerated, mode
+
     def test_weak_with_built_in_verification(self, tmp_path):
         live = tmp_path / "live"
         db = open_db(live, dag_bootstrap)
