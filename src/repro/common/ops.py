@@ -113,7 +113,7 @@ EXEMPT_OPS = frozenset(op.name for op in OPERATIONS if op.admission_exempt)
 #: ``obs_spans`` would refill the ring it drains)
 UNTRACED_OPS = frozenset(op.name for op in OPERATIONS if not op.traced) | {
     "hello", "bye", "ping",
-    "snapshot", "obs_spans", "inject_fault", "close", "shutdown",
+    "snapshot", "obs_spans", "inject_fault", "shutdown",
 }
 
 

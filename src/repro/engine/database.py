@@ -155,8 +155,8 @@ class Database(StatsSections):
             ValueError: an unknown ``recovery`` mode.
             RecoveryError: the log or a checkpoint is damaged beyond the
                 torn-tail contract, references schema objects the
-                bootstrap did not create, or is a weak-written log opened
-                with ``recovery="strong"``.
+                bootstrap did not create, or holds weak-mode records past
+                its newest checkpoint under ``recovery="strong"``.
         """
         #: every architectural event this engine counts (``stats("events")``)
         self.events = EventLedger()

@@ -292,17 +292,22 @@ class PartitionedDatabase(StatsSections):
         buckets: list[list] = [[] for _ in range(self.num_partitions)]
         part_of = self.partition_map.partition_of
         memo: dict[tuple, int] = {}  # (type, key): 1 == True, yet they route apart
-        for row in rows:
-            if type(row) is not list and type(row) is not tuple:
-                row = dict(row) if isinstance(row, Mapping) else list(row)
-            value = _mapping_value(row, key_col) if type(row) is dict else row[pos]
-            try:
-                pid = memo[type(value), value]
-            except (KeyError, TypeError):  # a new key, or an unhashable one
-                pid = part_of(value)  # unhashable: SchemaError
-                if type(value) is not float:  # 0.0 == -0.0, yet they route apart
-                    memo[type(value), value] = pid
-            buckets[pid].append(row)
+        try:  # around the loop, not per row: a short row is the only IndexError
+            for row in rows:
+                if type(row) is not list and type(row) is not tuple:
+                    row = dict(row) if isinstance(row, Mapping) else list(row)
+                value = _mapping_value(row, key_col) if type(row) is dict else row[pos]
+                try:
+                    pid = memo[type(value), value]
+                except (KeyError, TypeError):  # a new key, or an unhashable one
+                    pid = part_of(value)  # unhashable: SchemaError
+                    if type(value) is not float:  # 0.0 == -0.0, yet they route apart
+                        memo[type(value), value] = pid
+                buckets[pid].append(row)
+        except IndexError:
+            raise SchemaError(
+                f"table {stream.lower()!r} expects {len(columns)} values, got {len(row)}"
+            ) from None
         return [(pid, sub) for pid, sub in enumerate(buckets) if sub]
 
     def ingest(
@@ -640,7 +645,6 @@ class PartitionedDatabase(StatsSections):
         try:
             self.barrier()
             for pid in range(self.num_partitions):
-                self._request(pid, {"op": "close"})
                 self._request(pid, {"op": "shutdown"})
         finally:
             for handle in self._handles:

@@ -95,7 +95,10 @@ class Channel:
         self._sock = sock
 
     def send(self, record: dict[str, Any]) -> None:
-        buffers = pack(record)
+        self.send_packed(pack(record))
+
+    def send_packed(self, buffers: tuple[bytes, bytes, bytes]) -> None:
+        """Send a message :func:`pack` has already framed."""
         try:
             sent = self._sock.sendmsg(buffers)
             if sent < sum(map(len, buffers)):  # a signal cut the write short

@@ -14,14 +14,18 @@ The same :class:`WorkerServer` dispatch runs in two containers:
   replies still round-tripping through the hop's codec so tests exercise
   the exact wire value-domain without paying process startup.
 
+Both take each reply from :meth:`WorkerServer.reply`, which never raises:
+a reply the hop cannot carry goes back as its typed error, and the
+partition keeps serving.
+
 An engine verb arrives as the same record the public wire carries and runs
 through the same declared dispatch (:func:`repro.common.ops.bind`).  The
-worker's own ops are its control plane (``ping`` / ``snapshot`` /
-``obs_spans`` / ``inject_fault`` / ``close`` / ``shutdown``) and the
-``xp_*`` family of cross-partition transactions: the coordinator opens one
+worker's own ops are its control plane (``snapshot`` / ``obs_spans`` /
+``inject_fault`` / ``shutdown``, which closes the engine) and the ``xp_*``
+family of cross-partition transactions: the coordinator opens one
 explicit transaction per participant (``xp_begin``), streams fragments into
-it (``xp_exec`` / ``xp_execmany`` / ``xp_call`` — those three verbs run
-inside the open transaction, the last via
+it (``xp_exec`` / ``xp_call`` — both verbs run inside the open
+transaction, the second via
 :meth:`~repro.engine.database.Database.call_in_txn`), then commits every
 participant in global order (``xp_commit``) or aborts them all
 (``xp_abort``).  ``inject_fault`` arms a one-shot failure on a named op so
@@ -96,9 +100,17 @@ class WorkerServer:
         self._dispatch = {
             **verbs,
             "xp_exec": self._fragment(verbs["execute"]),
-            "xp_execmany": self._fragment(verbs["executemany"]),
             "xp_call": self._fragment(BY_NAME["call"].caller(db.call_in_txn)),
         }
+
+    def reply(self, request: dict[str, Any]) -> tuple[bytes, bytes, bytes]:
+        """``request``'s reply as packed hop buffers; never raises.  A reply
+        the hop cannot carry goes back as its error, so the partition
+        stays up in either container."""
+        try:
+            return pack(respond(self.handle, request))
+        except Exception as exc:  # noqa: BLE001 - a serving loop must not die
+            return pack(error_reply(exc))
 
     def handle(self, request: dict[str, Any]) -> Any:
         op = str(request.get("op"))
@@ -121,11 +133,8 @@ class WorkerServer:
 
     # -- plumbing ------------------------------------------------------------
 
-    def _op_ping(self, request) -> str:
-        return "pong"
-
     def _op_shutdown(self, request) -> None:
-        return None
+        self.db.close()
 
     def _op_inject_fault(self, request) -> None:
         """Arm a one-shot failure: the next request whose op matches
@@ -146,9 +155,6 @@ class WorkerServer:
 
     def _op_snapshot(self, request) -> dict[str, Any]:
         return self.db.catalog.snapshot()
-
-    def _op_close(self, request) -> None:
-        self.db.close()
 
     # -- cross-partition transaction fragments (ordered commit) -------------
 
@@ -215,9 +221,9 @@ def worker_main(sock: socket.socket, deploy, part: PartitionInfo, options: dict[
         except PartitionError:
             break  # coordinator went away; nothing left to serve
         try:
-            channel.send(respond(server.handle, request))
-        except Exception:
-            break
+            channel.send_packed(server.reply(request))
+        except PartitionError:
+            break  # coordinator went away mid-reply
         if request.get("op") == "shutdown":
             break
     channel.close()
@@ -251,12 +257,7 @@ class InlineWorker:
         if not self.alive:
             raise PartitionError(f"partition {self.part.partition_id} worker was killed")
         request = unpack(*pack(request)[1:])
-        try:
-            value = self.server.handle(request)
-            reply = unpack(*pack(value_reply(value))[1:])
-        except Exception as exc:
-            reply = error_reply(exc)
-        self._replies.append(reply)
+        self._replies.append(unpack(*self.server.reply(request)[1:]))
 
     def recv(self) -> dict[str, Any]:
         if not self._replies:

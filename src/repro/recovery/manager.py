@@ -31,9 +31,11 @@ with ``recovery_dir=``.  Invariants the manager maintains:
   the next ``drain()``, weak recovery drains them.  A delivery failing in
   replay stays queued, as it did live.
 * **Weak mode logs only the border** (paper §4.4's upstream backup): no
-  ``delivery`` record, under a ``"mode": "weak"`` header that strong
-  recovery refuses.  A session whose mode differs from the log's header
-  rewrites the header before its first append.
+  ``delivery`` record, under a ``"mode": "weak"`` header.  Strong
+  recovery refuses such a log while it holds a record past the newest
+  checkpoint; a weak log the checkpoint covers recovers strong and is
+  re-anchored under a strong header.  A session whose mode differs from
+  the log's header rewrites the header before its first append.
 * **Recovery ends with a fresh checkpoint**, which carries that queue,
   and truncates the log, so repeated crashes never see a delivery hole
   or a duplicate.  A checkpoint older than the log's first record is
@@ -138,11 +140,11 @@ class RecoveryManager:
         header, records, valid_end = scan_log(self.log_path)
         base = 0 if header is None else int(header["base_lsn"])
         log_mode = self.mode if header is None else header["mode"]
-        if log_mode == "weak" and self.mode == "strong":
+        if log_mode == "weak" and self.mode == "strong" and base + len(records) > ckpt_lsn:
             raise RecoveryError(
-                f"command log {LOG_NAME!r} was written in weak mode, which "
-                f"logs no workflow delivery; strong recovery needs them — "
-                f"open it with recovery='weak'"
+                f"command log {LOG_NAME!r} holds records written in weak mode past "
+                f"the newest checkpoint; strong recovery needs the workflow "
+                f"deliveries weak mode never logs — open it with recovery='weak'"
             )
         if ckpt_lsn < base:
             raise RecoveryError(

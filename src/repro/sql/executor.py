@@ -158,8 +158,8 @@ class ExecutionContext(ExecutionCounters):
     ``obs`` is the engine's observability handle (DISABLED by default:
     operators guard on ``obs.enabled``, so the uninstrumented path costs
     one attribute load).  ``explain_counts`` is normally ``None``; an
-    EXPLAIN run passes a dict and every operator records its actual
-    output rows under its plan ``op_id``.
+    EXPLAIN run passes a dict, and the plan runner records each operator's
+    actual output rows under its plan ``op_id`` (operators never see it).
     """
 
     __slots__ = ("catalog", "params", "observer", "guard", "obs", "explain_counts")
@@ -246,39 +246,32 @@ _NO_ROW: tuple = ()
 class SeqScan:
     """Full scan in insertion (arrival) order with optional residual filter."""
 
-    __slots__ = ("table_name", "pred", "op_id")
+    __slots__ = ("table_name", "pred")
 
     def __init__(self, table_name: str, pred: Optional[Predicate] = None):
         self.table_name = table_name
         self.pred = pred
-        self.op_id = -1
 
     def __call__(self, ctx: ExecutionContext) -> Iterator[tuple[int, tuple]]:
         table = ctx.read_table(self.table_name)
         pred = self.pred
         params = ctx.params
         scanned = 0
-        emitted = 0
         # finally, not loop-exit: a LIMIT may close this generator early and
-        # the rows already visited must still be counted (and charged).
+        # the rows already visited must still be charged.
         try:
             for rowid, row in table.scan_visible():
                 scanned += 1
                 if pred is None or pred(row, params):
-                    emitted += 1
                     yield rowid, row
         finally:
             ctx.rows_scanned += scanned
-            if ctx.explain_counts is not None:
-                ctx.explain_counts[self.op_id] = (
-                    ctx.explain_counts.get(self.op_id, 0) + emitted
-                )
 
 
 class _IndexProbe:
     """The probe loop both index access paths share: fetch each rowid the
-    index yields, skip rows hidden from reads, count the visited ones,
-    apply the residual filter and record EXPLAIN counts.  Subclasses
+    index yields, skip rows hidden from reads, count the visited ones and
+    apply the residual filter.  Subclasses
     supply only ``rowids(table, ctx)``, the index lookup itself (None when
     a NULL key or bound matches nothing)."""
 
@@ -293,9 +286,8 @@ class _IndexProbe:
         params = ctx.params
         visible = table.is_visible
         scanned = 0
-        emitted = 0
         # batched counter update (finally: a LIMIT may close this generator
-        # early and the rows already visited must still be counted)
+        # early and the rows already visited must still be charged)
         try:
             for rowid in rowids:
                 row = table.get(rowid)
@@ -303,14 +295,9 @@ class _IndexProbe:
                     continue
                 scanned += 1
                 if pred is None or pred(row, params):
-                    emitted += 1
                     yield rowid, row
         finally:
             ctx.rows_scanned += scanned
-            if ctx.explain_counts is not None:
-                ctx.explain_counts[self.op_id] = (
-                    ctx.explain_counts.get(self.op_id, 0) + emitted
-                )
 
 
 class IndexScan(_IndexProbe):
@@ -318,7 +305,7 @@ class IndexScan(_IndexProbe):
 
     ``key_fn(row, params)`` builds the whole key tuple in one call."""
 
-    __slots__ = ("table_name", "index_name", "key_fn", "pred", "op_id")
+    __slots__ = ("table_name", "index_name", "key_fn", "pred")
 
     def __init__(
         self,
@@ -331,7 +318,6 @@ class IndexScan(_IndexProbe):
         self.index_name = index_name
         self.key_fn = key_fn
         self.pred = pred
-        self.op_id = -1
 
     def rowids(self, table: Table, ctx: ExecutionContext) -> Optional[Iterable[int]]:
         index = table.index(self.index_name)
@@ -344,7 +330,7 @@ class IndexRangeScan(_IndexProbe):
     """Range scan over an ordered index, plus optional residual filter."""
 
     __slots__ = (
-        "table_name", "index_name", "lo_fn", "hi_fn", "lo_inc", "hi_inc", "pred", "op_id",
+        "table_name", "index_name", "lo_fn", "hi_fn", "lo_inc", "hi_inc", "pred",
     )
 
     def __init__(
@@ -364,7 +350,6 @@ class IndexRangeScan(_IndexProbe):
         self.lo_inc = lo_inc
         self.hi_inc = hi_inc
         self.pred = pred
-        self.op_id = -1
 
     def rowids(self, table: Table, ctx: ExecutionContext) -> Optional[Iterable[int]]:
         index = table.index(self.index_name)

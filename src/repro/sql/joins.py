@@ -49,7 +49,6 @@ class HashJoinStep:
         "residual",
         "kind",
         "build_inner",
-        "op_id",
         "_null_pad",
     )
 
@@ -71,7 +70,6 @@ class HashJoinStep:
         self.residual = residual
         self.kind = kind
         self.build_inner = build_inner
-        self.op_id = -1
         self._null_pad = (None,) * arity
 
     def apply(self, rows: Iterator[tuple], ctx: ExecutionContext) -> Iterator[tuple]:
@@ -106,7 +104,6 @@ class HashJoinStep:
             span.finish()
 
         span = obs.span("join.probe", table=self.table_name, side="inner") if obs.enabled else None
-        emitted = 0
         try:
             for left in rows:
                 matched = False
@@ -116,18 +113,12 @@ class HashJoinStep:
                         combined = left + right
                         if residual is None or residual(combined, params):
                             matched = True
-                            emitted += 1
                             yield combined
                 if left_outer and not matched:
-                    emitted += 1
                     yield left + self._null_pad
         finally:
             if span is not None:
                 span.finish()
-            if ctx.explain_counts is not None:
-                ctx.explain_counts[self.op_id] = (
-                    ctx.explain_counts.get(self.op_id, 0) + emitted
-                )
 
     def _apply_build_outer(self, rows, ctx) -> Iterator[tuple]:
         table = ctx.read_table(self.table_name)
@@ -153,7 +144,6 @@ class HashJoinStep:
             span.finish()
 
         span = obs.span("join.probe", table=self.table_name, side="outer") if obs.enabled else None
-        emitted = 0
         matched: set[int] = set()
         scanned = 0
         try:
@@ -166,22 +156,16 @@ class HashJoinStep:
                     combined = outer_rows[idx] + right
                     if residual is None or residual(combined, params):
                         matched.add(idx)
-                        emitted += 1
                         yield combined
             if left_outer:
                 pad = self._null_pad
                 for idx, left in enumerate(outer_rows):
                     if idx not in matched:
-                        emitted += 1
                         yield left + pad
         finally:
             ctx.rows_scanned += scanned
             if span is not None:
                 span.finish()
-            if ctx.explain_counts is not None:
-                ctx.explain_counts[self.op_id] = (
-                    ctx.explain_counts.get(self.op_id, 0) + emitted
-                )
 
 
 class IndexNestedLoopStep:
@@ -192,8 +176,7 @@ class IndexNestedLoopStep:
     evaluated on the combined row."""
 
     __slots__ = (
-        "table_name", "arity", "index_name", "key_fn", "residual", "kind",
-        "op_id", "_null_pad",
+        "table_name", "arity", "index_name", "key_fn", "residual", "kind", "_null_pad",
     )
 
     def __init__(
@@ -211,7 +194,6 @@ class IndexNestedLoopStep:
         self.key_fn = key_fn
         self.residual = residual
         self.kind = kind
-        self.op_id = -1
         self._null_pad = (None,) * arity
 
     def apply(self, rows: Iterator[tuple], ctx: ExecutionContext) -> Iterator[tuple]:
@@ -222,46 +204,35 @@ class IndexNestedLoopStep:
         left_outer = self.kind == "left"
         visible = table.is_visible
         key_fn = self.key_fn
-        emitted = 0
-        try:
-            for left in rows:
-                matched = False
-                key = key_fn(left, params)
-                ctx.index_probes += 1
-                if None not in key:  # col = NULL never matches
-                    for rowid in index.lookup(key):
-                        right = table.get(rowid)
-                        if right is None or not visible(right):
-                            continue
-                        ctx.rows_scanned += 1
-                        combined = left + right
-                        if residual is None or residual(combined, params):
-                            matched = True
-                            emitted += 1
-                            yield combined
-                if left_outer and not matched:
-                    emitted += 1
-                    yield left + self._null_pad
-        finally:
-            if ctx.explain_counts is not None:
-                ctx.explain_counts[self.op_id] = (
-                    ctx.explain_counts.get(self.op_id, 0) + emitted
-                )
-
+        for left in rows:
+            matched = False
+            key = key_fn(left, params)
+            ctx.index_probes += 1
+            if None not in key:  # col = NULL never matches
+                for rowid in index.lookup(key):
+                    right = table.get(rowid)
+                    if right is None or not visible(right):
+                        continue
+                    ctx.rows_scanned += 1
+                    combined = left + right
+                    if residual is None or residual(combined, params):
+                        matched = True
+                        yield combined
+            if left_outer and not matched:
+                yield left + self._null_pad
 
 
 class BlockNestedLoopStep:
     """Nested loop with the inner table materialised **once** — the
     fallback for non-equi ON predicates (and CROSS joins)."""
 
-    __slots__ = ("table_name", "arity", "on_pred", "kind", "op_id", "_null_pad")
+    __slots__ = ("table_name", "arity", "on_pred", "kind", "_null_pad")
 
     def __init__(self, table_name: str, arity: int, on_pred, kind: str):
         self.table_name = table_name
         self.arity = arity
         self.on_pred = on_pred
         self.kind = kind
-        self.op_id = -1
         self._null_pad = (None,) * arity
 
     def apply(self, rows: Iterator[tuple], ctx: ExecutionContext) -> Iterator[tuple]:
@@ -271,21 +242,12 @@ class BlockNestedLoopStep:
         left_outer = self.kind == "left"
         inner_rows = [row for _rowid, row in table.scan_visible()]
         ctx.rows_scanned += len(inner_rows)
-        emitted = 0
-        try:
-            for left in rows:
-                matched = False
-                for right in inner_rows:
-                    combined = left + right
-                    if on_pred is None or on_pred(combined, params):
-                        matched = True
-                        emitted += 1
-                        yield combined
-                if left_outer and not matched:
-                    emitted += 1
-                    yield left + self._null_pad
-        finally:
-            if ctx.explain_counts is not None:
-                ctx.explain_counts[self.op_id] = (
-                    ctx.explain_counts.get(self.op_id, 0) + emitted
-                )
+        for left in rows:
+            matched = False
+            for right in inner_rows:
+                combined = left + right
+                if on_pred is None or on_pred(combined, params):
+                    matched = True
+                    yield combined
+            if left_outer and not matched:
+                yield left + self._null_pad

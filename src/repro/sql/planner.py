@@ -384,14 +384,12 @@ def _plan_select(stmt: Select, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
     scan, est, scan_info = choose_scan(
         None, base_table, scope, base_arity, env, extra_conjuncts=base_only
     )
-    scan.op_id = 0
     scan_info["op_id"] = 0
 
     join_steps = []
     join_infos: list[dict[str, Any]] = []
     for op_id, (join, right, right_offset) in enumerate(join_specs, start=1):
         step, est, jinfo = choose_join(join, right, right_offset, scope, env, est)
-        step.op_id = op_id
         jinfo["op_id"] = op_id
         join_steps.append(step)
         join_infos.append(jinfo)
@@ -504,8 +502,13 @@ def _plan_select(stmt: Select, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
     def run(ctx: ExecutionContext) -> ResultSet:
         params = ctx.params
         rows: Iterator[tuple] = (row for _rowid, row in scan(ctx))
-        for step in join_steps:
+        counts = ctx.explain_counts
+        if counts is not None:
+            rows = _counted(rows, counts, 0)
+        for op_id, step in enumerate(join_steps, start=1):
             rows = step.apply(rows, ctx)
+            if counts is not None:
+                rows = _counted(rows, counts, op_id)
         if post_pred is not None:
             rows = (r for r in rows if post_pred(r, params))
 
@@ -575,6 +578,19 @@ def _plan_select(stmt: Select, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
     return PreparedStatement(
         sql, "select", param_count, run, columns=out_names, plan_info=plan_info
     )
+
+
+def _counted(rows: Iterator[tuple], counts: dict[int, int], op_id: int) -> Iterator[tuple]:
+    """Pass ``rows`` through and add how many went by to ``counts[op_id]``
+    (EXPLAIN's actual rows) — in a ``finally``, so a LIMIT that closes the
+    pipeline early still counts."""
+    n = 0
+    try:
+        for row in rows:
+            n += 1
+            yield row
+    finally:
+        counts[op_id] = counts.get(op_id, 0) + n
 
 
 def _compile_order(
@@ -719,7 +735,7 @@ def _point_runner(
     bumps them.  ``build(row, params)`` is the SELECT's projection or the
     UPDATE's new row."""
     table_name, index_name = scan.table_name, scan.index_name
-    key_fn, pred, op_id = scan.key_fn, scan.pred, scan.op_id
+    key_fn, pred = scan.key_fn, scan.pred
     writes = kind != "select"
 
     def run_point(ctx: ExecutionContext) -> ResultSet:
@@ -742,7 +758,7 @@ def _point_runner(
                     row = None
         counts = ctx.explain_counts
         if counts is not None:
-            counts[op_id] = counts.get(op_id, 0) + (row is not None)
+            counts[0] = counts.get(0, 0) + (row is not None)
         if row is None:
             return ResultSet(columns, [])
         if kind == "select":
@@ -776,7 +792,6 @@ def _plan_write(
     scan, est, scan_info = choose_scan(
         stmt.where, table, scope, schema.arity(), env
     )
-    scan.op_id = 0
     scan_info["op_id"] = 0
 
     assigned: dict[int, Expr] = {}

@@ -131,6 +131,22 @@ def test_ingest_mapping_rows_route_by_name():
         assert pdb.merged_table_rows("bal") == [(a, 3) for a in range(ACCOUNTS)]
 
 
+def test_short_row_in_a_split_batch_raises_the_single_engine_schema_error():
+    def keyed_last(db, part):
+        db.create_stream(schema("s", ("a", T.INTEGER), ("k", T.INTEGER)))
+
+    single = Database(bootstrap=lambda db: keyed_last(db, PartitionInfo(0, 1)))
+    with pytest.raises(SchemaError) as want:
+        single.ingest("s", [(1,)])
+    with PartitionedDatabase(
+        2, keyed_last, partition_keys={"s": "k"}, workers="inline"
+    ) as pdb:
+        with pytest.raises(SchemaError) as got:
+            pdb.ingest("s", [(1,)])
+        assert str(got.value) == str(want.value) == "table 's' expects 2 values, got 1"
+        assert pdb.ingest("s", [(1, 2)])  # nothing was posted; the batch after it lands
+
+
 @pytest.mark.parametrize("mode", ["hash", "round_robin"])
 def test_split_routes_every_row_where_partition_of_puts_its_key(mode):
     # equal keys of different types route apart (1, 1.0 and True at n=3;
@@ -383,6 +399,24 @@ def test_process_worker_error_propagates_with_partition_prefix():
     with make_pdb(2, workers="process") as pdb:
         with pytest.raises(NoSuchProcedureError, match=r"\[partition"):
             pdb.call("no_such_proc", key=1)
+
+
+@pytest.mark.parametrize(
+    "workers",
+    ["inline", pytest.param("process", marks=pytest.mark.multicore)],
+)
+def test_a_reply_the_hop_cannot_carry_is_an_error_and_the_worker_lives(workers):
+    def opaque_deploy(db, part):
+        deploy(db, part)
+        db.register_procedure("opaque", lambda ctx: object())
+
+    with PartitionedDatabase(
+        2, opaque_deploy, partition_keys=PARTITION_KEYS, workers=workers
+    ) as pdb:
+        with pytest.raises(PartitionError, match=r"\[partition \d\].*not JSON serializable"):
+            pdb.call("opaque", key=1)
+        pdb.call("deposit", 1, 5, key=1)  # the same partition answers the next call
+        assert pdb.execute("SELECT total FROM bal WHERE acct = ?", (1,), key=1).rows == [(5,)]
 
 
 @pytest.mark.multicore

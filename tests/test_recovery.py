@@ -568,10 +568,13 @@ class TestWeakLog:
         for readonly in (True, False):
             with pytest.raises(RecoveryError, match="weak mode"):
                 open_db(d, dag_bootstrap, readonly=readonly)
-        # the weak reopen checkpoints and truncates under a weak header
+        # the weak reopen checkpoints and truncates under a weak header;
+        # with no weak record past that checkpoint, a strong open recovers
+        # and restates the header as strong
         open_db(d, dag_bootstrap, recovery="weak").close()
-        with pytest.raises(RecoveryError, match="weak mode"):
-            open_db(d, dag_bootstrap)
+        strong = open_db(d, dag_bootstrap)
+        assert strong.execute("SELECT count(*) FROM audit").scalar() == 2
+        assert scan_log(d / "command.log")[0]["mode"] == "strong"
 
     def test_mode_switch_on_a_header_only_log_restates_the_header(self, tmp_path):
         d = tmp_path / "db"

@@ -212,6 +212,59 @@ def test_explain_reports_estimated_and_actual_rows():
     assert scan["actual_rows"] == 10
 
 
+_LEFT_JOIN = "SELECT t.id, b.label FROM txns t LEFT JOIN buckets b ON t.bucket = b.num"
+
+
+@pytest.mark.parametrize(
+    "force, sql, params, expected",
+    [
+        # 20 of the 40 outer rows find no bucket: their NULL-padded rows count
+        (None, _LEFT_JOIN, (), [("SeqScan", 40), ("IndexNestedLoopJoin", 40)]),
+        ("inl", _LEFT_JOIN, (), [("SeqScan", 40), ("IndexNestedLoopJoin", 40)]),
+        ("hash", _LEFT_JOIN, (), [("SeqScan", 40), ("HashJoin/inner", 40)]),
+        ("bnl", _LEFT_JOIN, (), [("SeqScan", 40), ("BlockNestedLoopJoin", 40)]),
+        # the outer side (3 buckets) builds; bucket 9 is NULL-padded
+        (
+            "hash",
+            "SELECT t.id, b.label FROM buckets b "
+            "LEFT JOIN txns t ON t.bucket = b.num AND t.id < 8",
+            (),
+            [("SeqScan", 3), ("HashJoin/outer", 5)],
+        ),
+        # LIMIT without ORDER BY stops the scan after its fifth row
+        (
+            None,
+            "SELECT t.id, b.label FROM txns t JOIN buckets b ON t.bucket = b.num LIMIT 3",
+            (),
+            [("SeqScan", 5), ("IndexNestedLoopJoin", 3)],
+        ),
+        (None, "SELECT amount FROM txns WHERE id = ?", (7,), [("IndexScan", 1)]),
+        (None, "SELECT amount FROM txns WHERE id = ?", (700,), [("IndexScan", 0)]),
+    ],
+    ids=[
+        "left-default", "left-inl", "left-hash", "left-bnl",
+        "hash-build-outer", "limit-stops-early", "point-hit", "point-miss",
+    ],
+)
+def test_explain_actual_rows_per_operator(force, sql, params, expected):
+    db = make_db(40)
+    db.create_table(
+        schema("buckets", ("num", T.BIGINT, False), ("label", T.VARCHAR),
+               primary_key=["num"])
+    )
+    for n in (0, 1, 9):
+        db.execute("INSERT INTO buckets (num, label) VALUES (?, ?)", (n, f"b{n}"))
+    db.analyze()
+    db.force_join = force
+    info = db.explain(sql, params)
+    nodes = [info["scan"], *info.get("joins", ())]
+    assert [
+        ("/".join(filter(None, (node["op"], node.get("build_side")))), node["actual_rows"])
+        for node in nodes
+    ] == expected
+    assert info["actual_rows"] == expected[-1][1]
+
+
 def test_explain_join_includes_considered_costs():
     db = make_db(60)
     db.create_table(schema("buckets", ("num", T.BIGINT), ("label", T.VARCHAR)))
