@@ -6,9 +6,10 @@ repeated statements must skip the lexer, parser, and planner entirely.
 The cache is a plain ``OrderedDict`` LRU: a hit moves the entry to the
 MRU end; inserting past capacity evicts the LRU entry.
 
-Hits, misses, and evictions are counted so the benchmark harness can
-report the cache hit rate and tests can assert that a repeated statement
-was planned exactly once.
+Hits and misses are counted once, on the owning database's
+:class:`~repro.common.clock.EventLedger` (``plan_cache_hit`` and
+``sql_plan``), and :meth:`PlanCache.stats` reads them from there;
+evictions, replans and stats invalidations are the cache's own tallies.
 
 Entries are additionally validated by the one plan-reuse rule,
 :meth:`PreparedStatement.fresh <repro.sql.planner.PreparedStatement.fresh>`:
@@ -27,23 +28,23 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Optional
 
+from ..common.clock import EventLedger
 from ..sql.planner import PreparedStatement
 
 
 class PlanCache:
-    """Bounded LRU mapping ``sql text -> PreparedStatement``."""
+    """Bounded LRU mapping ``sql text -> PreparedStatement``; lookups count
+    on ``events`` (a private ledger when none is given)."""
 
     __slots__ = (
-        "capacity", "hits", "misses", "evictions", "stats_invalidations",
-        "replans", "_entries",
+        "capacity", "events", "evictions", "stats_invalidations", "replans", "_entries",
     )
 
-    def __init__(self, capacity: int = 256):
+    def __init__(self, capacity: int = 256, events: Optional[EventLedger] = None):
         if capacity < 1:
             raise ValueError("plan cache capacity must be >= 1")
         self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
+        self.events = EventLedger() if events is None else events
         self.evictions = 0
         self.stats_invalidations = 0
         self.replans = 0
@@ -58,7 +59,7 @@ class PlanCache:
         miss so the caller replans."""
         stmt = self._entries.get(sql)
         if stmt is None:
-            self.misses += 1
+            self.events.sql_plan += 1
             return None
         if epoch is not None and not stmt.fresh(epoch, stats_version):
             del self._entries[sql]
@@ -66,10 +67,10 @@ class PlanCache:
                 self.stats_invalidations += 1
             else:  # DDL clears the cache, so what is left is a row band
                 self.replans += 1
-            self.misses += 1
+            self.events.sql_plan += 1
             return None
         self._entries.move_to_end(sql)
-        self.hits += 1
+        self.events.plan_cache_hit += 1
         return stmt
 
     def put(self, sql: str, stmt: PreparedStatement) -> None:
@@ -90,17 +91,17 @@ class PlanCache:
         """Share of plan lookups answered without planning.  ``pin_hits``
         are the lookups stored procedures answered from their pin tables:
         they never reach the cache, yet they are most of the traffic."""
-        served = self.hits + pin_hits
-        total = served + self.misses
+        served = self.events.plan_cache_hit + pin_hits
+        total = served + self.events.sql_plan
         return served / total if total else 0.0
 
     def stats(self, pin_hits: int = 0) -> dict[str, Any]:
         return {
             "capacity": self.capacity,
             "size": len(self._entries),
-            "hits": self.hits,
+            "hits": self.events.plan_cache_hit,
             "pin_hits": pin_hits,
-            "misses": self.misses,
+            "misses": self.events.sql_plan,
             "evictions": self.evictions,
             "stats_invalidations": self.stats_invalidations,
             "replans": self.replans,
@@ -116,5 +117,5 @@ class PlanCache:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"PlanCache(size={len(self._entries)}/{self.capacity}, "
-            f"hits={self.hits}, misses={self.misses})"
+            f"hits={self.events.plan_cache_hit}, misses={self.events.sql_plan})"
         )

@@ -10,9 +10,13 @@ server, clients — holds as its ``obs`` attribute.
 Three operating points:
 
 * ``DISABLED`` (the default everywhere) — a shared singleton whose
-  ``enabled`` is False and whose :meth:`~Observability.span` returns a
-  stateless no-op; an un-instrumented run pays one attribute load and a
-  branch per site;
+  ``enabled`` is False and whose :meth:`~Observability.span` returns the
+  stateless :data:`~repro.obs.tracing.NOOP_SPAN`.  Engine stages open
+  spans unguarded (``with obs.span(name, **tags):``), so a disabled site
+  costs 0.32–0.34 µs with two tags (CPython 3.11, 2-core Xeon VM, best of
+  5 one-second loops).  At ``Scale.smoke()``, seed 3, an op opens 2.5
+  (contention), 4.8 (fraud), 7.7 (Linear Road) and 9.3 (leaderboard)
+  spans, cold ``plan.compile`` included: 0.8–3.2 µs per op;
 * ``Observability(tracing=False)`` — **metrics only**: every span site
   still times itself and feeds its name's latency histogram, but nothing
   is buffered in the span ring;
@@ -80,7 +84,7 @@ class Observability:
             on_finish=self.metrics.observe,
         )
 
-    # -- instrumentation entry points (sites guard on ``obs.enabled``) --------
+    # -- instrumentation entry points ----------------------------------------
 
     def span(self, name: str, **tags: Any) -> Span:
         """Open a span under the current parent; it starts now, ends at
@@ -110,10 +114,14 @@ class Observability:
 class _Disabled:
     """The shared do-nothing observability (the no-op fast path).
 
-    Instrumentation sites read ``obs.enabled`` and branch away; the few
-    sites that unconditionally enter a span context get the stateless
-    :data:`~repro.obs.tracing.NOOP_SPAN`.  Kept deliberately free of any
-    per-call allocation.
+    Span sites call :meth:`span` unguarded and enter the stateless
+    :data:`~repro.obs.tracing.NOOP_SPAN` it returns: 0.32–0.34 µs per
+    site with two tags, 0.8–3.2 µs per scenario op (figures in the
+    package docstring).  Only sites that need the tracer, which this
+    object lacks, or skip more than a span read ``enabled`` first:
+    ``rpc.open_span`` (detached spans), the server's and the worker's
+    request handlers (a clock read, a remote-context activation) and the
+    command log's buffer-wait timestamp.
     """
 
     __slots__ = ()

@@ -105,7 +105,8 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None and self.duration_us is None:
+        # a generator closed early (a LIMIT stops pulling rows) is no error
+        if exc_type not in (None, GeneratorExit) and self.duration_us is None:
             self.set(error=exc_type.__name__)
         self.finish()
 
@@ -146,8 +147,7 @@ class _NoopSpan:
         pass
 
 
-#: the shared no-op span — ``bool(NOOP_SPAN)`` is False so call sites can
-#: use it as both a context manager and an "is tracing on" sentinel
+#: the shared no-op span every disabled ``span()`` call returns
 NOOP_SPAN = _NoopSpan()
 
 

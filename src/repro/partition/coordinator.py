@@ -77,8 +77,7 @@ from ..common.errors import (
     SchemaError,
 )
 from ..common.ops import StatsSections
-from ..obs import MetricsRegistry, observability
-from ..obs.tracing import NOOP_SPAN
+from ..obs import NOOP_SPAN, MetricsRegistry, observability
 from ..sql.executor import ResultSet
 from ..sql.parser import statement_head
 from .partitioning import PartitionMap
@@ -112,7 +111,7 @@ class _ProcessHandle(Channel):
         reply = self.recv()
         if not reply.get("ok"):
             self.process.join(timeout=5)
-        settle(reply, None, f"partition {partition_id}", PartitionError)
+        settle(reply, NOOP_SPAN, f"partition {partition_id}", PartitionError)
 
     def join(self) -> None:
         self.close()
@@ -205,9 +204,9 @@ class PartitionedDatabase(StatsSections):
         root = Path(recovery_dir) if recovery_dir is not None else None
         # the obs level crosses the fork as a string; each worker builds
         # its own registry/tracer labelled with its partition name
-        worker_obs = (
-            "full" if self.obs.tracing else "metrics" if self.obs.enabled else None
-        )
+        worker_obs = None
+        if self.obs.enabled:
+            worker_obs = "full" if self.obs.tracing else "metrics"
         self._handles: list[Any] = []
         self._pending: list[deque] = []
         try:
@@ -334,16 +333,8 @@ class PartitionedDatabase(StatsSections):
             )
         rows = list(rows)
         obs = self.obs
-        with (
-            obs.span("coord.ingest", stream=stream, rows=len(rows))
-            if obs.enabled
-            else NOOP_SPAN
-        ):
-            with (
-                obs.span("ingest.split", stream=stream)
-                if obs.enabled
-                else NOOP_SPAN
-            ):
+        with obs.span("coord.ingest", stream=stream, rows=len(rows)):
+            with obs.span("ingest.split", stream=stream):
                 buckets = self._split_batch(stream, rows)
             self.routing["ingest_batches"] += 1
             self.routing["ingest_rows"] += len(rows)

@@ -39,6 +39,7 @@ from typing import Any
 from ..common.errors import ConnectionClosedError, FrameTooLargeError, PartitionError, error_class
 from ..common.framing import HEADER, MAX_FRAME_BYTES, TRACE_KEY, recv_exact
 from ..common.ops import UNTRACED_OPS
+from ..obs.tracing import NOOP_SPAN
 from ..sql.executor import ResultSet
 
 __all__ = [
@@ -151,13 +152,14 @@ def respond(handle, request: dict[str, Any]) -> dict[str, Any]:
 
 
 def open_span(obs, prefix: str, request: dict[str, Any], tags=None):
-    """Start the ``<prefix>.<op>`` span of one outgoing request — ``None``
-    when observability is off or the op is untraced — and, with tracing on,
-    stamp its context into ``request`` so the receiver's spans stitch under
-    it.  Detached: pipelined requests finish in FIFO, not span, order."""
+    """Start the ``<prefix>.<op>`` span of one outgoing request — the no-op
+    span when observability is off or the op is untraced — and, with
+    tracing on, stamp its context into ``request`` so the receiver's spans
+    stitch under it.  Detached: pipelined requests finish in FIFO, not
+    span, order."""
     op = request.get("op")
     if not obs.enabled or op in UNTRACED_OPS:
-        return None
+        return NOOP_SPAN
     span = obs.tracer.start(f"{prefix}.{op}", tags, detached=True)
     if obs.tracing:
         request[TRACE_KEY] = span.context()
@@ -165,14 +167,13 @@ def open_span(obs, prefix: str, request: dict[str, Any], tags=None):
 
 
 def settle(reply: dict[str, Any], span, origin: str, fallback: type) -> Any:
-    """Close ``span`` (if any) on its request's reply and return the decoded
-    value — or re-raise an error reply as its original exception class, the
+    """Close ``span`` on its request's reply and return the decoded value
+    — or re-raise an error reply as its original exception class, the
     message prefixed ``[origin]``.  Foreign class names fall back to
     ``fallback`` so a peer can never make the caller raise a non-library
     exception type."""
     ok = bool(reply.get("ok"))
-    if span is not None:
-        span.finish(ok=ok)
+    span.finish(ok=ok)
     if not ok:
         cls = error_class(reply.get("error", ""), fallback)
         raise cls(f"[{origin}] {reply.get('message', 'unknown error')}")

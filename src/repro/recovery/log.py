@@ -52,7 +52,6 @@ from ..common.clock import EventLedger
 from ..common.errors import RecoveryError
 from ..common.serde import decode_record, encode_record
 from ..obs import DISABLED
-from ..obs.tracing import NOOP_SPAN
 
 #: Sentinel op of the one header record that starts every log file.
 HEADER_OP = "_header"
@@ -256,11 +255,7 @@ class CommandLog:
         obs = self.obs
         records = len(self._buffer)
         pending = self._pending_bytes
-        with (
-            obs.span("log.fsync", records=records, bytes=pending)
-            if obs.enabled
-            else NOOP_SPAN
-        ):
+        with obs.span("log.fsync", records=records, bytes=pending):
             try:
                 self._file.write("".join(self._buffer))
                 self._fsync()

@@ -156,10 +156,10 @@ class ExecutionContext(ExecutionCounters):
     """Everything a prepared statement needs at run time.
 
     ``obs`` is the engine's observability handle (DISABLED by default:
-    operators guard on ``obs.enabled``, so the uninstrumented path costs
-    one attribute load).  ``explain_counts`` is normally ``None``; an
-    EXPLAIN run passes a dict, and the plan runner records each operator's
-    actual output rows under its plan ``op_id`` (operators never see it).
+    operators open its spans unguarded and enter the no-op span).
+    ``explain_counts`` is normally ``None``; an EXPLAIN run passes a dict,
+    and the plan runner records each operator's actual output rows under
+    its plan ``op_id`` (operators never see it).
     """
 
     __slots__ = ("catalog", "params", "observer", "guard", "obs", "explain_counts")

@@ -16,7 +16,7 @@ ORDER BY, and the differential tests compare sorted row sets).
   planner estimated smaller (``build_inner``) and probes with the other.
   NULL join keys never match (SQL equality), and LEFT OUTER rows are
   null-padded after probing.  Emits ``join.build`` / ``join.probe``
-  observability spans when tracing is on.
+  spans (tagged ``side``: the side that builds).
 * :class:`BlockNestedLoopStep` — the fallback for arbitrary (non-equi)
   ON predicates: materialises the inner table **once** and loops, unlike
   the legacy per-outer-row rescan.
@@ -86,25 +86,22 @@ class HashJoinStep:
         left_outer = self.kind == "left"
         inner_key, outer_key = self.inner_key, self.outer_key
 
-        span = obs.span("join.build", table=self.table_name, side="inner") if obs.enabled else None
         build: dict[tuple, list[tuple]] = {}
         scanned = 0
-        for _rowid, right in table.scan_visible():
-            scanned += 1
-            key = inner_key(right, params)
-            if None in key:
-                continue  # NULL never joins
-            bucket = build.get(key)
-            if bucket is None:
-                build[key] = [right]
-            else:
-                bucket.append(right)
+        with obs.span("join.build", table=self.table_name, side="inner"):
+            for _rowid, right in table.scan_visible():
+                scanned += 1
+                key = inner_key(right, params)
+                if None in key:
+                    continue  # NULL never joins
+                bucket = build.get(key)
+                if bucket is None:
+                    build[key] = [right]
+                else:
+                    bucket.append(right)
         ctx.rows_scanned += scanned
-        if span is not None:
-            span.finish()
 
-        span = obs.span("join.probe", table=self.table_name, side="inner") if obs.enabled else None
-        try:
+        with obs.span("join.probe", table=self.table_name, side="inner"):
             for left in rows:
                 matched = False
                 bucket = build.get(outer_key(left, params))  # a NULL in the key simply misses
@@ -116,9 +113,6 @@ class HashJoinStep:
                             yield combined
                 if left_outer and not matched:
                     yield left + self._null_pad
-        finally:
-            if span is not None:
-                span.finish()
 
     def _apply_build_outer(self, rows, ctx) -> Iterator[tuple]:
         table = ctx.read_table(self.table_name)
@@ -128,44 +122,40 @@ class HashJoinStep:
         left_outer = self.kind == "left"
         inner_key, outer_key = self.inner_key, self.outer_key
 
-        span = obs.span("join.build", table=self.table_name, side="outer") if obs.enabled else None
-        outer_rows = list(rows)
         build: dict[tuple, list[int]] = {}
-        for idx, left in enumerate(outer_rows):
-            key = outer_key(left, params)
-            if None in key:
-                continue
-            bucket = build.get(key)
-            if bucket is None:
-                build[key] = [idx]
-            else:
-                bucket.append(idx)
-        if span is not None:
-            span.finish()
+        with obs.span("join.build", table=self.table_name, side="outer"):
+            outer_rows = list(rows)
+            for idx, left in enumerate(outer_rows):
+                key = outer_key(left, params)
+                if None in key:
+                    continue
+                bucket = build.get(key)
+                if bucket is None:
+                    build[key] = [idx]
+                else:
+                    bucket.append(idx)
 
-        span = obs.span("join.probe", table=self.table_name, side="outer") if obs.enabled else None
         matched: set[int] = set()
         scanned = 0
-        try:
-            for _rowid, right in table.scan_visible():
-                scanned += 1
-                bucket = build.get(inner_key(right, params))
-                if bucket is None:
-                    continue
-                for idx in bucket:
-                    combined = outer_rows[idx] + right
-                    if residual is None or residual(combined, params):
-                        matched.add(idx)
-                        yield combined
-            if left_outer:
-                pad = self._null_pad
-                for idx, left in enumerate(outer_rows):
-                    if idx not in matched:
-                        yield left + pad
-        finally:
-            ctx.rows_scanned += scanned
-            if span is not None:
-                span.finish()
+        with obs.span("join.probe", table=self.table_name, side="outer"):
+            try:
+                for _rowid, right in table.scan_visible():
+                    scanned += 1
+                    bucket = build.get(inner_key(right, params))
+                    if bucket is None:
+                        continue
+                    for idx in bucket:
+                        combined = outer_rows[idx] + right
+                        if residual is None or residual(combined, params):
+                            matched.add(idx)
+                            yield combined
+                if left_outer:
+                    pad = self._null_pad
+                    for idx, left in enumerate(outer_rows):
+                        if idx not in matched:
+                            yield left + pad
+            finally:
+                ctx.rows_scanned += scanned
 
 
 class IndexNestedLoopStep:

@@ -43,7 +43,6 @@ from ..common.errors import (
     WindowVisibilityError,
     WorkflowError,
 )
-from ..obs.tracing import NOOP_SPAN
 from ..sql.executor import ExecutionContext
 from ..storage.schema import TableKind, TableSchema
 from ..storage.table import Table
@@ -310,12 +309,7 @@ class StreamingRuntime:
         if batch_id != stream.expected_batch:
             stream.pending[batch_id] = rows
             return applied
-        obs = db.obs
-        with (
-            obs.span("ingest", stream=stream.name, batch_id=batch_id)
-            if obs.enabled
-            else NOOP_SPAN
-        ) as span:
+        with db.obs.span("ingest", stream=stream.name, batch_id=batch_id) as span:
             self._apply_batch(stream, batch_id, rows)
             applied.append(batch_id)
             while stream.expected_batch in stream.pending:
@@ -446,15 +440,8 @@ class StreamingRuntime:
         try:
             for trigger in triggers:
                 db.events.ee_trigger += 1
-                with (
-                    obs.span(
-                        "trigger.ee",
-                        trigger=trigger.name,
-                        stream=stream.name,
-                        batch_id=batch_id,
-                    )
-                    if obs.enabled
-                    else NOOP_SPAN
+                with obs.span(
+                    "trigger.ee", trigger=trigger.name, stream=stream.name, batch_id=batch_id
                 ):
                     trigger.fn(TriggerContext(db, txn, trigger, batch_id), declared_rows)
         finally:
@@ -526,15 +513,11 @@ class StreamingRuntime:
         db = self._db
         obs = db.obs
         if delivery.kind == "pe_fn":
-            with (
-                obs.span(
-                    "trigger.pe",
-                    trigger=delivery.target,
-                    stream=delivery.batch.stream,
-                    batch_id=delivery.batch.batch_id,
-                )
-                if obs.enabled
-                else NOOP_SPAN
+            with obs.span(
+                "trigger.pe",
+                trigger=delivery.target,
+                stream=delivery.batch.stream,
+                batch_id=delivery.batch.batch_id,
             ):
                 delivery.fn(db, delivery.batch)
             return
@@ -553,24 +536,24 @@ class StreamingRuntime:
         previous = self._delivering
         self._delivering = delivery
         try:
-            with (
-                obs.span(
-                    "delivery",
-                    stream=delivery.batch.stream,
-                    batch_id=delivery.batch.batch_id,
-                    proc=delivery.target,
-                )
-                if obs.enabled
-                else NOOP_SPAN
-            ):
-                db._call_procedure(
-                    procedure,
-                    (delivery.batch,),
-                    before=lambda ctx: self._advance_owned_windows(ctx.txn, delivery),
-                    log_record=None if capture is None else capture.delivery_record(
+            # the delivery span times this invocation: no ``procedure`` span
+            with obs.span(
+                "delivery",
+                stream=delivery.batch.stream,
+                batch_id=delivery.batch.batch_id,
+                proc=delivery.target,
+            ), db._scope(implicit=False) as txn:
+                if capture is not None:
+                    # replay re-drives the hop (batch rebuilt from the
+                    # stream table) instead of treating it as a client call
+                    txn.log_record = capture.delivery_record(
                         delivery.batch.stream, delivery.batch.batch_id, delivery.target
-                    ),
-                    span=False,  # the delivery span above times this call
+                    )
+                # owned windows absorb the batch inside the transaction, so
+                # an abort rolls them back together with the body's writes
+                db._invoke(
+                    procedure, txn, (delivery.batch,),
+                    before=lambda ctx: self._advance_owned_windows(txn, delivery),
                 )
         finally:
             self._delivering = previous

@@ -81,7 +81,7 @@ class Stream:
     #: next arrival sequence number (gaps allowed: aborts consume numbers)
     next_seq: int = 1
     #: out-of-order future batches waiting for the gap to fill,
-    #: ``batch_id -> raw rows`` as handed to ``ingest``
+    #: ``batch_id -> declared rows``, coerced by ``ingest`` before queueing
     pending: dict[int, Sequence[Any]] = field(default_factory=dict)
     #: garbage-collection low-watermark: rows of batches **below** this id
     #: have been reclaimed (every workflow subscriber consumed them); the

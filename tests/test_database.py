@@ -63,14 +63,14 @@ def test_repeated_statement_planned_exactly_once():
     load(db)
     sql = "SELECT name FROM users WHERE id = ?"
     plans_before = db.events.sql_plan
-    hits_before, misses_before = db.plan_cache.hits, db.plan_cache.misses
+    cache_before = db.stats("plan_cache")
     for i in range(100):
         db.execute(sql, (i % 10,))
     # one cold plan, 99 cache hits — re-lex/re-parse/re-plan never happened
     assert db.events.sql_plan - plans_before == 1
     assert db.events.plan_cache_hit == 99
-    assert db.plan_cache.hits - hits_before == 99
-    assert db.plan_cache.misses - misses_before == 1
+    assert db.stats("plan_cache")["hits"] - cache_before["hits"] == 99
+    assert db.stats("plan_cache")["misses"] - cache_before["misses"] == 1
 
 
 def test_cache_hit_is_cheaper_than_cold_plan():
@@ -152,7 +152,7 @@ def test_database_lru_eviction_forces_replan():
     db.execute("SELECT a + 1 FROM t")       # miss 2
     db.execute("SELECT a + 2 FROM t")       # miss 3, evicts statement 1
     db.execute("SELECT a FROM t")           # miss 4 (was evicted)
-    assert db.plan_cache.misses == 4
+    assert db.stats("plan_cache")["misses"] == 4
     assert db.plan_cache.evictions == 2
 
 

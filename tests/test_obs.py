@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.common.errors import ExpressionError
 from repro.common.types import ColumnType as T
 from repro.engine import Database
 from repro.obs import (
@@ -302,6 +303,82 @@ def test_database_ingest_spans_cover_triggers_and_delivery():
     names = [s["name"] for s in db.obs.tracer.drain()]
     for expected in ("ingest", "txn", "trigger.ee", "delivery", "trigger.pe"):
         assert expected in names, f"missing {expected} in {names}"
+
+
+def join_db(xs=(1, 2, 5), **kw):
+    db = fresh_db(**kw)
+    db.create_table(schema("a", ("x", T.INTEGER)))
+    db.create_table(schema("b", ("y", T.INTEGER)))
+    for x in xs:
+        db.execute("INSERT INTO a (x) VALUES (?)", (x,))
+    for y in range(50):
+        db.execute("INSERT INTO b (y) VALUES (?)", (y,))
+    db.force_join = "hash"
+    return db
+
+
+def test_engine_span_tree():
+    db = stream_db(obs="full")
+    db.create_table(schema("sink", ("v", T.INTEGER)))
+    db.create_ee_trigger(
+        "audit", "s",
+        lambda ctx, rows: ctx.execute("INSERT INTO sink (v) VALUES (?)", (len(rows),)),
+    )
+
+    @db.register_procedure
+    def absorb(ctx, batch):
+        ctx.execute("INSERT INTO sink (v) VALUES (?)", (len(batch.rows),))
+
+    db.create_workflow("w", [("s", "absorb")])
+    db.obs.tracer.drain()
+    db.ingest("s", [(1,), (2,)])
+    spans = db.obs.tracer.drain()
+    (ingest,) = [s for s in spans if s["name"] == "ingest"]
+    under_ingest = {s["name"]: s for s in spans if s["parent_id"] == ingest["span_id"]}
+    assert sorted(under_ingest) == ["delivery", "txn"]
+    (trigger,) = [s for s in spans if s["name"] == "trigger.ee"]
+    assert trigger["parent_id"] == under_ingest["txn"]["span_id"]
+    # a workflow delivery is delivery ⊃ txn, with no procedure span
+    delivery_id = under_ingest["delivery"]["span_id"]
+    assert [s["name"] for s in spans if s["parent_id"] == delivery_id] == ["txn"]
+    assert "procedure" not in {s["name"] for s in spans}
+    # the trigger's cold INSERT compiles; the body's same text hits the cache
+    (compile_,) = [s for s in spans if s["name"] == "plan.compile"]
+    assert compile_["parent_id"] == trigger["span_id"]
+
+    db = join_db(obs="full")
+    db.obs.tracer.drain()
+    # the smaller side builds: the 3-row outer `a` here, the 3-row inner
+    # `a` when it is joined second
+    for sql, side in (
+        ("SELECT a.x, b.y FROM a JOIN b ON b.y = a.x", "outer"),
+        ("SELECT a.x, b.y FROM b JOIN a ON a.x = b.y", "inner"),
+    ):
+        assert len(db.execute(sql).rows) == 3
+        joins = [s for s in db.obs.tracer.drain() if s["name"].startswith("join.")]
+        assert sorted((s["name"], s["tags"]["side"]) for s in joins) == [
+            ("join.build", side), ("join.probe", side),
+        ]
+    db.execute("SELECT a.x, b.y FROM a JOIN b ON b.y = a.x LIMIT 1")
+    probe = next(s for s in db.obs.tracer.drain() if s["name"] == "join.probe")
+    assert "error" not in probe["tags"]  # a LIMIT that stops the probe early
+
+
+def test_failed_hash_join_build_leaves_no_open_span():
+    db = join_db((1, 2, 0), obs="full")
+    db.obs.tracer.drain()
+    with pytest.raises(ExpressionError):
+        db.execute("SELECT a.x, b.y FROM a JOIN b ON b.y = 10 / a.x")
+    assert db.obs.tracer._stack() == []
+    build = next(s for s in db.obs.tracer.drain() if s["name"] == "join.build")
+    assert build["tags"]["side"] == "outer"
+    assert build["tags"]["error"] == "ExpressionError"
+    db.execute("SELECT x FROM a")
+    spans = db.obs.tracer.drain()
+    # the next statement's spans are roots again
+    assert sorted((s["name"], s["parent_id"]) for s in spans) == [
+        ("plan.compile", None), ("txn", None),
+    ]
 
 
 def test_obs_section_backs_stats():

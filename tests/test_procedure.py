@@ -104,12 +104,12 @@ def test_procedure_plans_each_statement_exactly_once():
     plans_before = db.events.sql_plan
     db.call("vote", 0)  # cold: both statements planned here
     assert db.events.sql_plan - plans_before == 2
-    hits_after_first = db.plan_cache.hits
+    hits_after_first = db.stats("plan_cache")["hits"]
     for i in range(50):
         db.call("vote", i % 4)
     # no replanning AND no plan-cache traffic: the pin table short-circuits
     assert db.events.sql_plan - plans_before == 2
-    assert db.plan_cache.hits == hits_after_first
+    assert db.stats("plan_cache")["hits"] == hits_after_first
 
 
 def test_pinned_statements_repin_after_schema_change():

@@ -27,6 +27,7 @@ from repro.common.errors import (
 from repro.common.framing import HEADER, encode_frame, recv_frame, send_frame
 from repro.common.types import ColumnType as T
 from repro.engine import Database
+from repro.obs import NOOP_SPAN
 from repro.partition import PartitionedDatabase
 from repro.partition.rpc import settle
 from repro.server import AsyncReproClient, PROTOCOL_VERSION, ReproClient, ReproServer, serve
@@ -98,7 +99,7 @@ def send_in_one_write(sock, records):
 def next_reply(sock):
     """The next reply on a raw socket, decoded as a client would: its
     value, or its typed error raised."""
-    return settle(recv_frame(sock)[0], None, "server", ServerError)
+    return settle(recv_frame(sock)[0], NOOP_SPAN, "server", ServerError)
 
 
 # ---------------------------------------------------------------------------
