@@ -959,20 +959,15 @@ class Database(StatsSections):
         """Apply one statement across a batch of parameter rows; returns the
         total rowcount.
 
-        The statement goes through :meth:`prepare` exactly once, and — for
-        statements that support it (``INSERT ... VALUES``) — the whole batch
-        is applied **vectorized** as one statement execution: every row is
-        bound up front, the storage layer bulk-inserts with one index
-        maintenance loop per index, and the undo log records one compact
-        range entry.  Per-invocation overhead is paid once per batch, not
-        once per row (paper §3.2.1: the batch is the atomic unit).  The
-        batch is always atomic: a failure anywhere rolls back every row —
-        inside an explicit transaction the batch acts as one statement with
-        its own savepoint, leaving the transaction usable.  Statements with
-        no vectorized binder fall back to one execution per parameter row
-        (still one prepare, still atomic).  After the batch,
-        :attr:`last_counters` holds the **aggregate** counters across all
-        parameter rows.
+        The statement is prepared once.  ``INSERT ... VALUES`` and the
+        ``ON CONFLICT`` upsert run the batch **vectorized**, as one
+        statement execution (a plain INSERT bulk-inserts, with one undo
+        range entry); per-invocation overhead is paid once per batch
+        (paper §3.2.1: the batch is the atomic unit).  Other statements
+        run once per parameter row.  The batch is atomic either way: a
+        failure rolls back every row, and inside an explicit transaction
+        the batch is one statement with its own savepoint.  Afterwards
+        :attr:`last_counters` holds the batch's **aggregate** counters.
 
         Args:
             sql: one statement with ``?`` placeholders.
@@ -995,19 +990,27 @@ class Database(StatsSections):
             # batch can ride in one command-log record
             param_rows = [list(row) for row in param_rows]
         with Transaction.savepoint(self, ("many", sql, param_rows)) as txn:
-            if stmt.run_many is not None:
-                # one vectorized execution over the whole batch (mirrors
-                # _execute; the step is its savepoint)
-                self._check_executable(stmt, txn)
-                ctx = ExecutionContext(self.catalog, (), txn.undo, self._guard, self.obs)
-                total = stmt.run_many(ctx, param_rows)
-                self._tally(ctx)
-                return total
-            batch = ExecutionCounters()
-            total = 0
+            return self._execute_many(stmt, param_rows, txn)
+
+    def _execute_many(
+        self, stmt: PreparedStatement, param_rows: Iterable[Sequence[Any]], txn: Transaction
+    ) -> int:
+        """The batch body of :meth:`executemany` and ``ctx.executemany``,
+        inside ``txn`` with its own savepoint: a vectorized binder runs as
+        one :meth:`_execute` (one ``sql_stmt``), any other statement as one
+        per row."""
+        if stmt.run_many is not None:
+            return self._execute(stmt, (), txn, param_rows)
+        undo = txn.undo
+        mark = len(undo._entries)
+        batch, total = ExecutionCounters(), 0
+        try:
             for params in param_rows:
                 total += self._execute(stmt, params, txn).rowcount
                 self._last.add_to(batch)
+        except BaseException:
+            self.events.rows_undone += undo.rollback_to(mark)
+            raise
         self._last = batch
         return total
 
@@ -1027,10 +1030,12 @@ class Database(StatsSections):
         return self.execute(sql, params).to_dicts()
 
     def _execute(
-        self, stmt: PreparedStatement, params: Sequence[Any], txn: Transaction
-    ) -> ResultSet:
+        self, stmt: PreparedStatement, params: Sequence[Any], txn: Transaction,
+        rows: Optional[Iterable[Sequence[Any]]] = None,
+    ) -> ResultSet | int:
         """The single internal execution path: every statement, from every
-        public entry point, runs here inside ``txn``.
+        public entry point, runs here inside ``txn`` — given ``rows``, as
+        ``stmt.run_many(ctx, rows)``, which returns the batch's rowcount.
 
         The transaction's undo log observes all writes; a statement that
         raises is rolled back to its own savepoint (statement-level
@@ -1046,11 +1051,11 @@ class Database(StatsSections):
         )
         mark = len(undo._entries)  # the statement's savepoint (no call: runs per statement)
         try:
-            result = stmt.execute(ctx)
+            result = stmt.execute(ctx) if rows is None else stmt.run_many(ctx, rows)
         except BaseException:
             self.events.rows_undone += undo.rollback_to(mark)
             raise
-        self._last = ctx  # _tally's accounting, inline: this runs per statement
+        self._last = ctx
         events = self.events
         events.sql_stmt += 1
         ctx.add_to(events)
@@ -1074,13 +1079,6 @@ class Database(StatsSections):
             )
 
     # -- accounting ------------------------------------------------------------
-
-    def _tally(self, ctx: ExecutionContext) -> None:
-        """Account one successful execution: one ``sql_stmt`` plus its
-        execution counters onto the ledger."""
-        self._last = ctx
-        self.events.sql_stmt += 1
-        ctx.add_to(self.events)
 
     @property
     def last_counters(self) -> Counter[str]:

@@ -17,8 +17,10 @@ supplies both halves:
   its row band); a stale one re-pins through the plan cache, so a plan
   made at first call against empty tables does not outlive them.
 * :class:`ProcedureContext` is the only capability a procedure body
-  receives: statement execution inside the procedure's transaction, plus
-  an explicit :meth:`~ProcedureContext.abort` escape hatch.  Bodies have
+  receives: statement execution inside the procedure's transaction (one
+  parameter row with :meth:`~ProcedureContext.execute`, a batch of them
+  with :meth:`~ProcedureContext.executemany`), plus an explicit
+  :meth:`~ProcedureContext.abort` escape hatch.  Bodies have
   the signature ``fn(ctx, *args)``.
 
 Registration and invocation go through the ``Database`` facade::
@@ -44,7 +46,7 @@ invocations whose argument is a replayable
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..common.errors import UserAbort
 from ..sql.executor import ResultSet
@@ -114,6 +116,14 @@ class ProcedureContext:
         """Run one of the procedure's statements (pinned plan) in its txn."""
         stmt = self._proc.statement(self._db, sql)
         return self._db._execute(stmt, params, self.txn)
+
+    def executemany(self, sql: str, rows: Iterable[Sequence[Any]]) -> int:
+        """Run one pinned statement over parameter ``rows`` as **one**
+        statement with its own savepoint (one ``sql_stmt`` when it has a
+        vectorized binder, as :meth:`Database.executemany`); returns the
+        total rowcount."""
+        stmt = self._proc.statement(self._db, sql)
+        return self._db._execute_many(stmt, rows, self.txn)
 
     def query(self, sql: str, params: Sequence[Any] = ()) -> list[dict[str, Any]]:
         """Convenience: execute and return rows as dicts."""

@@ -299,9 +299,7 @@ class PartitionedDatabase(StatsSections):
                 try:
                     pid = memo[type(value), value]
                 except (KeyError, TypeError):  # a new key, or an unhashable one
-                    pid = part_of(value)  # unhashable: SchemaError
-                    if type(value) is not float:  # 0.0 == -0.0, yet they route apart
-                        memo[type(value), value] = pid
+                    pid = memo[type(value), value] = part_of(value)  # unhashable: SchemaError
                 buckets[pid].append(row)
         except IndexError:
             raise SchemaError(

@@ -119,8 +119,15 @@ class PartitionMap:
         return key_col if key_col is not None else ""
 
     def partition_of(self, value: Any) -> int:
+        """The partition of a key value.  A float with an integral value
+        routes as that int, in both modes: a worker stores ``3.0`` in an
+        INTEGER column as ``3``, and index equality matches ``3 == 3.0``
+        (and ``0 == -0.0``), so keyed reads must route the twins alike.
+        NaN, the infinities and non-integral floats keep the float hash."""
         if self.num_partitions == 1:
             return 0
+        if type(value) is float and value.is_integer():
+            value = int(value)
         if self.mode == "round_robin" and isinstance(value, int):
             return value % self.num_partitions
         return stable_hash(value) % self.num_partitions

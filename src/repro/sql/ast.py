@@ -5,6 +5,8 @@ The subset covers everything the paper's stored procedures need:
 * ``SELECT`` with joins (INNER/LEFT/comma), WHERE, GROUP BY/HAVING,
   ORDER BY, LIMIT/OFFSET, DISTINCT, aggregates;
 * ``INSERT ... VALUES`` (multi-row) and ``INSERT ... SELECT``;
+* the upsert ``INSERT ... VALUES (one row) ON CONFLICT (key) DO UPDATE
+  SET ... [RETURNING cols]``;
 * ``UPDATE ... SET ... WHERE``;
 * ``DELETE FROM ... WHERE``;
 * positional ``?`` parameters everywhere an expression may appear.
@@ -190,17 +192,22 @@ class Select:
 
 
 @dataclass(frozen=True)
+class Assignment:
+    column: str
+    value: Expr
+
+
+@dataclass(frozen=True)
 class Insert:
     table: TableRef
     columns: tuple[str, ...]  # empty tuple = all columns in schema order
     rows: tuple[tuple[Expr, ...], ...] = ()  # VALUES form
     select: Optional[Select] = None  # INSERT ... SELECT form
-
-
-@dataclass(frozen=True)
-class Assignment:
-    column: str
-    value: Expr
+    #: upsert form: the ON CONFLICT key columns (empty: a plain INSERT),
+    #: its DO UPDATE SET assignments and the RETURNING columns
+    conflict: tuple[str, ...] = ()
+    on_conflict: tuple[Assignment, ...] = ()
+    returning: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -297,6 +304,8 @@ def max_param_index(stmt: Statement) -> int:
         for row in stmt.rows:
             for e in row:
                 scan(e)
+        for a in stmt.on_conflict:
+            scan(a.value)
         if stmt.select is not None:
             best = max(best, max_param_index(stmt.select))
     elif isinstance(stmt, Update):

@@ -2,13 +2,23 @@
 
 Grammar (informally)::
 
-    statement   := select | insert | update | delete
-    select      := SELECT [DISTINCT] items FROM table_ref join* [WHERE expr]
-                   [GROUP BY expr_list [HAVING expr]]
+    statement   := (select | insert | update | delete) [';']
+    select      := SELECT [DISTINCT | ALL] items [FROM table_ref join*]
+                   [WHERE expr] [GROUP BY expr_list [HAVING expr]]
                    [ORDER BY order_list] [LIMIT expr [OFFSET expr]]
+    join        := ',' table_ref | [INNER] JOIN table_ref ON expr
+                 | LEFT [OUTER] JOIN table_ref ON expr
     insert      := INSERT INTO name ['(' cols ')'] (VALUES rows | select)
+                 | INSERT INTO name ['(' cols ')'] VALUES row upsert
+    upsert      := ON CONFLICT '(' cols ')' DO UPDATE SET assignments
+                   [RETURNING cols]
     update      := UPDATE name SET assignments [WHERE expr]
     delete      := DELETE FROM name [WHERE expr]
+
+``CONFLICT``, ``DO`` and ``RETURNING`` are read as plain identifiers in
+those positions, so no column name is reserved by them.  The utility
+statement ``ANALYZE [table]`` is read by :func:`statement_head`, not
+parsed here.
 
 Expression precedence (loosest to tightest): OR, AND, NOT, comparison /
 IN / BETWEEN / LIKE / IS, additive, multiplicative, unary, primary.
@@ -117,6 +127,24 @@ class _Parser:
                 token.position,
             )
         return self.advance()
+
+    def accept_word(self, word: str) -> Optional[Token]:
+        """A contextual word, lexed as an identifier (not reserved)."""
+        token = self.peek()
+        if token.type is TokenType.IDENT and token.value == word:
+            return self.advance()
+        return None
+
+    def expect_word(self, word: str) -> Token:
+        token = self.accept_word(word)
+        if token is None:
+            token = self.peek()
+            raise ParseError(
+                f"expected {word.upper()} but found {token.value!r} at position "
+                f"{token.position}",
+                token.position,
+            )
+        return token
 
     def accept_op(self, *ops: str) -> Optional[Token]:
         token = self.peek()
@@ -298,24 +326,43 @@ class _Parser:
         self.expect_keyword("insert")
         self.expect_keyword("into")
         table = TableRef(name=self.expect_ident())
-        columns: tuple[str, ...] = ()
-        if self.accept_op("("):
-            cols = [self.expect_ident()]
-            while self.accept_op(","):
-                cols.append(self.expect_ident())
-            self.expect_op(")")
-            columns = tuple(cols)
+        token = self.peek()
+        opens = token.type is TokenType.OP and token.value == "("
+        columns = self._parse_column_list() if opens else ()
         if self.accept_keyword("values"):
             rows = [self._parse_value_row()]
             while self.accept_op(","):
                 rows.append(self._parse_value_row())
-            return Insert(table=table, columns=columns, rows=tuple(rows))
+            if not self.accept_keyword("on"):
+                return Insert(table=table, columns=columns, rows=tuple(rows))
+            self.expect_word("conflict")
+            conflict = self._parse_column_list()
+            self.expect_word("do")
+            self.expect_keyword("update")
+            assignments = self._parse_assignments()
+            returning = self._parse_names() if self.accept_word("returning") else ()
+            if len(rows) != 1:
+                raise ParseError("ON CONFLICT takes exactly one VALUES row")
+            return Insert(table=table, columns=columns, rows=tuple(rows),
+                          conflict=conflict, on_conflict=assignments, returning=returning)
         if self.peek().is_keyword("select"):
             return Insert(table=table, columns=columns, select=self.parse_select_only())
         token = self.peek()
         raise ParseError(
             f"expected VALUES or SELECT at position {token.position}", token.position
         )
+
+    def _parse_column_list(self) -> tuple[str, ...]:
+        self.expect_op("(")
+        cols = self._parse_names()
+        self.expect_op(")")
+        return cols
+
+    def _parse_names(self) -> tuple[str, ...]:
+        names = [self.expect_ident()]
+        while self.accept_op(","):
+            names.append(self.expect_ident())
+        return tuple(names)
 
     def parse_select_only(self) -> Select:
         """Parse a SELECT without the trailing-EOF check (subquery position)."""
@@ -332,12 +379,16 @@ class _Parser:
     def parse_update(self) -> Update:
         self.expect_keyword("update")
         table = TableRef(name=self.expect_ident())
+        assignments = self._parse_assignments()
+        where = self.parse_expr() if self.accept_keyword("where") else None
+        return Update(table=table, assignments=assignments, where=where)
+
+    def _parse_assignments(self) -> tuple[Assignment, ...]:
         self.expect_keyword("set")
         assignments = [self._parse_assignment()]
         while self.accept_op(","):
             assignments.append(self._parse_assignment())
-        where = self.parse_expr() if self.accept_keyword("where") else None
-        return Update(table=table, assignments=tuple(assignments), where=where)
+        return tuple(assignments)
 
     def _parse_assignment(self) -> Assignment:
         column = self.expect_ident()

@@ -12,7 +12,8 @@ handling, and no dictionary lookups per row.
 The physical choices are priced in :mod:`repro.sql.costing`; this module
 compiles each statement kind around them.  A point statement — a plan
 whose scan probes a unique index — runs as one probe in one frame
-(:func:`_point_runner`).  Other UPDATEs and DELETEs run the same
+(:func:`_point_runner`), and so does an ``INSERT ... ON CONFLICT``
+upsert (:func:`_plan_upsert`).  Other UPDATEs and DELETEs run the same
 access-path machinery, then **materialise the matching rowids before the
 first mutation** — this is what lets :meth:`Table.scan` iterate without a
 defensive copy.
@@ -92,11 +93,10 @@ class PreparedStatement:
     change merely re-plans at the next reuse — such a plan is suboptimal,
     never incorrect.
 
-    ``run_many`` is the vectorized batch binder, present only on statements
-    that support bulk execution (INSERT ... VALUES): called as
-    ``run_many(ctx, param_rows)`` it binds every parameter row, bulk-inserts
-    the whole batch as **one** statement execution, and returns the
-    rowcount.  ``Database.executemany`` routes through it when available.
+    ``run_many(ctx, param_rows)`` is the batch binder of ``INSERT ...
+    VALUES`` and the upsert (else None): it applies every parameter row as
+    **one** statement execution and returns the rowcount; every
+    ``executemany`` uses it when present.
     """
 
     __slots__ = (
@@ -135,10 +135,7 @@ class PreparedStatement:
 
     def execute(self, ctx: ExecutionContext) -> ResultSet:
         if len(ctx.params) < self.param_count:
-            raise PlanningError(
-                f"statement requires {self.param_count} parameter(s), "
-                f"got {len(ctx.params)}: {self.sql!r}"
-            )
+            _check_param_count(ctx.params, self.param_count, self.sql)  # raises
         return self._runner(ctx)
 
     def fresh(self, epoch: int, stats_version: int) -> bool:
@@ -157,6 +154,14 @@ class PreparedStatement:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PreparedStatement({self.kind}, {self.sql!r})"
+
+
+def _check_param_count(params: Sequence[Any], param_count: int, sql: str) -> None:
+    if len(params) < param_count:
+        raise PlanningError(
+            f"statement requires {param_count} parameter(s), "
+            f"got {len(params)}: {sql!r}"
+        )
 
 
 def prepare(
@@ -647,15 +652,15 @@ def _plan_insert(stmt: Insert, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
         target_cols = schema.column_names()
         slots = list(range(len(target_cols)))
 
-    def build_row(values: Sequence[Expr]):
-        """The full table row in one generated frame: target column ``i``
-        takes ``values[i]``, every other column its default (``Table.insert``
-        still coerces types and enforces NOT NULL/unique constraints)."""
+    def full_row(values: Sequence[Expr]) -> list[Expr]:
+        """The full table row: target column ``i`` takes ``values[i]``,
+        every other column its default (``Table.insert`` still coerces
+        types and enforces NOT NULL/unique constraints)."""
         given = dict(zip(slots, values))
-        return compile_row(
-            [given.get(i, Literal(col.default)) for i, col in enumerate(schema.columns)],
-            _VALUE_SCOPE,
-        )
+        return [given.get(i, Literal(col.default)) for i, col in enumerate(schema.columns)]
+
+    def build_row(values: Sequence[Expr]):
+        return compile_row(full_row(values), _VALUE_SCOPE)  # one generated frame
 
     table_name = table.name
     plan_info = {"kind": "insert", "table": table_name}
@@ -686,6 +691,8 @@ def _plan_insert(stmt: Insert, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
             raise PlanningError(
                 f"INSERT row has {len(row)} value(s), expected {len(target_cols)}"
             )
+    if stmt.conflict:
+        return _plan_upsert(stmt, table, full_row(stmt.rows[0]), sql, param_count, plan_info)
     builders = [build_row(row) for row in stmt.rows]
 
     def run_insert(ctx: ExecutionContext) -> ResultSet:
@@ -704,17 +711,86 @@ def _plan_insert(stmt: Insert, catalog: Catalog, sql: str, env: PlanEnv) -> Prep
         t = ctx.write_table(table_name)
         full_rows = []
         for params in param_rows:
-            if len(params) < param_count:
-                raise PlanningError(
-                    f"statement requires {param_count} parameter(s), "
-                    f"got {len(params)}: {sql!r}"
-                )
+            _check_param_count(params, param_count, sql)
             for build in builders:
                 full_rows.append(build((), params))
         return len(ctx.insert_many(t, full_rows))
 
     return PreparedStatement(sql, "insert", param_count, run_insert,
                              run_many=run_insert_many, plan_info=plan_info)
+
+
+def _set_row(assignments, schema, scope: Scope):
+    """The updated row in one generated frame: SET values, else the old
+    slots (an UPDATE's, or an upsert's DO UPDATE)."""
+    assigned: dict[int, Expr] = {}
+    for a in assignments:
+        pos = schema.position(a.column)
+        if pos in assigned:
+            raise PlanningError(f"column {a.column!r} assigned twice in UPDATE")
+        assigned[pos] = a.value
+    return compile_row([assigned.get(i, SlotRef(i)) for i in range(schema.arity())], scope)
+
+
+def _plan_upsert(
+    stmt: Insert, table: Table, values: list[Expr], sql: str, param_count: int,
+    plan_info: dict[str, Any],
+) -> PreparedStatement:
+    """``INSERT ... VALUES (row) ON CONFLICT (key) DO UPDATE SET ...
+    [RETURNING cols]`` in one frame on one probe of the unique index the
+    conflict target names: a visible row with the VALUES row's key gets
+    the SET row (over its columns and the parameters), else the VALUES
+    row is inserted.  The key comes from the parameters; only when the
+    insert path's coercion changes it (``'7'`` for an INTEGER key) is the
+    coerced key probed again.  ``run_many`` applies rows in order, so a
+    key repeated in a batch accumulates."""
+    schema, table_name = table.schema, table.name
+    index = table.find_equality_index(stmt.conflict)  # the exact key set
+    if index is None or not index.unique or len(set(stmt.conflict)) != len(stmt.conflict):
+        raise PlanningError(f"ON CONFLICT ({', '.join(stmt.conflict)}) names no PRIMARY "
+                            f"KEY or UNIQUE index of table {table_name!r}")
+    index_name = index.name
+    key_slots = [schema.position(c) for c in index.key_columns]
+    key_fn = compile_row([values[i] for i in key_slots], _VALUE_SCOPE)
+    stored_key = compile_row([SlotRef(i) for i in key_slots], _VALUE_SCOPE)
+    build = compile_row(values, _VALUE_SCOPE)
+    scope = Scope()
+    scope.add_source(table_name, schema)
+    set_row = _set_row(stmt.on_conflict, schema, scope)
+    returning = tuple(c.lower() for c in stmt.returning)
+    project = compile_row([SlotRef(schema.position(c)) for c in returning], _VALUE_SCOPE)
+
+    def upsert(ctx: ExecutionContext, t: Table, params: Sequence[Any], stored=None) -> list:
+        """Apply one parameter row to ``t``; returns the RETURNING rows."""
+        key = key_fn((), params) if stored is None else stored
+        ctx.index_probes += 1
+        rowid = None if None in key else next(t.index(index_name).lookup(key), None)
+        old = None if rowid is None else t.get(rowid)
+        if old is None or not t.is_visible(old):
+            row = t.schema.coerce_row(build((), params))
+            if stored is None and stored_key(row, ()) != key:
+                return upsert(ctx, t, params, stored_key(row, ()))  # probe the coerced key
+            rowid = ctx.insert(t, row)
+        else:
+            ctx.rows_scanned += 1
+            ctx.update(t, rowid, set_row(old, params))
+        return [project(t.get(rowid), ())] if returning else []
+
+    def run_upsert(ctx: ExecutionContext) -> ResultSet:
+        rows = upsert(ctx, ctx.write_table(table_name), ctx.params)
+        return ResultSet(returning, rows, rowcount=1)
+
+    def run_upsert_many(ctx: ExecutionContext, param_rows: Iterable[Sequence]) -> int:
+        t, n = ctx.write_table(table_name), 0
+        for n, params in enumerate(param_rows, 1):
+            _check_param_count(params, param_count, sql)
+            upsert(ctx, t, params)
+        return n
+
+    plan_info["conflict"] = {"op": "IndexScan", "table": table_name,
+                             "index": index_name, "unique": True}
+    return PreparedStatement(sql, "insert", param_count, run_upsert, columns=returning,
+                             run_many=run_upsert_many, plan_info=plan_info)
 
 
 # ---------------------------------------------------------------------------
@@ -794,17 +870,7 @@ def _plan_write(
     )
     scan_info["op_id"] = 0
 
-    assigned: dict[int, Expr] = {}
-    for a in stmt.assignments if kind == "update" else ():
-        pos = schema.position(a.column)
-        if pos in assigned:
-            raise PlanningError(f"column {a.column!r} assigned twice in UPDATE")
-        assigned[pos] = a.value
-    # the updated row in one generated frame: SET values, else the old slots
-    new_row = (
-        compile_row([assigned.get(i, SlotRef(i)) for i in range(schema.arity())], scope)
-        if kind == "update" else None
-    )
+    new_row = _set_row(stmt.assignments, schema, scope) if kind == "update" else None
 
     table_name = table.name
     plan_info = {

@@ -197,7 +197,8 @@ class TableSchema:
 
     def key_of(self, row: Sequence[Any], key_columns: Iterable[str]) -> tuple:
         """Extract a key tuple from a row."""
-        return tuple(row[self._positions[c]] for c in key_columns)
+        positions = self._positions  # a list, not a generator: runs per index per write
+        return tuple([row[positions[c]] for c in key_columns])
 
     def declared_columns(self) -> tuple[str, ...]:
         """Column names excluding engine-managed (``__``-prefixed) metadata —

@@ -90,11 +90,14 @@ def deploy(db, part) -> None:
     def lr_position(ctx, batch):
         emitted = []
         for vid, t, xway, seg, speed in batch.rows:
-            prev = ctx.query("SELECT seg, stops FROM vehicle WHERE vid = ?", (vid,))
+            # vehicle: a read and a write, because the stop count needs the
+            # pre-update row
+            prev = ctx.execute("SELECT seg, stops FROM vehicle WHERE vid = ?", (vid,)).rows
             if prev:
-                entered = seg != prev[0]["seg"]
+                prev_seg, prev_stops = prev[0]
+                entered = seg != prev_seg
                 if speed == 0:
-                    stops = 1 if entered else prev[0]["stops"] + 1
+                    stops = 1 if entered else prev_stops + 1
                 else:
                     stops = 0
                 ctx.execute(
@@ -111,49 +114,34 @@ def deploy(db, part) -> None:
                     (vid, xway, seg, stops, t),
                 )
 
-            st = ctx.query(
-                "SELECT cars, speed_sum FROM segstat WHERE xway = ? AND seg = ?",
-                (xway, seg),
-            )
-            if st:
-                cars = st[0]["cars"] + 1
-                speed_sum = st[0]["speed_sum"] + speed
-                ctx.execute(
-                    "UPDATE segstat SET cars = ?, speed_sum = ? "
-                    "WHERE xway = ? AND seg = ?",
-                    (cars, speed_sum, xway, seg),
-                )
-            else:
-                cars, speed_sum = 1, speed
-                ctx.execute(
-                    "INSERT INTO segstat (xway, seg, cars, speed_sum) "
-                    "VALUES (?, ?, ?, ?)",
-                    (xway, seg, cars, speed_sum),
-                )
+            cars, speed_sum = ctx.execute(
+                "INSERT INTO segstat (xway, seg, cars, speed_sum) VALUES (?, ?, 1, ?) "
+                "ON CONFLICT (xway, seg) DO UPDATE "
+                "SET cars = cars + 1, speed_sum = speed_sum + ? "
+                "RETURNING cars, speed_sum",
+                (xway, seg, speed, speed),
+            ).rows[0]
 
-            acc = ctx.query(
-                "SELECT hits FROM accident WHERE xway = ? AND seg = ?", (xway, seg)
-            )
+            # accident: exactly one statement per report
             if stops >= STOPPED_REPORTS:
-                if acc:
-                    ctx.execute(
-                        "UPDATE accident SET hits = hits + 1 "
-                        "WHERE xway = ? AND seg = ?",
-                        (xway, seg),
-                    )
-                else:
-                    ctx.execute(
-                        "INSERT INTO accident (xway, seg, hits) VALUES (?, ?, 1)",
-                        (xway, seg),
-                    )
+                ctx.execute(
+                    "INSERT INTO accident (xway, seg, hits) VALUES (?, ?, 1) "
+                    "ON CONFLICT (xway, seg) DO UPDATE SET hits = hits + 1",
+                    (xway, seg),
+                )
                 blocked = True
-            elif acc and speed > CLEAR_SPEED:
+            elif speed > CLEAR_SPEED:
                 ctx.execute(
                     "DELETE FROM accident WHERE xway = ? AND seg = ?", (xway, seg)
                 )
                 blocked = False
             else:
-                blocked = bool(acc)
+                blocked = bool(
+                    ctx.execute(
+                        "SELECT hits FROM accident WHERE xway = ? AND seg = ?",
+                        (xway, seg),
+                    ).rows
+                )
 
             if entered:
                 avg = speed_sum // cars
@@ -170,18 +158,12 @@ def deploy(db, part) -> None:
 
     @db.register_procedure
     def lr_charge(ctx, batch):
-        for vid, xway, toll in batch.rows:
-            acct = ctx.query("SELECT charged FROM account WHERE vid = ?", (vid,))
-            if acct:
-                ctx.execute(
-                    "UPDATE account SET charged = charged + ? WHERE vid = ?",
-                    (toll, vid),
-                )
-            else:
-                ctx.execute(
-                    "INSERT INTO account (vid, xway, charged) VALUES (?, ?, ?)",
-                    (vid, xway, toll),
-                )
+        # one batch upsert per delivery: a vehicle tolled twice accumulates
+        ctx.executemany(
+            "INSERT INTO account (vid, xway, charged) VALUES (?, ?, ?) "
+            "ON CONFLICT (vid) DO UPDATE SET charged = charged + ?",
+            [(vid, xway, toll, toll) for vid, xway, toll in batch.rows],
+        )
 
     db.create_workflow(
         "linear_road",

@@ -4,8 +4,8 @@
 
 * ``db.explain(sql)`` for every join query of ``test_joins.QUERIES``, on
   that module's fixture database;
-* ``db.explain(sql)`` for every statement the Linear Road procedures
-  prepare, on a database that has run the smoke script;
+* ``db.explain(sql)`` for every statement of ``LINEAR_ROAD_SQL``,
+  planned on the empty deployment and explained after the smoke script;
 * ``repr(fold_constants(...))`` over the differential corpus of
   ``test_compile.EXPRESSIONS`` plus a corpus of constant expressions
   (``"raises <Error>"`` where folding raises).
@@ -34,7 +34,8 @@ from repro.workloads.scenario import Scale
 
 GOLDEN = Path(__file__).with_name("golden_plans.json")
 
-#: every SQL text the Linear Road procedures prepare
+#: every SQL text the Linear Road procedures prepare, or prepared before
+#: segstat, accident and account became upserts
 LINEAR_ROAD_SQL = [
     "SELECT seg, stops FROM vehicle WHERE vid = ?",
     "UPDATE vehicle SET xway = ?, seg = ?, stops = ?, last_t = ? WHERE vid = ?",
@@ -49,6 +50,13 @@ LINEAR_ROAD_SQL = [
     "SELECT charged FROM account WHERE vid = ?",
     "UPDATE account SET charged = charged + ? WHERE vid = ?",
     "INSERT INTO account (vid, xway, charged) VALUES (?, ?, ?)",
+    "INSERT INTO segstat (xway, seg, cars, speed_sum) VALUES (?, ?, 1, ?) "
+    "ON CONFLICT (xway, seg) DO UPDATE SET cars = cars + 1, speed_sum = speed_sum + ? "
+    "RETURNING cars, speed_sum",
+    "INSERT INTO accident (xway, seg, hits) VALUES (?, ?, 1) "
+    "ON CONFLICT (xway, seg) DO UPDATE SET hits = hits + 1",
+    "INSERT INTO account (vid, xway, charged) VALUES (?, ?, ?) "
+    "ON CONFLICT (vid) DO UPDATE SET charged = charged + ?",
 ]
 
 #: constant expressions: folding, deferred errors and short circuits
@@ -78,6 +86,8 @@ def _join_plans() -> dict:
 def _linear_road_plans() -> dict:
     scenario = LinearRoadScenario()
     with closing(_single_db(scenario)) as db:
+        for sql in LINEAR_ROAD_SQL:  # planned on empty tables, as a first call plans
+            db.prepare(sql)
         run_ops(db, scenario.ops(20260808, Scale.smoke()))
         return _explain_all(db, LINEAR_ROAD_SQL)
 

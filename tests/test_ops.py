@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.common.errors import PartitionError
 from repro.common.ops import BY_NAME, EXEMPT_OPS, OPERATIONS, UNTRACED_OPS
 from repro.common.types import ColumnType as T
 from repro.engine import Database
@@ -201,3 +202,32 @@ def test_record_rejects_what_the_engine_method_would():
     # a generator of rows is materialised for the wire
     record = BY_NAME["ingest"].record(("feed", ((a, 1) for a in range(2))), {})
     assert record == {"op": "ingest", "stream": "feed", "rows": [(0, 1), (1, 1)]}
+
+
+UPSERT = (
+    "INSERT INTO bal (acct, total) VALUES (?, ?) "
+    "ON CONFLICT (acct) DO UPDATE SET total = total + ? RETURNING acct, total"
+)
+
+
+def test_upsert_script_agrees_across_engine_shapes(shapes):
+    script = [
+        ("execute", (UPSERT, (3, 5, 5)), {"key": 3}, _result_set),  # update path
+        ("execute", (UPSERT, (12, 7, 7)), {"key": 12}, _result_set),  # insert path
+        ("executemany", (UPSERT, [(12, 1, 1), (4, 2, 2), (12, 1, 1), (13, 9, 9)]),
+         {"key_position": 0}, _same),
+    ]
+    for verb, args, kwargs, normalise in script:
+        results = {s: normalise(r) for s, r in shapes.issue(verb, args, kwargs).items()}
+        assert all(r == results["single"] for r in results.values()), results
+    assert results["single"] == 4
+    state = {s: sorted(rs.rows) for s, rs in shapes.issue("execute", (STATE_SQL,)).items()}
+    assert all(rows == state["single"] for rows in state.values()), state
+    assert [r for r in state["single"] if r[1]] == [(3, 5), (4, 2), (12, 9), (13, 9)]
+
+
+def test_unkeyed_upsert_is_refused_by_the_partitioned_facade():
+    with PartitionedDatabase(2, deploy, workers="inline",
+                             partition_keys={"feed": "acct", "bal": "acct"}) as pdb:
+        with pytest.raises(PartitionError, match="cannot broadcast an INSERT"):
+            pdb.execute(UPSERT, (3, 5, 5))

@@ -23,9 +23,9 @@ def test_smoke_figures_are_pinned(capsys):
     assert report["seed"] == paper_shapes.DEFAULT_SEED
     assert report["lost_shapes"] == []
     c = report["comparison_4_6"]
-    assert c["sstore"]["rows_per_sec"] == pytest.approx(27984.303349848313, rel=1e-9)
-    assert c["sstore_vs_spark_streaming"] == pytest.approx(35.749947529431225, rel=1e-9)
-    assert c["sstore_vs_storm_trident"] == pytest.approx(2.252736419662789, rel=1e-9)
+    assert c["sstore"]["rows_per_sec"] == pytest.approx(39137.02852110953, rel=1e-9)
+    assert c["sstore_vs_spark_streaming"] == pytest.approx(49.997553935717434, rel=1e-9)
+    assert c["sstore_vs_storm_trident"] == pytest.approx(3.1505307959493174, rel=1e-9)
     two = report["scaling_4_7"]["points"]["2"]
-    assert two["speedup"] == pytest.approx(1.6818847943520352, rel=1e-9)
-    assert two["rel_err"] == pytest.approx(0.1590576028239824, rel=1e-9)
+    assert two["speedup"] == pytest.approx(1.650524847684064, rel=1e-9)
+    assert two["rel_err"] == pytest.approx(0.17473757615796803, rel=1e-9)

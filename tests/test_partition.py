@@ -20,6 +20,7 @@ from repro.common.errors import (
 from repro.common.types import ColumnType as T
 from repro.engine import Database
 from repro.partition import PartitionInfo, PartitionedDatabase
+from repro.partition.partitioning import stable_hash
 from repro.server import ReproClient, ReproServer
 from repro.storage.schema import schema
 
@@ -149,9 +150,9 @@ def test_short_row_in_a_split_batch_raises_the_single_engine_schema_error():
 
 @pytest.mark.parametrize("mode", ["hash", "round_robin"])
 def test_split_routes_every_row_where_partition_of_puts_its_key(mode):
-    # equal keys of different types route apart (1, 1.0 and True at n=3;
-    # 0.0 and -0.0 too), so a per-batch memo keyed by value alone mixes
-    # them up; rows keep their input order inside a bucket
+    # equal keys of different types can route apart (True and 1 at n=3),
+    # so a per-batch memo keyed by value alone would mix them up; rows keep
+    # their input order inside a bucket
     nan = float("nan")
     keys = [True, 1, 1.0, False, 0, None, "1", nan, 0.0, -0.0, 2, 1, True, "1", -0.0]
     rows = []
@@ -176,6 +177,38 @@ def test_split_routes_every_row_where_partition_of_puts_its_key(mode):
             pdb._split_batch("feed", rows + [([1], 99)])
         with pytest.raises(SchemaError, match="not hashable"):
             pdb._split_batch("feed", [({"a": 1}, 0)])
+
+
+def test_integral_float_key_routes_with_its_int_twin():
+    # a worker stores the float key 3.0 of an INTEGER column as 3, and the
+    # engine's index matches 3 == 3.0, so a keyed read of 3 (or 3.0) must
+    # reach the partition the ingest split sent 3.0 to; -0.0 goes with 0
+    def deploy_kv(db, part):
+        db.create_stream(schema("s", ("k", T.INTEGER), ("v", T.INTEGER)))
+        db.create_table(schema("t", ("k", T.INTEGER, False), ("v", T.INTEGER),
+                               primary_key=["k"]))
+
+        @db.register_procedure
+        def keep(ctx, batch):
+            for row in batch.rows:
+                ctx.execute("INSERT INTO t (k, v) VALUES (?, ?)", row)
+
+        db.create_workflow("w", [("s", "keep")])
+
+    point = "SELECT k, v FROM t WHERE k = ?"
+    keys = [-0.0] + [float(k) for k in range(1, 10)]
+    with PartitionedDatabase(2, deploy_kv, partition_keys={"s": "k", "t": "k"},
+                             workers="inline") as pdb:
+        pdb.ingest("s", [(k, 5) for k in keys])
+        pdb.drain()
+        assert sorted(pdb.execute("SELECT k, v FROM t").rows) == [(k, 5) for k in range(10)]
+        for k in range(10):
+            assert pdb.execute(point, (k,), key=k).rows == [(k, 5)]
+            assert pdb.execute(point, (k,), key=float(k)).rows == [(k, 5)]
+        assert pdb.execute(point, (0,), key=-0.0).rows == [(0, 5)]
+        part_of = pdb.partition_map.partition_of
+        for value in (float("nan"), float("inf"), float("-inf"), 2.5):
+            assert part_of(value) == stable_hash(value) % 2  # the float hash
 
 
 def test_pipelined_ingest_matches_waited_ingest():

@@ -225,9 +225,9 @@ def test_linear_road_statements_probe_instead_of_scanning(refs):
 
 
 LINEAR_ROAD_EVENTS = {
-    "client_submit": 6, "index_probes": 249, "pe_trigger": 12,
-    "procedure_call": 12, "rows_inserted": 101, "rows_scanned": 175,
-    "rows_updated": 86, "sql_plan": 12, "sql_stmt": 295, "txn_begin": 18,
+    "client_submit": 6, "index_probes": 203, "pe_trigger": 12,
+    "procedure_call": 12, "rows_inserted": 101, "rows_scanned": 129,
+    "rows_updated": 86, "sql_plan": 8, "sql_stmt": 210, "txn_begin": 18,
     "txn_commit": 18, "txn_implicit": 6,
 }
 
